@@ -10,7 +10,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .flood import message_savings, run_flood
+from .flood import message_savings, naive_flood_count, run_flood
 from .graph import Digraph, NodeId, random_connected_unit_disk
 from .regions import (
     StretchBoundError,
@@ -193,7 +193,7 @@ def run_flood_oracle_suite(suite: Iterable[SuiteGraph]) -> FloodOracleReport:
                     (item.index, v, st.distance, sorted(st.regions), want_dist,
                      sorted(want_regions))
                 )
-        savings = message_savings(result.totals, item.g, item.seeds)
+        savings = message_savings(result.totals, naive_flood_count(item.g, item.seeds))
         report.min_savings = min(report.min_savings, savings)
         report.max_savings = max(report.max_savings, savings)
     return report

@@ -8,6 +8,7 @@ from typing import Iterable, Sequence
 from .graph import NodeId
 
 LEDGER_MODES = ("tx", "rx", "sense", "sleep")
+TX, RX, SENSE, SLEEP = range(len(LEDGER_MODES))  # indices into a ledger row
 ACCRUAL_MODES = ("sense", "sleep")
 
 # battery considered empty below this many joules (float accrual slack)
@@ -85,36 +86,45 @@ def rx_energy(bits: float, params: EnergyParams) -> float:
 class EnergyLedger:
     """Per-node cumulative joules by mode against a shared battery budget.
 
-    ``remaining`` is always derived (budget minus spends), so the conservation
-    identity holds exactly.  Nodes at or below zero are dead; callers stop
-    routing through them.
+    Each node's spends are stored as one flat list ``[tx, rx, sense, sleep]``
+    (indexed by ``TX``, ``RX``, ``SENSE``, ``SLEEP``) in ``rows``.  The spent
+    total is always summed left to right, ``((tx + rx) + sense) + sleep``,
+    and ``remaining`` is the budget minus that total, so the conservation
+    identity holds exactly and an engine that reads ``rows`` directly gets
+    the same bits as these methods.  Nodes at or below ``DEATH_EPSILON_J``
+    are dead; callers stop routing through them.
     """
 
     def __init__(self, node_ids: Iterable[NodeId], budget_j: float):
         if budget_j <= 0:
             raise ValueError("budget must be > 0")
         self.budget_j = float(budget_j)
-        self._spent: dict[NodeId, dict[str, float]] = {
-            v: dict.fromkeys(LEDGER_MODES, 0.0) for v in sorted(set(node_ids))
+        self.rows: dict[NodeId, list[float]] = {
+            v: [0.0, 0.0, 0.0, 0.0] for v in sorted(set(node_ids))
         }
-        self.timeline: list[tuple[float, NodeId, str]] = []
 
     @property
     def node_ids(self) -> tuple[NodeId, ...]:
-        return tuple(self._spent)
+        return tuple(self.rows)
 
-    def _entry(self, node: NodeId) -> dict[str, float]:
+    def _entry(self, node: NodeId) -> list[float]:
         try:
-            return self._spent[node]
+            return self.rows[node]
         except KeyError:
             raise ValueError(f"no ledger entry for node {node!r}") from None
 
-    def charge(self, node: NodeId, mode: str, joules: float) -> None:
+    def check_charge(self, node: NodeId, mode: str, joules: float) -> int:
+        """Validate a charge without applying it; returns the mode's row index."""
         if mode not in LEDGER_MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if joules < 0:
             raise ValueError("charge must be >= 0")
-        self._entry(node)[mode] += joules
+        self._entry(node)
+        return LEDGER_MODES.index(mode)
+
+    def charge(self, node: NodeId, mode: str, joules: float) -> None:
+        slot = self.check_charge(node, mode, joules)
+        self.rows[node][slot] += joules
 
     def accrue(self, node: NodeId, mode: str, duration_s: float, params: EnergyParams) -> None:
         """Add duty-mode energy for a time span (sense or sleep)."""
@@ -123,16 +133,14 @@ class EnergyLedger:
         if duration_s < 0:
             raise ValueError("duration must be >= 0")
         power_mw = params.p_sense_mw if mode == "sense" else params.p_sleep_mw
-        self._entry(node)[mode] += power_mw / 1000.0 * duration_s
-
-    def note_mode(self, t: float, node: NodeId, mode: str) -> None:
-        self.timeline.append((t, node, mode))
+        self._entry(node)[LEDGER_MODES.index(mode)] += power_mw / 1000.0 * duration_s
 
     def spent_by_mode(self, node: NodeId) -> dict[str, float]:
-        return dict(self._entry(node))
+        return dict(zip(LEDGER_MODES, self._entry(node)))
 
     def total_spent(self, node: NodeId) -> float:
-        return sum(self._entry(node).values())
+        tx, rx, sense, sleep = self._entry(node)
+        return ((tx + rx) + sense) + sleep
 
     def remaining(self, node: NodeId) -> float:
         return self.budget_j - self.total_spent(node)
@@ -142,11 +150,7 @@ class EnergyLedger:
 
     def snapshot(self) -> list[tuple]:
         """Rows (node_id, tx_J, rx_J, sense_J, sleep_J, remaining_J), id-sorted."""
-        rows = []
-        for v in self._spent:
-            e = self._spent[v]
-            rows.append((v, e["tx"], e["rx"], e["sense"], e["sleep"], self.remaining(v)))
-        return rows
+        return [(v, *e, self.remaining(v)) for v, e in self.rows.items()]
 
 
 def mode_accrual(

@@ -194,9 +194,9 @@ def naive_flood_count(g: Digraph, seeds: Iterable[NodeId]) -> int:
     return total
 
 
-def message_savings(totals: FloodTotals, g: Digraph, seeds: Iterable[NodeId]) -> float:
-    """Fraction of naive flood messages suppressed by the boundary pruning."""
-    naive = naive_flood_count(g, seeds)
+def message_savings(totals: FloodTotals, naive: int) -> float:
+    """Fraction of the ``naive`` per-seed flood messages (``naive_flood_count``)
+    suppressed by the boundary pruning."""
     if naive == 0:
         return 0.0
     return 1.0 - totals.tx / naive

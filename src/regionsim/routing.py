@@ -342,5 +342,16 @@ def per_packet_charges(
 
 
 def packet_energy(route: SessionRoute, params: EnergyParams, bits: float) -> float:
-    """Total sensor energy one packet costs on this route."""
-    return sum(j for _, _, j in per_packet_charges(route, params, bits))
+    """Total sensor energy one packet costs on this route.
+
+    Summed hop by hop, each hop's transmit plus receive charge first; a
+    session's reported packet energy relies on this order, down to the last bit.
+    """
+    total = hop = 0.0
+    for _, mode, joules in per_packet_charges(route, params, bits):
+        if mode == "tx":  # a new hop starts
+            total += hop
+            hop = joules
+        else:
+            hop += joules
+    return total + hop

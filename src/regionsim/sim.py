@@ -13,21 +13,40 @@ Model notes:
   * Under the region-search protocol only nodes on an active session route
     stay in sense mode after setup; the comparison protocols keep every
     sensor in sense mode, which is the energy gap being measured.
-  * Battery deaths from impulse charges are exact; deaths from continuous
-    drain are resolved by self-rescheduling death events (within float
-    accuracy of the projected crossing).
+  * Battery deaths.  A charge that leaves a node at or below
+    DEATH_EPSILON_J kills it at once; the charge is billed in full, so the
+    node can end up to one charge below zero.  Steady drain is handled by one
+    projected death event per node, and a new projection replaces the queued
+    one only when it is more than 1 s earlier.  A node that no charge touches
+    dies at its crossing; a node whose projection packet charges keep moving
+    earlier dies when the queued event fires, up to 1 s late and up to 1 s of
+    drain below zero (12 mJ while sensing).  Under dt on the default scenario
+    at seed 2 the 15 session sources end 1.3 to 9.8 mJ below zero.
+  * Ledger layout.  Each sensor's spends are one flat [tx, rx, sense, sleep]
+    list in EnergyLedger.rows.  The loop updates those rows in place and
+    reads a balance as budget - (((tx + rx) + sense) + sleep), the expression
+    the ledger's own methods use, so both give the same bits.
 """
 
 import csv
 import heapq
 import random
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .energy import EnergyLedger, rx_energy, tx_energy
+from .energy import (
+    DEATH_EPSILON_J,
+    LEDGER_MODES,
+    RX,
+    SENSE,
+    SLEEP,
+    TX,
+    EnergyLedger,
+    rx_energy,
+    tx_energy,
+)
 from .flood import cells_from_flood, message_savings, naive_flood_count, run_flood
 from .graph import NodeId, build_unit_disk_digraph, neighborhoods
 from .regions import build_boundary_dual_graph
@@ -35,6 +54,8 @@ from .routing import (
     RouteNotFound,
     build_res_tables,
     characteristic_distance,
+    packet_energy,
+    per_packet_charges,
     route,
 )
 from .scenario import ScenarioConfig, ScenarioError, deploy, scenario_to_dict
@@ -46,35 +67,11 @@ class SimulationError(RuntimeError):
     """A run aborted; the message carries the failing seed."""
 
 
-class EventKind(Enum):
-    PACKET_GEN = "packet_gen"
-    TX = "tx"
-    RX = "rx"
-    SLEEP = "sleep"
-    WAKE = "wake"
-    REPORT = "report"
-    NODE_DEATH = "node_death"
-
-
-_PRIORITY = {
-    EventKind.NODE_DEATH: 0,
-    EventKind.WAKE: 1,
-    EventKind.SLEEP: 1,
-    EventKind.PACKET_GEN: 2,
-    EventKind.TX: 3,
-    EventKind.RX: 4,
-    EventKind.REPORT: 5,
-}
-
-
-@dataclass(frozen=True)
-class Event:
-    """A timestamped simulation event; ties order by kind priority then node."""
-
-    time: float
-    kind: EventKind
-    node: NodeId | None = None
-    payload: object = None
+# Event kinds, doubling as their priority within one timestamp; ties of kind
+# order by node id (-1 for reports), then by push order.  A heap entry is the
+# plain tuple (time, kind, node, seq, payload): a PACKET_GEN's payload is its
+# session id, a PHASE's the ledger slot of the mode it switches to.
+NODE_DEATH, PHASE, PACKET_GEN, REPORT = 0, 1, 2, 5
 
 
 @dataclass(frozen=True)
@@ -151,15 +148,22 @@ class BatchReport:
 
 
 class _Session:
-    __slots__ = ("record", "hops")
+    __slots__ = ("record", "charges")
 
-    def __init__(self, record: SessionRecord, hops: list):
+    def __init__(self, record: SessionRecord, charges: tuple):
         self.record = record
-        self.hops = hops  # (sender, receiver, tx_j, rx_j) per hop
+        self.charges = charges  # (node, ledger slot, joules) per charge of a packet
 
 
 class _Run:
-    """Single-run engine; builds everything in __init__ and leaves a report."""
+    """Single-run engine; builds everything in __init__ and leaves a report.
+
+    The event loop reads and writes the ledger rows directly, with the
+    arithmetic of ``EnergyLedger.accrue``, ``charge`` and ``remaining`` in the
+    same order, so it gives the same bits as those methods would.  The checks
+    those methods make are made once at setup, on the constant hop and flood
+    charges.
+    """
 
     def __init__(self, config: ScenarioConfig, seed: int):
         self.config = config
@@ -177,8 +181,15 @@ class _Run:
             [self.nodes[v] for v in sorted(self.nodes)], symmetric=True
         )
         self.ledger = EnergyLedger(self.sensors, config.battery_j)
+        self.rows = self.ledger.rows
+        self.budget = self.ledger.budget_j
+        # drain power per duty slot, in watts, as EnergyLedger.accrue computes it
+        self.drain_w = {
+            SENSE: self.params.p_sense_mw / 1000.0,
+            SLEEP: self.params.p_sleep_mw / 1000.0,
+        }
 
-        self.mode: dict[NodeId, str] = {}
+        self.mode: dict[NodeId, int] = {}  # SENSE or SLEEP; kept after death
         self.mode_since: dict[NodeId, float] = {}
         self.alive: set[NodeId] = set(self.sensors)
         self.deaths: list[tuple[float, NodeId]] = []
@@ -228,7 +239,7 @@ class _Run:
                 rx=result.totals.rx,
                 discard=result.totals.discard,
                 naive=naive,
-                savings=message_savings(result.totals, self.g, self.deployment.seeds),
+                savings=message_savings(result.totals, naive),
                 rounds=result.rounds,
                 unreached=len(result.unreached),
             )
@@ -242,6 +253,9 @@ class _Run:
                 (v, result.states[v].tx_count * tx1, result.states[v].rx_count * rx1)
                 for v in self.sensors
             ]
+            for v, txj, rxj in self._flood_charges:
+                self.ledger.check_charge(v, "tx", txj)
+                self.ledger.check_charge(v, "rx", rxj)
             self._flood_pending = True
         elif self.config.protocol == "merr":
             self.d_char = characteristic_distance(
@@ -271,16 +285,12 @@ class _Run:
                 rec = SessionRecord(
                     idx, src, self.sink, self.config.protocol, "no_route", 0, 0.0
                 )
-                self.sessions.append(_Session(rec, []))
+                self.sessions.append(_Session(rec, ()))
                 continue
-            hops = []
-            packet_j = 0.0
-            for i in range(r.hops):
-                snd, rcv = r.vertices[i], r.vertices[i + 1]
-                txj = tx_energy(self.bits, r.levels[i], self.params)
-                rxj = rx_energy(self.bits, self.params) if rcv != self.sink else 0.0
-                hops.append((snd, rcv, txj, rxj))
-                packet_j += txj + rxj
+            charges = tuple(
+                (v, self.ledger.check_charge(v, mode, joules), joules)
+                for v, mode, joules in per_packet_charges(r, self.params, self.bits)
+            )
             rec = SessionRecord(
                 idx,
                 src,
@@ -288,10 +298,10 @@ class _Run:
                 self.config.protocol,
                 "ok",
                 r.hops,
-                packet_j,
+                packet_energy(r, self.params, self.bits),
                 vertices=r.vertices,
             )
-            self.sessions.append(_Session(rec, hops))
+            self.sessions.append(_Session(rec, charges))
 
         if self.config.protocol == "res":
             duty: set[NodeId] = set()
@@ -303,29 +313,24 @@ class _Run:
         else:
             self.duty = frozenset(self.sensors)
 
-    def _push(self, ev: Event):
+    def _push(self, t: float, kind: int, node: NodeId, payload=None):
         self._seq += 1
-        key = ev.node if isinstance(ev.node, int) else -1
-        heapq.heappush(self.heap, (ev.time, _PRIORITY[ev.kind], key, self._seq, ev))
+        heapq.heappush(self.heap, (t, kind, node, self._seq, payload))
 
     def _setup_schedule(self):
         for v in self.sensors:
-            m = "sense" if v in self.init_active else "sleep"
-            self.mode[v] = m
+            self.mode[v] = SENSE if v in self.init_active else SLEEP
             self.mode_since[v] = 0.0
-            self.ledger.note_mode(0.0, v, m)
             self._project_death(v)
         self.intervals.append(self._interval_row(0.0))
         self.ledger_snapshots.append((0.0, self.ledger.snapshot()))
 
         t_init = self.config.init_phase_s
         for v in self.sensors:
-            kind = EventKind.WAKE if v in self.duty else EventKind.SLEEP
-            self._push(Event(t_init, kind, node=v))
+            self._push(t_init, PHASE, v, SENSE if v in self.duty else SLEEP)
         for s in self.sessions:
             if s.record.status == "ok":
-                self._push(Event(t_init, EventKind.PACKET_GEN, node=s.record.source,
-                                 payload=s.record.session_id))
+                self._push(t_init, PACKET_GEN, s.record.source, s.record.session_id)
         interval = self.config.report_interval_s
         times = set()
         k = 1
@@ -334,124 +339,123 @@ class _Run:
             k += 1
         times.add(self.duration)
         for t in sorted(times):
-            self._push(Event(t, EventKind.REPORT))
+            self._push(t, REPORT, -1)
 
     # -- accounting ------------------------------------------------------
+    # Callers pass live nodes only.
 
     def _accrue_to(self, v: NodeId, t: float):
-        m = self.mode[v]
-        if m == "dead":
-            return
         dur = t - self.mode_since[v]
         if dur > 0:
-            self.ledger.accrue(v, m, dur, self.params)
+            m = self.mode[v]
+            self.rows[v][m] += self.drain_w[m] * dur
             self.mode_since[v] = t
 
-    def _set_mode(self, v: NodeId, t: float, m: str):
-        if self.mode[v] == "dead":
+    def _set_mode(self, v: NodeId, t: float, m: int):
+        if v not in self.alive:
             return
         self._accrue_to(v, t)
         if self.mode[v] != m:
             self.mode[v] = m
-            self.ledger.note_mode(t, v, m)
             self._project_death(v)
 
     def _kill(self, v: NodeId, t: float):
-        if self.mode[v] == "dead":
-            return
-        self.mode[v] = "dead"
         self.alive.discard(v)
         self.deaths.append((t, v))
-        self.ledger.note_mode(t, v, "dead")
 
-    def _impulse(self, v: NodeId, mode: str, joules: float, rec: SessionRecord):
-        self._accrue_to(v, self.now)
-        self.ledger.charge(v, mode, joules)
+    def _impulse(self, v: NodeId, slot: int, joules: float, rec: SessionRecord):
+        """Charge a live node: accrue its drain, add the charge, then kill it
+        or project its drain death (``_accrue_to`` and ``_project_death``
+        inlined, since this runs once per hop end of every packet)."""
+        now = self.now
+        e = self.rows[v]
+        m = self.mode[v]
+        w = self.drain_w[m]
+        dur = now - self.mode_since[v]
+        if dur > 0:
+            e[m] += w * dur
+            self.mode_since[v] = now
+        e[slot] += joules
         rec.energy_j += joules
-        if not self.ledger.is_alive(v):
-            self._kill(v, self.now)
-        else:
-            self._project_death(v)
+        remaining = self.budget - (((e[TX] + e[RX]) + e[SENSE]) + e[SLEEP])
+        if remaining <= DEATH_EPSILON_J:
+            self._kill(v, now)
+            return
+        t = now + remaining / w
+        if t <= self.duration:
+            sched = self._death_sched.get(v)
+            if sched is None or t < sched - 1.0:
+                self._death_sched[v] = t
+                self._push(max(t, now), NODE_DEATH, v)
 
     def _project_death(self, v: NodeId):
-        m = self.mode[v]
-        if m == "dead":
-            return
-        power_w = (
-            self.params.p_sense_mw if m == "sense" else self.params.p_sleep_mw
-        ) / 1000.0
-        t = self.now + self.ledger.remaining(v) / power_w
+        """Queue v's drain death if it falls within the run and more than 1 s
+        before the one already queued; the death event revalidates anyway."""
+        t = self.now + self.ledger.remaining(v) / self.drain_w[self.mode[v]]
         if t > self.duration:
             return
-        # re-push only when meaningfully earlier; the event revalidates anyway
-        if v not in self._death_sched or t < self._death_sched[v] - 1.0:
+        sched = self._death_sched.get(v)
+        if sched is None or t < sched - 1.0:
             self._death_sched[v] = t
-            self._push(Event(max(t, self.now), EventKind.NODE_DEATH, node=v))
+            self._push(max(t, self.now), NODE_DEATH, v)
 
     # -- event handlers ----------------------------------------------------
 
     def _loop(self):
-        while self.heap:
-            _, _, _, _, ev = heapq.heappop(self.heap)
-            self.now = ev.time
-            if ev.kind is EventKind.PACKET_GEN:
-                self._handle_packet(ev.payload)
-            elif ev.kind in (EventKind.WAKE, EventKind.SLEEP):
-                self._handle_phase(ev)
-            elif ev.kind is EventKind.REPORT:
+        heap = self.heap
+        pop = heapq.heappop
+        while heap:
+            t, kind, node, _, payload = pop(heap)
+            self.now = t
+            if kind == PACKET_GEN:
+                self._handle_packet(payload)
+            elif kind == NODE_DEATH:
+                self._handle_death(node)
+            elif kind == PHASE:
+                self._handle_phase(node, payload)
+            else:
                 self._handle_report()
-            elif ev.kind is EventKind.NODE_DEATH:
-                self._handle_death(ev.node)
 
-    def _handle_phase(self, ev: Event):
+    def _handle_phase(self, v: NodeId, mode: int):
         if self._flood_pending:
             # region flood setup messages are paid at the end of the init phase
             self._flood_pending = False
             dummy = SessionRecord(-1, -1, self.sink, "res", "setup", 0, 0.0)
-            for v, txj, rxj in self._flood_charges:
-                if self.mode[v] == "dead":
+            for u, txj, rxj in self._flood_charges:
+                if u not in self.alive:
                     continue
                 if txj:
-                    self._impulse(v, "tx", txj, dummy)
-                if rxj and self.mode[v] != "dead":
-                    self._impulse(v, "rx", rxj, dummy)
-        self._set_mode(
-            ev.node, ev.time, "sense" if ev.kind is EventKind.WAKE else "sleep"
-        )
+                    self._impulse(u, TX, txj, dummy)
+                if rxj and u in self.alive:
+                    self._impulse(u, RX, rxj, dummy)
+        self._set_mode(v, self.now, mode)
 
     def _handle_packet(self, session_id: int):
         s = self.sessions[session_id]
         rec = s.record
         rec.generated += 1
         self.generated += 1
-        ok = True
-        for snd, rcv, txj, rxj in s.hops:
-            if snd not in self.alive:
-                ok = False
-                break
-            self._impulse(snd, "tx", txj, rec)
-            if rcv != self.sink:
-                if rcv not in self.alive:
-                    ok = False  # transmission wasted on a dead receiver
-                    break
-                self._impulse(rcv, "rx", rxj, rec)
-        if ok:
+        alive = self.alive
+        for v, slot, joules in s.charges:
+            if v not in alive:
+                break  # dropped; a dead receiver wastes the transmission to it
+            self._impulse(v, slot, joules, rec)
+        else:
             rec.delivered += 1
             self.delivered += 1
         nxt = self.now + 1.0 / self.config.packet_rate_hz
         if nxt < self.duration - 1e-9:
-            self._push(Event(nxt, EventKind.PACKET_GEN, node=rec.source,
-                             payload=session_id))
+            self._push(nxt, PACKET_GEN, rec.source, session_id)
 
     def _handle_death(self, v: NodeId):
-        if self.mode[v] == "dead":
+        if v not in self.alive:
             return
         self._accrue_to(v, self.now)
-        if not self.ledger.is_alive(v):
-            self._kill(v, self.now)
-        else:
+        if self.ledger.is_alive(v):
             self._death_sched.pop(v, None)
             self._project_death(v)
+        else:
+            self._kill(v, self.now)
 
     def _handle_report(self):
         for v in self.alive:
@@ -478,14 +482,19 @@ class _Run:
                 break
         return 100.0 * float(covered.mean())
 
-    def _interval_row(self, t: float) -> IntervalRow:
-        by_mode = {m: 0.0 for m in ("tx", "rx", "sense", "sleep")}
+    def _mode_totals(self) -> tuple[dict[str, float], float]:
+        """Network-wide joules by ledger mode and in total, in sensor order."""
+        by_mode = dict.fromkeys(LEDGER_MODES, 0.0)
         total = 0.0
         for v in self.sensors:
             spent = self.ledger.spent_by_mode(v)
             for m in by_mode:
                 by_mode[m] += spent[m]
             total += self.ledger.total_spent(v)
+        return by_mode, total
+
+    def _interval_row(self, t: float) -> IntervalRow:
+        by_mode, total = self._mode_totals()
         ratio = self.delivered / self.generated if self.generated else 0.0
         return IntervalRow(
             t_s=t,
@@ -502,13 +511,7 @@ class _Run:
         )
 
     def _build_report(self) -> RunReport:
-        by_mode = {m: 0.0 for m in ("tx", "rx", "sense", "sleep")}
-        total = 0.0
-        for v in self.sensors:
-            spent = self.ledger.spent_by_mode(v)
-            for m in by_mode:
-                by_mode[m] += spent[m]
-            total += self.ledger.total_spent(v)
+        by_mode, total = self._mode_totals()
         lifetime = self.deaths[0][0] if self.deaths else self.duration
         established = sum(1 for s in self.sessions if s.record.status == "ok")
         return RunReport(

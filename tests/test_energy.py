@@ -129,6 +129,29 @@ def test_ledger_death_threshold():
     assert not ledger.is_alive(0)
 
 
+def test_charge_rejections_match_check_charge():
+    ledger = EnergyLedger([0], budget_j=1.0)
+    for node, mode, joules, match in (
+        (0, "dead", 0.1, "unknown mode"),
+        (0, "tx", -0.1, ">= 0"),
+        (9, "tx", 0.1, "no ledger entry"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            ledger.check_charge(node, mode, joules)
+        with pytest.raises(ValueError, match=match):
+            ledger.charge(node, mode, joules)
+    assert ledger.check_charge(0, "rx", 0.1) == 1
+    assert ledger.total_spent(0) == 0.0
+
+
+def test_ledger_rows_are_flat_mode_lists():
+    ledger = EnergyLedger([0], budget_j=1.0)
+    ledger.charge(0, "rx", 0.25)
+    ledger.accrue(0, "sleep", 100.0, PARAMS)
+    assert ledger.rows[0] == [0.0, 0.25, 0.0, 0.05]
+    assert ledger.remaining(0) == 1.0 - (((0.0 + 0.25) + 0.0) + 0.05)
+
+
 def test_ledger_snapshot_schema():
     ledger = EnergyLedger([3, 1], budget_j=2.0)
     rows = ledger.snapshot()

@@ -62,6 +62,26 @@ def test_zero_sessions_only_flood_and_sleep():
     )
 
 
+def test_res_run_counts_naive_flood_once(monkeypatch):
+    import regionsim.flood
+    import regionsim.sim
+
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (regionsim.sim, regionsim.flood):
+        monkeypatch.setattr(module, "naive_flood_count", counting(module.naive_flood_count))
+    report = run(SMALL)
+    assert len(calls) == 1
+    assert report.flood.savings == 1.0 - report.flood.tx / report.flood.naive
+
+
 def test_init_phase_only_sink_neighbors_sense():
     # short range so that sink adjacency is a strict subset; snapshot the
     # ledger exactly at the end of the init phase
