@@ -11,7 +11,6 @@ from .energy import (
     EnergyParams,
     energy_savings,
     min_sensor_count,
-    mode_accrual,
     rx_energy,
     scaling_diagnostics,
     tx_energy,
@@ -39,6 +38,7 @@ from .graph import (
     random_connected_unit_disk,
     set_distance,
     shortest_path,
+    shortest_paths,
 )
 from .regions import (
     BoundaryCellMap,

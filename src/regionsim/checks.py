@@ -7,7 +7,7 @@ multi-source breadth-first search.
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .flood import message_savings, naive_flood_count, run_flood
@@ -85,12 +85,8 @@ def random_suite(
 class ContainmentReport:
     graphs: int = 0
     nodes_checked: int = 0
-    failures: list = None
+    failures: list = field(default_factory=list)
     tie_nodes: int = 0
-
-    def __post_init__(self):
-        if self.failures is None:
-            self.failures = []
 
     @property
     def ok(self) -> bool:
@@ -117,11 +113,7 @@ class StretchReport:
     graphs: int = 0
     pairs_checked: int = 0
     max_ratio_fraction: float = 0.0  # worst ratio/bound seen
-    violations: list = None
-
-    def __post_init__(self):
-        if self.violations is None:
-            self.violations = []
+    violations: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -164,13 +156,9 @@ def run_stretch_suite(suite: Iterable[SuiteGraph], max_pairs: int | None = None)
 class FloodOracleReport:
     graphs: int = 0
     nodes_checked: int = 0
-    mismatches: list = None
+    mismatches: list = field(default_factory=list)
     min_savings: float = 1.0
     max_savings: float = 0.0
-
-    def __post_init__(self):
-        if self.mismatches is None:
-            self.mismatches = []
 
     @property
     def ok(self) -> bool:

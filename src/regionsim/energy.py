@@ -153,13 +153,6 @@ class EnergyLedger:
         return [(v, *e, self.remaining(v)) for v, e in self.rows.items()]
 
 
-def mode_accrual(
-    ledger: EnergyLedger, node: NodeId, mode: str, duration_s: float, params: EnergyParams
-) -> None:
-    """Accrue sense/sleep energy on the ledger for one node."""
-    ledger.accrue(node, mode, duration_s, params)
-
-
 def min_sensor_count(area_m2: float, sensing_range_m: float) -> int:
     """Minimum sensor count to cover a square area of the given size.
 

@@ -212,26 +212,11 @@ def cells_from_flood(
     """
     seed_tuple = tuple(sorted(set(seeds)))
     owners: dict[NodeId, tuple[NodeId, ...]] = {}
-    cell_of: dict[NodeId, NodeId] = {}
     dist: dict[NodeId, float] = {}
     for v in g.vertices:
         st = states[v]
         if st.distance is None:
             continue
-        own = tuple(sorted(st.regions))
-        owners[v] = own
-        cell_of[v] = own[0]
+        owners[v] = tuple(sorted(st.regions))
         dist[v] = float(st.distance)
-    members = {
-        s: frozenset(v for v, own in owners.items() if s in own) for s in seed_tuple
-    }
-    ties = frozenset(v for v, own in owners.items() if len(own) > 1)
-    return BoundaryCellMap(
-        seeds=seed_tuple,
-        metric="hop",
-        owners=owners,
-        cell_of=cell_of,
-        members=members,
-        tie_nodes=ties,
-        dist_to_seed=dist,
-    )
+    return BoundaryCellMap.from_owners(seed_tuple, "hop", owners, dist)

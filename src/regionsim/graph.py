@@ -3,6 +3,12 @@
 Vertices are plain node ids (ints or strings, one type per graph).  Graphs are
 immutable after construction, so concurrent read-only queries are safe.
 Unreachable is always reported as ``None``, never a sentinel number.
+
+Every path search is one routine, ``shortest_paths``: the lexicographic
+shortest-path tree, where equal-weight paths break ties on the smallest
+vertex-id sequence.  ``shortest_path``, the boundary dual routes and the
+``res`` exit arcs all read paths off that tree; ``single_source_distances``
+is its distance-only counterpart.
 """
 
 import heapq
@@ -108,6 +114,17 @@ class Digraph:
         self._require(v)
         return tuple(self._in[v])
 
+    def induced(self, members: Iterable[NodeId]) -> "Digraph":
+        """Subgraph on ``members`` keeping every arc between two members.
+
+        Walks only the members' out-arcs, not the whole graph.
+        """
+        mset = set(members)
+        for v in mset:
+            self._require(v)
+        arcs = {(u, v): w for u in mset for v, w in self._out[u].items() if v in mset}
+        return Digraph(mset, arcs)
+
 
 @dataclass(frozen=True)
 class Neighborhood:
@@ -200,6 +217,54 @@ def hop_distance(g: Digraph, u: NodeId, v: NodeId) -> int | None:
     return None
 
 
+def shortest_paths(
+    g: Digraph,
+    source: NodeId,
+    target: NodeId | None = None,
+    weight_fn: WeightFn | None = None,
+    unit: bool = False,
+    reverse: bool = False,
+) -> dict[NodeId, PathResult]:
+    """Lexicographic shortest-path tree from ``source``: one path per settled vertex.
+
+    Heap entries carry the whole candidate path, so equal-length paths pop in
+    lexicographic order: ties break on the exact float sum, then on the
+    smallest vertex-id sequence.  The search stops once ``target`` settles.
+    ``unit`` prices every arc at 1 (hop metric); ``weight_fn`` substitutes an
+    arbitrary positive per-arc cost.  With ``reverse`` the arcs are followed
+    backwards, so the path of ``v`` runs source, ..., v against the arcs and
+    read backwards is the v->source path.
+    """
+    g._require(source)
+    if target is not None:
+        g._require(target)
+    adj = g._in if reverse else g._out
+    tree: dict[NodeId, PathResult] = {}
+    heap: list[tuple[float, tuple[NodeId, ...]]] = [(0.0, (source,))]
+    while heap:
+        d, path = heapq.heappop(heap)
+        v = path[-1]
+        if v in tree:
+            continue
+        tree[v] = PathResult(path, d, len(path) - 1)
+        if v == target:
+            break
+        for nb, w in adj[v].items():
+            if nb in tree:
+                continue
+            if unit:
+                cost = 1.0
+            elif weight_fn is None:
+                cost = w
+            else:
+                arc = (nb, v) if reverse else (v, nb)
+                cost = weight_fn(*arc, w)
+                if cost < 0:
+                    raise ValueError(f"negative cost on arc {arc!r}")
+            heapq.heappush(heap, (d + cost, path + (nb,)))
+    return tree
+
+
 def shortest_path(
     g: Digraph,
     x: NodeId,
@@ -207,42 +272,8 @@ def shortest_path(
     weight_fn: WeightFn | None = None,
     unit: bool = False,
 ) -> PathResult | None:
-    """Minimum-weight x->y path, or None when unreachable.
-
-    Ties are broken deterministically in favor of the lexicographically
-    smallest vertex-id sequence.  ``unit`` prices every arc at 1 (hop metric);
-    ``weight_fn`` substitutes an arbitrary positive per-arc cost.
-    """
-    g._require(x)
-    g._require(y)
-    if x == y:
-        return PathResult((x,), 0.0, 0)
-    # Heap entries carry the whole candidate path so that equal-length paths
-    # pop in lexicographic order.
-    heap: list[tuple[float, tuple[NodeId, ...]]] = [(0.0, (x,))]
-    settled: set[NodeId] = set()
-    while heap:
-        d, path = heapq.heappop(heap)
-        v = path[-1]
-        if v in settled:
-            continue
-        settled.add(v)
-        if v == y:
-            return PathResult(path, d, len(path) - 1)
-        for nb in g.out_neighbors(v):
-            if nb in settled:
-                continue
-            w = g.weight(v, nb)
-            if unit:
-                cost = 1.0
-            elif weight_fn is not None:
-                cost = weight_fn(v, nb, w)
-            else:
-                cost = w
-            if cost < 0:
-                raise ValueError(f"negative cost on arc ({v!r}, {nb!r})")
-            heapq.heappush(heap, (d + cost, path + (nb,)))
-    return None
+    """Minimum-weight x->y path of the lexicographic tree, or None when unreachable."""
+    return shortest_paths(g, x, y, weight_fn, unit).get(y)
 
 
 def single_source_distances(

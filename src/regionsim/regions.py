@@ -7,7 +7,6 @@ The dual graph has one vertex per cell and carries composed crossing weights,
 which bound the stretch of routing through cells.
 """
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -44,8 +43,29 @@ class BoundaryCellMap:
     tie_nodes: frozenset
     dist_to_seed: dict[NodeId, float]
 
+    @classmethod
+    def from_owners(
+        cls,
+        seeds: tuple[NodeId, ...],
+        metric: str,
+        owners: dict[NodeId, tuple[NodeId, ...]],
+        dist_to_seed: dict[NodeId, float],
+    ) -> "BoundaryCellMap":
+        """Cell map from each node's sorted minimizing seeds and its distance."""
+        return cls(
+            seeds=seeds,
+            metric=metric,
+            owners=owners,
+            cell_of={v: own[0] for v, own in owners.items()},
+            members={
+                s: frozenset(v for v, own in owners.items() if s in own) for s in seeds
+            },
+            tie_nodes=frozenset(v for v, own in owners.items() if len(own) > 1),
+            dist_to_seed=dist_to_seed,
+        )
+
     def canonical_members(self, seed: NodeId) -> tuple[NodeId, ...]:
-        return tuple(v for v in sorted(self.cell_of) if self.cell_of[v] == seed)
+        return tuple(sorted(v for v in self.members.get(seed, ()) if self.cell_of[v] == seed))
 
 
 def compute_boundary_cells(
@@ -63,7 +83,6 @@ def compute_boundary_cells(
         for s in seed_tuple
     }
     owners: dict[NodeId, tuple[NodeId, ...]] = {}
-    cell_of: dict[NodeId, NodeId] = {}
     dist: dict[NodeId, float] = {}
     for v in g.vertices:
         best = None
@@ -78,21 +97,10 @@ def compute_boundary_cells(
                 mins.append(s)
         if best is None:
             raise ValueError(f"node {v!r} cannot reach any seed")
-        owners[v] = tuple(mins)
-        cell_of[v] = mins[0]  # seeds already sorted
+        owners[v] = tuple(mins)  # seeds already sorted
         dist[v] = best
-    members = {
-        s: frozenset(v for v, own in owners.items() if s in own) for s in seed_tuple
-    }
-    ties = frozenset(v for v, own in owners.items() if len(own) > 1)
-    return BoundaryCellMap(
-        seeds=seed_tuple,
-        metric="weighted" if weighted else "hop",
-        owners=owners,
-        cell_of=cell_of,
-        members=members,
-        tie_nodes=ties,
-        dist_to_seed=dist,
+    return BoundaryCellMap.from_owners(
+        seed_tuple, "weighted" if weighted else "hop", owners, dist
     )
 
 
@@ -145,21 +153,16 @@ class BoundaryDualGraph:
     cells: tuple[NodeId, ...]
     arcs: dict[tuple[NodeId, NodeId], DualArc]
 
-    def out_arcs(self, cell: NodeId) -> tuple[DualArc, ...]:
-        return tuple(a for (s, _), a in sorted(self.arcs.items()) if s == cell)
+    def digraph(self) -> Digraph:
+        """The cells and dual arcs as a weighted ``Digraph``."""
+        return Digraph(self.cells, {key: arc.weight for key, arc in self.arcs.items()})
 
 
 def _cell_subgraph_distances(
     g: Digraph, members: tuple[NodeId, ...], anchor: NodeId
 ) -> tuple[dict[NodeId, float], dict[NodeId, float]]:
     """(from-anchor, to-anchor) weighted distances inside the induced subgraph."""
-    mset = set(members)
-    arcs = {
-        (u, v): w
-        for u, v, w in g.arcs()
-        if u in mset and v in mset
-    }
-    sub = Digraph(members, arcs)
+    sub = g.induced(members)
     return (
         single_source_distances(sub, anchor),
         single_source_distances(sub, anchor, reverse=True),
@@ -211,29 +214,11 @@ def dual_route(
     """
     if src_cell not in dual.cells or dst_cell not in dual.cells:
         raise ValueError("unknown cell")
-    if src_cell == dst_cell:
-        return ()
-    out: dict[NodeId, list[DualArc]] = {c: [] for c in dual.cells}
-    for (s, _), arc in sorted(dual.arcs.items()):
-        out[s].append(arc)
-    heap: list[tuple[float, tuple[NodeId, ...], tuple[DualArc, ...]]] = [
-        (0.0, (src_cell,), ())
-    ]
-    settled: set[NodeId] = set()
-    while heap:
-        d, cellpath, arcs = heapq.heappop(heap)
-        c = cellpath[-1]
-        if c in settled:
-            continue
-        settled.add(c)
-        if c == dst_cell:
-            return arcs
-        for arc in out[c]:
-            if arc.dst not in settled:
-                heapq.heappush(
-                    heap, (d + arc.weight, cellpath + (arc.dst,), arcs + (arc,))
-                )
-    return None
+    path = shortest_path(dual.digraph(), src_cell, dst_cell)
+    if path is None:
+        return None
+    cellpath = path.vertices
+    return tuple(dual.arcs[hop] for hop in zip(cellpath, cellpath[1:]))
 
 
 @dataclass(frozen=True)
@@ -249,11 +234,7 @@ class BoundaryRouteResult:
 def _intra_cell_path(
     g: Digraph, cells: BoundaryCellMap, cell: NodeId, frm: NodeId, to: NodeId
 ) -> PathResult:
-    members = cells.canonical_members(cell)
-    mset = set(members)
-    arcs = {(u, v): w for u, v, w in g.arcs() if u in mset and v in mset}
-    sub = Digraph(members, arcs)
-    path = shortest_path(sub, frm, to)
+    path = shortest_path(g.induced(cells.canonical_members(cell)), frm, to)
     if path is None:
         raise ValueError(f"no intra-cell path {frm!r}->{to!r} in cell {cell!r}")
     return path

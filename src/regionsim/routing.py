@@ -12,13 +12,19 @@ All protocols route on the same digraph and energy model:
   or   - offline optimum of total per-packet energy; lower-bound baseline.
 """
 
-import heapq
 from dataclasses import dataclass
 from typing import Mapping
 
 from .energy import EnergyParams, rx_energy, tx_energy
-from .graph import Digraph, NodeId, NodePos, shortest_path, single_source_distances
-from .regions import BoundaryCellMap, BoundaryDualGraph, DualArc
+from .graph import (
+    Digraph,
+    NodeId,
+    NodePos,
+    shortest_path,
+    shortest_paths,
+    single_source_distances,
+)
+from .regions import BoundaryCellMap, BoundaryDualGraph
 
 PROTOCOLS = ("res", "dt", "mte", "merr", "or")
 
@@ -99,9 +105,7 @@ def _tree_next_hops(
 ) -> dict[NodeId, NodeId]:
     """Next hop along the lexicographic shortest-path tree toward ``target``,
     restricted to the subgraph induced by ``members``."""
-    mset = set(members)
-    arcs = {(u, v): w for u, v, w in g.arcs() if u in mset and v in mset}
-    sub = Digraph(members, arcs)
+    sub = g.induced(members)
     dist = single_source_distances(sub, target, reverse=True)
     hops: dict[NodeId, NodeId] = {}
     for v in members:
@@ -133,27 +137,12 @@ def build_res_tables(
         raise ValueError(f"sink {sink!r} has no cell assignment")
     sink_cell = cells.cell_of[sink]
 
-    # shortest dual route from every cell toward the sink cell: Dijkstra over
-    # reversed dual arcs with lexicographic tie-break on the cell sequence
-    incoming: dict[NodeId, list[DualArc]] = {c: [] for c in dual.cells}
-    for (_, d), arc in sorted(dual.arcs.items()):
-        incoming[d].append(arc)
-    exit_arc: dict[NodeId, DualArc] = {}
-    dist: dict[NodeId, float] = {}
-    heap: list[tuple[float, tuple[NodeId, ...], DualArc | None]] = [
-        (0.0, (sink_cell,), None)
-    ]
-    while heap:
-        d, cellpath, first = heapq.heappop(heap)
-        c = cellpath[-1]
-        if c in dist:
-            continue
-        dist[c] = d
-        if first is not None:
-            exit_arc[c] = first
-        for arc in incoming[c]:
-            if arc.src not in dist:
-                heapq.heappush(heap, (d + arc.weight, cellpath + (arc.src,), arc))
+    # shortest dual route from every cell toward the sink cell: the reversed
+    # lexicographic tree, whose path of c runs sink_cell, ..., next cell, c
+    tree = shortest_paths(dual.digraph(), sink_cell, reverse=True)
+    exit_arc = {
+        c: dual.arcs[(c, path.vertices[-2])] for c, path in tree.items() if c != sink_cell
+    }
 
     next_hop: dict[NodeId, NodeId] = {}
     stranded: list[NodeId] = []

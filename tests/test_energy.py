@@ -11,7 +11,6 @@ from regionsim.energy import (
     EnergyParams,
     energy_savings,
     min_sensor_count,
-    mode_accrual,
     rx_energy,
     scaling_diagnostics,
     tx_energy,
@@ -85,30 +84,30 @@ def test_params_validation():
 
 def test_mode_accrual_sleep():
     ledger = EnergyLedger([0], budget_j=10.0)
-    mode_accrual(ledger, 0, "sleep", 60.0, PARAMS)
+    ledger.accrue(0, "sleep", 60.0, PARAMS)
     assert ledger.spent_by_mode(0)["sleep"] == pytest.approx(0.0005 * 60)
 
 
 def test_mode_accrual_sense():
     ledger = EnergyLedger([0], budget_j=10.0)
-    mode_accrual(ledger, 0, "sense", 10.0, PARAMS)
+    ledger.accrue(0, "sense", 10.0, PARAMS)
     assert ledger.spent_by_mode(0)["sense"] == pytest.approx(0.12)
 
 
 def test_mode_accrual_zero_duration_noop():
     ledger = EnergyLedger([0], budget_j=10.0)
-    mode_accrual(ledger, 0, "sense", 0.0, PARAMS)
+    ledger.accrue(0, "sense", 0.0, PARAMS)
     assert ledger.total_spent(0) == 0.0
 
 
 def test_mode_accrual_rejections():
     ledger = EnergyLedger([0], budget_j=10.0)
     with pytest.raises(ValueError, match="duration"):
-        mode_accrual(ledger, 0, "sense", -1.0, PARAMS)
+        ledger.accrue(0, "sense", -1.0, PARAMS)
     with pytest.raises(ValueError, match="mode"):
-        mode_accrual(ledger, 0, "tx", 1.0, PARAMS)
+        ledger.accrue(0, "tx", 1.0, PARAMS)
     with pytest.raises(ValueError, match="no ledger entry"):
-        mode_accrual(ledger, 9, "sense", 1.0, PARAMS)
+        ledger.accrue(9, "sense", 1.0, PARAMS)
 
 
 def test_ledger_conservation_identity():

@@ -19,6 +19,7 @@ from regionsim.graph import (
     random_connected_unit_disk,
     set_distance,
     shortest_path,
+    shortest_paths,
     single_source_distances,
 )
 
@@ -243,6 +244,90 @@ def test_shortest_path_lexicographic_tie_break():
     # two equal-length routes 0->3: (0,1,3) and (0,2,3); lex smallest wins
     g = Digraph(range(4), {(0, 1): 1.0, (1, 3): 1.0, (0, 2): 1.0, (2, 3): 1.0})
     assert shortest_path(g, 0, 3).vertices == (0, 1, 3)
+
+
+def tie_heavy_digraph(rng, n, arc_prob=0.3):
+    """Small integer weights, so many vertices have several shortest paths."""
+    arcs = {}
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < arc_prob:
+                arcs[(u, v)] = float(rng.randint(1, 3))
+    return Digraph(range(n), arcs)
+
+
+def reversed_digraph(g):
+    return Digraph(g.vertices, {(v, u): w for u, v, w in g.arcs()})
+
+
+@pytest.mark.parametrize("unit", [False, True])
+def test_shortest_paths_tree_matches_single_paths(unit):
+    rng = random.Random(37)
+    for g in (tie_heavy_digraph(rng, 12), random_digraph(rng, 12)):
+        for s in g.vertices:
+            tree = shortest_paths(g, s, unit=unit)
+            for v in g.vertices:
+                assert tree.get(v) == shortest_path(g, s, v, unit=unit)
+
+
+def test_shortest_paths_stops_once_target_settles():
+    rng = random.Random(41)
+    g = tie_heavy_digraph(rng, 12)
+    full = shortest_paths(g, 0)
+    for t in full:
+        part = shortest_paths(g, 0, target=t)
+        assert part[t] == full[t]
+        assert all(full[v] == p and p.length <= full[t].length for v, p in part.items())
+
+
+def test_shortest_paths_reverse_equals_reversed_graph():
+    rng = random.Random(43)
+    squared = lambda u, v, w: w * w + u / 100.0  # noqa: E731 - depends on the tail
+    for g in (tie_heavy_digraph(rng, 12), random_digraph(rng, 12)):
+        rg = reversed_digraph(g)
+        swapped = lambda u, v, w: squared(v, u, w)  # noqa: E731
+        for s in g.vertices:
+            tree = shortest_paths(g, s, reverse=True)
+            priced = shortest_paths(g, s, weight_fn=squared, reverse=True)
+            for v in g.vertices:
+                assert tree.get(v) == shortest_path(rg, s, v)
+                assert priced.get(v) == shortest_path(rg, s, v, weight_fn=swapped)
+
+
+def test_shortest_paths_ties_on_exact_float_sums():
+    # 0.1 + 0.2 != 0.3 in floats: the direct arc is strictly shorter even
+    # though (0, 1, 3) is the lexicographically smaller sequence
+    g = Digraph(range(4), {(0, 1): 0.1, (1, 3): 0.2, (0, 3): 0.3})
+    assert shortest_paths(g, 0)[3].vertices == (0, 3)
+
+
+def test_induced_equals_full_arc_scan():
+    from regionsim.checks import random_suite
+    from regionsim.regions import compute_boundary_cells
+
+    rng = random.Random(47)
+    for item in random_suite(30, seed=5):
+        g = item.g
+        cells = compute_boundary_cells(g, item.seeds)
+        subsets = [cells.canonical_members(s) for s in item.seeds]
+        subsets.append(tuple(rng.sample(g.vertices, len(g) // 2)))
+        subsets.append(g.vertices)
+        for members in subsets:
+            mset = set(members)
+            scan = Digraph(
+                members, {(u, v): w for u, v, w in g.arcs() if u in mset and v in mset}
+            )
+            sub = g.induced(members)
+            assert sub.vertices == scan.vertices
+            assert list(sub.arcs()) == list(scan.arcs())
+            for v in sub.vertices:
+                assert sub.out_neighbors(v) == scan.out_neighbors(v)
+                assert sub.in_neighbors(v) == scan.in_neighbors(v)
+
+
+def test_induced_rejects_unknown_vertex():
+    with pytest.raises(ValueError, match="unknown vertex"):
+        path_graph(3).induced(["v0", "x"])
 
 
 def test_hop_equals_weighted_length_in_unit_mode():

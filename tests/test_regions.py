@@ -6,6 +6,8 @@ import pytest
 
 from regionsim.graph import Digraph, NodePos, build_unit_disk_digraph
 from regionsim.regions import (
+    BoundaryDualGraph,
+    DualArc,
     StretchBoundError,
     boundary_route,
     build_boundary_dual_graph,
@@ -234,6 +236,28 @@ def test_dual_route_unreachable_cells():
     dual = build_boundary_dual_graph(g, cells)
     assert dual_route(dual, 0, 2) is None
     assert boundary_route(g, cells, dual, 0, 2) is None
+
+
+def dual_of(weights):
+    cells = sorted({c for key in weights for c in key})
+    arcs = {(a, b): DualArc(a, b, w, (a, b)) for (a, b), w in weights.items()}
+    return BoundaryDualGraph(tuple(cells), arcs)
+
+
+def test_dual_route_ties_on_exact_float_sums_then_cell_sequence():
+    # equal sums: the smaller cell sequence (0, 1, 3) wins over (0, 2, 3)
+    dual = dual_of({(0, 2): 1.0, (2, 3): 1.0, (0, 1): 1.0, (1, 3): 1.0})
+    assert [a.crossing for a in dual_route(dual, 0, 3)] == [(0, 1), (1, 3)]
+    # 0.1 + 0.2 > 0.3 in floats: the direct arc wins although (0, 1, 3) < (0, 3)
+    dual = dual_of({(0, 1): 0.1, (1, 3): 0.2, (0, 3): 0.3})
+    assert [a.crossing for a in dual_route(dual, 0, 3)] == [(0, 3)]
+
+
+def test_dual_digraph_carries_dual_arc_weights():
+    dual = dual_of({(0, 1): 0.5, (1, 0): 0.25, (1, 2): 2.0})
+    dg = dual.digraph()
+    assert dg.vertices == (0, 1, 2)
+    assert list(dg.arcs()) == [(0, 1, 0.5), (1, 0, 0.25), (1, 2, 2.0)]
 
 
 # -- worst case construction -----------------------------------------------------

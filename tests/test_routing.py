@@ -7,8 +7,8 @@ import pytest
 
 from regionsim.energy import EnergyParams, rx_energy, tx_energy
 from regionsim.flood import cells_from_flood, run_flood
-from regionsim.graph import NodePos, build_unit_disk_digraph
-from regionsim.regions import build_boundary_dual_graph
+from regionsim.graph import Digraph, NodePos, build_unit_disk_digraph
+from regionsim.regions import build_boundary_dual_graph, compute_boundary_cells, dual_route
 from regionsim.routing import (
     CycleError,
     RouteNotFound,
@@ -113,6 +113,41 @@ def test_res_routes_cross_cells_only_at_dual_crossings():
         for a, b in zip(verts, verts[1:]):
             if cells.cell_of[a] != cells.cell_of[b]:
                 assert (a, b) in crossings
+
+
+def symmetric_digraph(weights):
+    arcs = {}
+    for (u, v), w in weights.items():
+        arcs[(u, v)] = arcs[(v, u)] = w
+    return Digraph({c for key in weights for c in key}, arcs)
+
+
+def singleton_cells_tables(g, sink):
+    cells = compute_boundary_cells(g, g.vertices, weighted=True)
+    dual = build_boundary_dual_graph(g, cells)
+    return dual, build_res_tables(g, cells, dual, sink)
+
+
+def test_res_exit_arc_ties_on_sink_first_cell_sequence():
+    # every node is its own cell; cell 0 reaches sink 5 by two routes of
+    # equal weight.  The exit arc follows the sink-first cell sequence
+    # (5, 3, 2, 0) < (5, 4, 1, 0), not the forward one (0, 1, 4, 5) that
+    # dual_route takes from cell 0.
+    g = symmetric_digraph(
+        {(0, 1): 1.0, (1, 4): 1.0, (4, 5): 1.0, (0, 2): 1.0, (2, 3): 1.0, (3, 5): 1.0}
+    )
+    dual, tables = singleton_cells_tables(g, sink=5)
+    assert tables.next_hop[0] == 2
+    assert walk_table(tables, 0, 5) == (0, 2, 3, 5)
+    assert [a.crossing for a in dual_route(dual, 0, 5)] == [(0, 1), (1, 4), (4, 5)]
+
+
+def test_res_exit_arc_ties_on_exact_float_sums():
+    # 0.1 + 0.2 > 0.3 in floats: cell 5 exits straight to sink 0, although
+    # the sink-first sequence (0, 1, 5) is smaller than (0, 5)
+    g = symmetric_digraph({(0, 1): 0.1, (1, 5): 0.2, (0, 5): 0.3})
+    _, tables = singleton_cells_tables(g, sink=0)
+    assert tables.next_hop[5] == 0
 
 
 def test_res_walk_terminates_within_vertex_count():
