@@ -103,10 +103,6 @@ class EnergyLedger:
             v: [0.0, 0.0, 0.0, 0.0] for v in sorted(set(node_ids))
         }
 
-    @property
-    def node_ids(self) -> tuple[NodeId, ...]:
-        return tuple(self.rows)
-
     def _entry(self, node: NodeId) -> list[float]:
         try:
             return self.rows[node]

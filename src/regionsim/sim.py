@@ -1,9 +1,18 @@
 """Deterministic discrete-event runs, batch averaging, and output files.
 
 One run = deploy nodes, build the communication graph, set up the selected
-protocol, then drive packet generation / battery deaths / interval reports
-through a single event loop.  Identical (config, seed) pairs produce
-identical reports and byte-identical CSV files.
+protocol, then walk one fixed timeline of events while a heap supplies the
+battery deaths that fall between them.  Identical (config, seed) pairs
+produce identical reports and byte-identical CSV files.
+
+Event loop.  The traffic is fixed, so everything but the deaths is known
+before the run starts: the init event at init_phase_s (flood charges, then
+each sensor's duty mode in id order), one tick per packet instant from
+init_phase_s on, where every routed session sends one packet in source-id
+order, and the interval reports.  These merge into one timeline ordered by
+(time, kind), with init < tick < report.  The heap holds only drain deaths
+as (time, node) pairs; before each timeline event, every death due at or
+before its time is handled, so deaths go first within a timestamp.
 
 Model notes:
   * The sink is a mains-powered base station: it relays and receives but has
@@ -16,8 +25,9 @@ Model notes:
   * Battery deaths.  A charge that leaves a node at or below
     DEATH_EPSILON_J kills it at once; the charge is billed in full, so the
     node can end up to one charge below zero.  Steady drain is handled by one
-    projected death event per node, and a new projection replaces the queued
-    one only when it is more than 1 s earlier.  A node that no charge touches
+    live death event per node, and a new projection replaces the queued
+    one only when it is more than 1 s earlier; the replaced entry stays in
+    the heap and is skipped when it pops.  A node that no charge touches
     dies at its crossing; a node whose projection packet charges keep moving
     earlier dies when the queued event fires, up to 1 s late and up to 1 s of
     drain below zero (12 mJ while sensing).  Under dt on the default scenario
@@ -67,11 +77,9 @@ class SimulationError(RuntimeError):
     """A run aborted; the message carries the failing seed."""
 
 
-# Event kinds, doubling as their priority within one timestamp; ties of kind
-# order by node id (-1 for reports), then by push order.  A heap entry is the
-# plain tuple (time, kind, node, seq, payload): a PACKET_GEN's payload is its
-# session id, a PHASE's the ledger slot of the mode it switches to.
-NODE_DEATH, PHASE, PACKET_GEN, REPORT = 0, 1, 2, 5
+# Timeline event kinds, doubling as their order within one timestamp and as
+# indices into _Run._loop's handlers.
+INIT, TICK, REPORT = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -147,16 +155,12 @@ class BatchReport:
     metrics: dict[str, tuple[float, float]]  # metric -> (mean, std)
 
 
-class _Session:
-    __slots__ = ("record", "charges")
-
-    def __init__(self, record: SessionRecord, charges: tuple):
-        self.record = record
-        self.charges = charges  # (node, ledger slot, joules) per charge of a packet
-
-
 class _Run:
     """Single-run engine; builds everything in __init__ and leaves a report.
+
+    ``_due[v]`` is the time of v's one live entry in the death heap; a popped
+    entry at any other time was superseded by an earlier projection and is
+    skipped.
 
     The event loop reads and writes the ledger rows directly, with the
     arithmetic of ``EnergyLedger.accrue``, ``charge`` and ``remaining`` in the
@@ -193,10 +197,9 @@ class _Run:
         self.mode_since: dict[NodeId, float] = {}
         self.alive: set[NodeId] = set(self.sensors)
         self.deaths: list[tuple[float, NodeId]] = []
-        self._death_sched: dict[NodeId, float] = {}
+        self._due: dict[NodeId, float] = {}
 
-        self.heap: list = []
-        self._seq = 0
+        self.heap: list[tuple[float, NodeId]] = []  # drain deaths only
         self.now = 0.0
         self.generated = 0
         self.delivered = 0
@@ -206,7 +209,7 @@ class _Run:
         self._coverage_points = self._draw_coverage_points()
         self._setup_protocol()
         self._setup_sessions()
-        self._setup_schedule()
+        self._setup_modes()
         self._loop()
         self.report = self._build_report()
 
@@ -227,7 +230,6 @@ class _Run:
         self.flood_trace_rows: list = []
         self.d_char: float | None = None
         self._flood_charges: list[tuple[NodeId, float, float]] = []
-        self._flood_pending = False
 
         if self.config.protocol == "res":
             trace: list | None = [] if self.config.flood_trace else None
@@ -256,7 +258,6 @@ class _Run:
             for v, txj, rxj in self._flood_charges:
                 self.ledger.check_charge(v, "tx", txj)
                 self.ledger.check_charge(v, "rx", rxj)
-            self._flood_pending = True
         elif self.config.protocol == "merr":
             self.d_char = characteristic_distance(
                 self.params, self.config.radio_range, self.alpha
@@ -267,7 +268,8 @@ class _Run:
         pool = list(self.sensors)
         count = min(self.config.sessions, len(pool))
         sources = rng.sample(pool, count) if count else []
-        self.sessions: list[_Session] = []
+        self.records: list[SessionRecord] = []
+        senders = []
         for idx, src in enumerate(sources):
             try:
                 r = route(
@@ -282,10 +284,9 @@ class _Run:
                     bits=self.bits,
                 )
             except RouteNotFound:
-                rec = SessionRecord(
+                self.records.append(SessionRecord(
                     idx, src, self.sink, self.config.protocol, "no_route", 0, 0.0
-                )
-                self.sessions.append(_Session(rec, ()))
+                ))
                 continue
             charges = tuple(
                 (v, self.ledger.check_charge(v, mode, joules), joules)
@@ -301,23 +302,19 @@ class _Run:
                 packet_energy(r, self.params, self.bits),
                 vertices=r.vertices,
             )
-            self.sessions.append(_Session(rec, charges))
+            self.records.append(rec)
+            senders.append((rec, charges))
+        # (record, (node, ledger slot, joules) per charge of a packet), in the
+        # source-id order in which a tick sends
+        self._senders = sorted(senders, key=lambda s: s[0].source)
 
         if self.config.protocol == "res":
-            duty: set[NodeId] = set()
-            for s in self.sessions:
-                if s.record.status == "ok":
-                    duty.update(s.record.vertices)
-            duty.discard(self.sink)
-            self.duty = frozenset(duty)
+            duty = {v for rec, _ in senders for v in rec.vertices}
+            self.duty = frozenset(duty - {self.sink})
         else:
             self.duty = frozenset(self.sensors)
 
-    def _push(self, t: float, kind: int, node: NodeId, payload=None):
-        self._seq += 1
-        heapq.heappush(self.heap, (t, kind, node, self._seq, payload))
-
-    def _setup_schedule(self):
+    def _setup_modes(self):
         for v in self.sensors:
             self.mode[v] = SENSE if v in self.init_active else SLEEP
             self.mode_since[v] = 0.0
@@ -325,21 +322,28 @@ class _Run:
         self.intervals.append(self._interval_row(0.0))
         self.ledger_snapshots.append((0.0, self.ledger.snapshot()))
 
+    def _timeline(self):
+        """Every event but the deaths, as sorted (time, kind) pairs."""
         t_init = self.config.init_phase_s
-        for v in self.sensors:
-            self._push(t_init, PHASE, v, SENSE if v in self.duty else SLEEP)
-        for s in self.sessions:
-            if s.record.status == "ok":
-                self._push(t_init, PACKET_GEN, s.record.source, s.record.session_id)
         interval = self.config.report_interval_s
-        times = set()
+        reports = []
         k = 1
         while k * interval < self.duration - 1e-9:
-            times.add(k * interval)
+            reports.append((k * interval, REPORT))
             k += 1
-        times.add(self.duration)
-        for t in sorted(times):
-            self._push(t, REPORT, -1)
+        reports.append((self.duration, REPORT))
+        return heapq.merge([(t_init, INIT)], self._ticks(t_init), reports)
+
+    def _ticks(self, t: float):
+        # t_init always sends (it lies inside the run); each later instant adds
+        # 1 / rate to the previous one, which gives other floats than
+        # t_init + k / rate
+        step = 1.0 / self.config.packet_rate_hz
+        while True:
+            yield t, TICK
+            t += step
+            if not t < self.duration - 1e-9:
+                return
 
     # -- accounting ------------------------------------------------------
     # Callers pass live nodes only.
@@ -363,7 +367,7 @@ class _Run:
         self.alive.discard(v)
         self.deaths.append((t, v))
 
-    def _impulse(self, v: NodeId, slot: int, joules: float, rec: SessionRecord):
+    def _impulse(self, v: NodeId, slot: int, joules: float):
         """Charge a live node: accrue its drain, add the charge, then kill it
         or project its drain death (``_accrue_to`` and ``_project_death``
         inlined, since this runs once per hop end of every packet)."""
@@ -376,17 +380,16 @@ class _Run:
             e[m] += w * dur
             self.mode_since[v] = now
         e[slot] += joules
-        rec.energy_j += joules
         remaining = self.budget - (((e[TX] + e[RX]) + e[SENSE]) + e[SLEEP])
         if remaining <= DEATH_EPSILON_J:
             self._kill(v, now)
             return
         t = now + remaining / w
         if t <= self.duration:
-            sched = self._death_sched.get(v)
-            if sched is None or t < sched - 1.0:
-                self._death_sched[v] = t
-                self._push(max(t, now), NODE_DEATH, v)
+            due = self._due.get(v)
+            if due is None or t < due - 1.0:
+                due = self._due[v] = max(t, now)
+                heapq.heappush(self.heap, (due, v))
 
     def _project_death(self, v: NodeId):
         """Queue v's drain death if it falls within the run and more than 1 s
@@ -394,68 +397,63 @@ class _Run:
         t = self.now + self.ledger.remaining(v) / self.drain_w[self.mode[v]]
         if t > self.duration:
             return
-        sched = self._death_sched.get(v)
-        if sched is None or t < sched - 1.0:
-            self._death_sched[v] = t
-            self._push(max(t, self.now), NODE_DEATH, v)
+        due = self._due.get(v)
+        if due is None or t < due - 1.0:
+            due = self._due[v] = max(t, self.now)
+            heapq.heappush(self.heap, (due, v))
 
     # -- event handlers ----------------------------------------------------
 
     def _loop(self):
+        # Every death falls at or before the last report, at the run's end,
+        # so the heap is empty once the timeline is.
         heap = self.heap
         pop = heapq.heappop
-        while heap:
-            t, kind, node, _, payload = pop(heap)
+        handlers = (self._handle_init, self._handle_tick, self._handle_report)
+        for t, kind in self._timeline():
+            while heap and heap[0][0] <= t:
+                self._handle_death(*pop(heap))
             self.now = t
-            if kind == PACKET_GEN:
-                self._handle_packet(payload)
-            elif kind == NODE_DEATH:
-                self._handle_death(node)
-            elif kind == PHASE:
-                self._handle_phase(node, payload)
-            else:
-                self._handle_report()
+            handlers[kind]()
 
-    def _handle_phase(self, v: NodeId, mode: int):
-        if self._flood_pending:
-            # region flood setup messages are paid at the end of the init phase
-            self._flood_pending = False
-            dummy = SessionRecord(-1, -1, self.sink, "res", "setup", 0, 0.0)
-            for u, txj, rxj in self._flood_charges:
-                if u not in self.alive:
-                    continue
-                if txj:
-                    self._impulse(u, TX, txj, dummy)
-                if rxj and u in self.alive:
-                    self._impulse(u, RX, rxj, dummy)
-        self._set_mode(v, self.now, mode)
-
-    def _handle_packet(self, session_id: int):
-        s = self.sessions[session_id]
-        rec = s.record
-        rec.generated += 1
-        self.generated += 1
+    def _handle_init(self):
+        # region flood setup messages are paid at the end of the init phase
         alive = self.alive
-        for v, slot, joules in s.charges:
-            if v not in alive:
-                break  # dropped; a dead receiver wastes the transmission to it
-            self._impulse(v, slot, joules, rec)
-        else:
-            rec.delivered += 1
-            self.delivered += 1
-        nxt = self.now + 1.0 / self.config.packet_rate_hz
-        if nxt < self.duration - 1e-9:
-            self._push(nxt, PACKET_GEN, rec.source, session_id)
+        for u, txj, rxj in self._flood_charges:
+            if u not in alive:
+                continue
+            if txj:
+                self._impulse(u, TX, txj)
+            if rxj and u in alive:
+                self._impulse(u, RX, rxj)
+        for v in self.sensors:
+            self._set_mode(v, self.now, SENSE if v in self.duty else SLEEP)
 
-    def _handle_death(self, v: NodeId):
-        if v not in self.alive:
-            return
-        self._accrue_to(v, self.now)
+    def _handle_tick(self):
+        alive = self.alive
+        impulse = self._impulse
+        for rec, charges in self._senders:
+            rec.generated += 1
+            for v, slot, joules in charges:
+                if v not in alive:
+                    break  # dropped; a dead receiver wastes the transmission to it
+                impulse(v, slot, joules)
+                rec.energy_j += joules
+            else:
+                rec.delivered += 1
+                self.delivered += 1
+        self.generated += len(self._senders)
+
+    def _handle_death(self, t: float, v: NodeId):
+        if v not in self.alive or self._due.get(v) != t:
+            return  # dead already, or superseded by an earlier projection
+        del self._due[v]
+        self.now = t
+        self._accrue_to(v, t)
         if self.ledger.is_alive(v):
-            self._death_sched.pop(v, None)
             self._project_death(v)
         else:
-            self._kill(v, self.now)
+            self._kill(v, t)
 
     def _handle_report(self):
         for v in self.alive:
@@ -513,13 +511,13 @@ class _Run:
     def _build_report(self) -> RunReport:
         by_mode, total = self._mode_totals()
         lifetime = self.deaths[0][0] if self.deaths else self.duration
-        established = sum(1 for s in self.sessions if s.record.status == "ok")
+        established = len(self._senders)
         return RunReport(
             protocol=self.config.protocol,
             seed=self.seed,
             config=scenario_to_dict(self.config),
             intervals=self.intervals,
-            sessions=[s.record for s in self.sessions],
+            sessions=self.records,
             flood=self.flood_stats,
             flood_trace_rows=self.flood_trace_rows,
             totals_by_mode=by_mode,

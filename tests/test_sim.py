@@ -156,6 +156,49 @@ def test_battery_death_stops_forwarding():
         assert remaining > -0.05
 
 
+@pytest.mark.parametrize(
+    "rate_hz, generated_at_60",
+    [
+        # the tick at 60.0 s goes before the report at 60.0 s
+        (4.0, 3 * 121),
+        # 0.1 s steps accumulate to just past 60.0 s, so that tick misses the
+        # report; 30 + k / 10 would land on 60.0 exactly and count 3 * 301
+        (10.0, 3 * 300),
+    ],
+)
+def test_tick_clock_and_order_within_a_timestamp(rate_hz, generated_at_60):
+    report = run(replace(SMALL, packet_rate_hz=rate_hz))
+    assert report.generated == 3 * round(270 * rate_hz)
+    row = next(row for row in report.intervals if row.t_s == 60.0)
+    assert row.generated == generated_at_60
+
+
+@pytest.mark.parametrize("protocol", ["dt", "mte"])
+def test_drain_deaths_fire_once_at_the_crossing(protocol):
+    config = replace(
+        SMALL,
+        protocol=protocol,
+        battery_j=3.0,
+        sessions=4,
+        sim_duration_s=900.0,
+        report_interval_s=300.0,
+    )
+    report = run(config)
+    dead = [v for _, v in report.deaths]
+    assert len(dead) == len(set(dead))
+    times = [t for t, _ in report.deaths]
+    assert times == sorted(times)
+    charged = set()
+    for s in report.sessions:
+        charged.update(s.vertices)
+    drained = [v for v in dead if v not in charged]
+    assert drained  # some sensor died of sensing alone
+    _, snapshot = report.ledger_snapshots[-1]
+    remaining = {row[0]: row[5] for row in snapshot}
+    for v in drained:
+        assert abs(remaining[v]) <= 1e-9, (v, remaining[v])
+
+
 def test_dead_network_has_zero_coverage():
     # tiny battery: every node exhausts during/shortly after the init phase
     config = replace(SMALL, battery_j=0.35, sessions=3, sim_duration_s=900.0)
