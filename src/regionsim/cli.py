@@ -32,7 +32,7 @@ def _load_config(args, protocol: str | None = None) -> ScenarioConfig:
         overrides["protocol"] = protocol
     elif getattr(args, "protocol", None):
         overrides["protocol"] = args.protocol
-    if getattr(args, "runs", None):
+    if getattr(args, "runs", None) is not None:
         overrides["run_count"] = args.runs
     if overrides:
         from dataclasses import replace

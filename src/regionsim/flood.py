@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Iterable
 
 from .graph import Digraph, NodeId
-from .regions import BoundaryCellMap
+from .regions import BoundaryCellMap, _normalize_seeds
 
 
 class FloodAction(Enum):
@@ -79,12 +79,7 @@ def init_flood(
     g: Digraph, seeds: Iterable[NodeId]
 ) -> tuple[dict[NodeId, FloodState], list[PendingMessage]]:
     """Seed states at distance 0 and the simultaneous first wave of messages."""
-    seed_tuple = tuple(sorted(set(seeds)))
-    if not seed_tuple:
-        raise ValueError("seed set is empty")
-    for s in seed_tuple:
-        if s not in g:
-            raise ValueError(f"seed {s!r} is not a vertex")
+    seed_tuple = _normalize_seeds(g, seeds)
     states = {v: FloodState() for v in g.vertices}
     pending: list[PendingMessage] = []
     for s in seed_tuple:
@@ -174,9 +169,7 @@ def naive_flood_count(g: Digraph, seeds: Iterable[NodeId]) -> int:
     Every node rebroadcasts each seed's flood once, on first receipt, across
     the whole graph; counts are per-link messages.
     """
-    seed_tuple = tuple(sorted(set(seeds)))
-    if not seed_tuple:
-        raise ValueError("seed set is empty")
+    seed_tuple = _normalize_seeds(g, seeds)
     total = 0
     for s in seed_tuple:
         reached = {s}
@@ -210,7 +203,7 @@ def cells_from_flood(
     Nodes the flood never reached carry no assignment and are absent from the
     map; callers decide whether that is an error.
     """
-    seed_tuple = tuple(sorted(set(seeds)))
+    seed_tuple = _normalize_seeds(g, seeds)
     owners: dict[NodeId, tuple[NodeId, ...]] = {}
     dist: dict[NodeId, float] = {}
     for v in g.vertices:

@@ -4,17 +4,15 @@ Vertices are plain node ids (ints or strings, one type per graph).  Graphs are
 immutable after construction, so concurrent read-only queries are safe.
 Unreachable is always reported as ``None``, never a sentinel number.
 
-Every path search is one routine, ``shortest_paths``: the lexicographic
+Every search is one routine, ``shortest_paths``: the lexicographic
 shortest-path tree, where equal-weight paths break ties on the smallest
-vertex-id sequence.  ``shortest_path``, the boundary dual routes and the
-``res`` exit arcs all read paths off that tree; ``single_source_distances``
-is its distance-only counterpart.
+vertex-id sequence.  Distances, hop counts, connectivity, the boundary dual
+routes and the ``res`` next hops all read that tree.
 """
 
 import heapq
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -200,21 +198,8 @@ def perturb_weights(g: Digraph, seed: int, scale: float = 1e-9) -> Digraph:
 
 def hop_distance(g: Digraph, u: NodeId, v: NodeId) -> int | None:
     """Minimum number of arcs on any directed u->v path; None if unreachable."""
-    g._require(u)
-    g._require(v)
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in g.out_neighbors(x):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                if y == v:
-                    return dist[y]
-                queue.append(y)
-    return None
+    path = shortest_path(g, u, v, unit=True)
+    return None if path is None else path.hops
 
 
 def shortest_paths(
@@ -229,7 +214,9 @@ def shortest_paths(
 
     Heap entries carry the whole candidate path, so equal-length paths pop in
     lexicographic order: ties break on the exact float sum, then on the
-    smallest vertex-id sequence.  The search stops once ``target`` settles.
+    smallest vertex-id sequence.  A candidate longer than one already queued
+    for its vertex is never pushed, since it could only pop after that vertex
+    settled.  The search stops once ``target`` settles.
     ``unit`` prices every arc at 1 (hop metric); ``weight_fn`` substitutes an
     arbitrary positive per-arc cost.  With ``reverse`` the arcs are followed
     backwards, so the path of ``v`` runs source, ..., v against the arcs and
@@ -240,6 +227,7 @@ def shortest_paths(
         g._require(target)
     adj = g._in if reverse else g._out
     tree: dict[NodeId, PathResult] = {}
+    tentative: dict[NodeId, float] = {source: 0.0}
     heap: list[tuple[float, tuple[NodeId, ...]]] = [(0.0, (source,))]
     while heap:
         d, path = heapq.heappop(heap)
@@ -261,7 +249,11 @@ def shortest_paths(
                 cost = weight_fn(*arc, w)
                 if cost < 0:
                     raise ValueError(f"negative cost on arc {arc!r}")
-            heapq.heappush(heap, (d + cost, path + (nb,)))
+            nd = d + cost
+            if nd > tentative.get(nb, math.inf):
+                continue
+            tentative[nb] = nd
+            heapq.heappush(heap, (nd, path + (nb,)))
     return tree
 
 
@@ -287,22 +279,7 @@ def single_source_distances(
     With ``reverse`` the arcs are followed backwards, giving the distance
     *to* ``source`` from every vertex.  Missing keys mean unreachable.
     """
-    g._require(source)
-    nbrs = g.in_neighbors if reverse else g.out_neighbors
-    wt = (lambda a, b: g.weight(b, a)) if reverse else g.weight
-    dist: dict[NodeId, float] = {source: 0.0}
-    heap: list[tuple[float, NodeId]] = [(0.0, source)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist.get(v, math.inf):
-            continue
-        for nb in nbrs(v):
-            cost = 1.0 if unit else wt(v, nb)
-            nd = d + cost
-            if nd < dist.get(nb, math.inf):
-                dist[nb] = nd
-                heapq.heappush(heap, (nd, nb))
-    return dist
+    return {v: p.length for v, p in shortest_paths(g, source, unit=unit, reverse=reverse).items()}
 
 
 def set_distance(
@@ -344,16 +321,7 @@ def is_connected(g: Digraph) -> bool:
     """
     if len(g) == 0:
         return False
-    start = g.vertices[0]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for nb in g.out_neighbors(v):
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return len(seen) == len(g)
+    return len(shortest_paths(g, g.vertices[0], unit=True)) == len(g)
 
 
 def random_connected_unit_disk(

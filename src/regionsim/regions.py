@@ -158,17 +158,6 @@ class BoundaryDualGraph:
         return Digraph(self.cells, {key: arc.weight for key, arc in self.arcs.items()})
 
 
-def _cell_subgraph_distances(
-    g: Digraph, members: tuple[NodeId, ...], anchor: NodeId
-) -> tuple[dict[NodeId, float], dict[NodeId, float]]:
-    """(from-anchor, to-anchor) weighted distances inside the induced subgraph."""
-    sub = g.induced(members)
-    return (
-        single_source_distances(sub, anchor),
-        single_source_distances(sub, anchor, reverse=True),
-    )
-
-
 def build_boundary_dual_graph(g: Digraph, cells: BoundaryCellMap) -> BoundaryDualGraph:
     """Build the cell dual graph with composed crossing weights.
 
@@ -186,7 +175,9 @@ def build_boundary_dual_graph(g: Digraph, cells: BoundaryCellMap) -> BoundaryDua
         if not members:
             from_seed[s], to_seed[s] = {}, {}
             continue
-        from_seed[s], to_seed[s] = _cell_subgraph_distances(g, members, s)
+        sub = g.induced(members)
+        from_seed[s] = single_source_distances(sub, s)
+        to_seed[s] = single_source_distances(sub, s, reverse=True)
     arcs: dict[tuple[NodeId, NodeId], DualArc] = {}
     for u, v, w in sorted(g.arcs()):
         su = cells.cell_of.get(u)

@@ -22,7 +22,6 @@ from .graph import (
     NodePos,
     shortest_path,
     shortest_paths,
-    single_source_distances,
 )
 from .regions import BoundaryCellMap, BoundaryDualGraph
 
@@ -103,24 +102,15 @@ class RoutingTable:
 def _tree_next_hops(
     g: Digraph, members: tuple[NodeId, ...], target: NodeId
 ) -> dict[NodeId, NodeId]:
-    """Next hop along the lexicographic shortest-path tree toward ``target``,
-    restricted to the subgraph induced by ``members``."""
-    sub = g.induced(members)
-    dist = single_source_distances(sub, target, reverse=True)
-    hops: dict[NodeId, NodeId] = {}
-    for v in members:
-        if v == target or v not in dist:
-            continue
-        best = None
-        for nb in sub.out_neighbors(v):
-            d = dist.get(nb)
-            if d is None:
-                continue
-            if abs(d + sub.weight(v, nb) - dist[v]) <= 1e-12 and (best is None or nb < best):
-                best = nb
-        if best is not None:
-            hops[v] = best
-    return hops
+    """Next hop toward ``target`` inside the subgraph induced by ``members``.
+
+    Read off the reversed lexicographic tree: the path of ``v`` runs target,
+    ..., next hop, v, so equal-length routes break ties on the sequence that
+    starts at ``target``, as the exit arcs of ``build_res_tables`` do.
+    Members that cannot reach ``target`` inside the subgraph get no entry.
+    """
+    tree = shortest_paths(g.induced(members), target, reverse=True)
+    return {v: p.vertices[-2] for v, p in tree.items() if v != target}
 
 
 def build_res_tables(

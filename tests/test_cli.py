@@ -98,6 +98,15 @@ def test_missing_scenario_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_batch_runs_zero_is_rejected(tmp_path, capsys):
+    code = main(
+        ["batch", "--scenario", scenario(tmp_path), "--out", str(tmp_path / "b"),
+         "--runs", "0"]
+    )
+    assert code == 2
+    assert "run_count must be >= 1" in capsys.readouterr().err
+
+
 def test_identical_invocations_byte_identical(tmp_path):
     s = scenario(tmp_path)
     assert main(["run", "--scenario", s, "--out", str(tmp_path / "x")]) == 0

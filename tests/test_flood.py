@@ -132,6 +132,15 @@ def test_init_empty_seed_set_rejected():
         init_flood(g, [])
 
 
+def test_non_vertex_seed_rejected():
+    g = path_graph(3)
+    states = run_flood(g, [0]).states
+    with pytest.raises(ValueError, match="seed 99 is not a vertex"):
+        cells_from_flood(g, [0, 99], states)
+    with pytest.raises(ValueError, match="seed 99 is not a vertex"):
+        naive_flood_count(g, [0, 99])
+
+
 # -- full runs ---------------------------------------------------------------------
 
 

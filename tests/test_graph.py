@@ -401,6 +401,37 @@ def test_triangle_inequality():
                     assert dist[x][z] <= dist[x][y] + dist[y][z] + 1e-9
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_single_source_distances_match_floyd_warshall(reverse):
+    rng = random.Random(59)
+    g = random_digraph(rng, 20)
+    oracle = floyd_warshall(g)
+    for s in g.vertices:
+        dist = single_source_distances(g, s, reverse=reverse)
+        for v in g.vertices:
+            want = oracle[(v, s)] if reverse else oracle[(s, v)]
+            if math.isinf(want):
+                assert v not in dist
+            else:
+                assert dist[v] == pytest.approx(want)
+
+
+# -- connectivity ------------------------------------------------------------
+
+
+def test_is_connected_false_when_disconnected():
+    assert not is_connected(Digraph(range(4), {(0, 1): 1.0, (1, 0): 1.0, (2, 3): 1.0}))
+
+
+def test_is_connected_single_vertex():
+    assert is_connected(Digraph([3], {}))
+
+
+def test_is_connected_asymmetric_reach_from_smallest_id():
+    # 0 reaches every vertex, but no vertex reaches 0: connected as documented
+    assert is_connected(Digraph(range(3), {(0, 1): 1.0, (1, 2): 1.0}))
+
+
 # -- properties --------------------------------------------------------------
 
 

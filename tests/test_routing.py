@@ -150,6 +150,45 @@ def test_res_exit_arc_ties_on_exact_float_sums():
     assert tables.next_hop[5] == 0
 
 
+def test_res_intra_cell_tie_follows_sink_first_sequence():
+    # one cell, two unit routes 5->0: the reversed tree's path (0, 3, 2, 5)
+    # is smaller than (0, 4, 1, 5), so 5 forwards to 2, not to the smaller
+    # next hop 1
+    g = symmetric_digraph({(5, 1): 1.0, (1, 4): 1.0, (4, 0): 1.0,
+                           (5, 2): 1.0, (2, 3): 1.0, (3, 0): 1.0})
+    tables = res_pipeline(g, [0], sink=0)
+    assert tables.next_hop[5] == 2
+    assert walk_table(tables, 5, 0) == (5, 2, 3, 0)
+
+
+def test_res_walk_segments_are_reversed_intra_cell_tree_paths():
+    from regionsim.graph import random_connected_unit_disk, shortest_paths
+
+    rng = random.Random(73)
+    for _ in range(20):
+        n = rng.randint(8, 30)
+        _, unit_disk = random_connected_unit_disk(n, rng)
+        g = symmetric_digraph(
+            {(u, v): float(rng.randint(1, 3)) for u, v, _ in unit_disk.arcs() if u < v}
+        )
+        seeds = sorted(rng.sample(range(n), rng.randint(1, 4)))
+        sink = rng.randrange(n)
+        result = run_flood(g, seeds)
+        cells = cells_from_flood(g, seeds, result.states)
+        dual = build_boundary_dual_graph(g, cells)
+        tables = build_res_tables(g, cells, dual, sink)
+        for src in g.vertices:
+            if src == sink or src in tables.stranded:
+                continue
+            verts = walk_table(tables, src, sink)
+            for cell, run in itertools.groupby(verts, key=cells.cell_of.get):
+                segment = tuple(run)
+                tree = shortest_paths(
+                    g.induced(cells.canonical_members(cell)), segment[-1], reverse=True
+                )
+                assert segment == tree[segment[0]].vertices[::-1]
+
+
 def test_res_walk_terminates_within_vertex_count():
     rng = random.Random(71)
     from regionsim.graph import random_connected_unit_disk
