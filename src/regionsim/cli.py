@@ -100,9 +100,16 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_check_lemmas(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    if args.graphs < 1:
+        raise ScenarioError("--graphs must be >= 1")
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        raise ScenarioError(f"--sizes must list integers, got {args.sizes!r}") from None
     if not sizes:
         raise ScenarioError("no sizes given")
+    if min(sizes) < 1:
+        raise ScenarioError("--sizes must all be >= 1")
     failed = False
     for size in sizes:
         suite = list(

@@ -87,6 +87,7 @@ class Digraph:
             raise ValueError(f"unknown vertex {v!r}")
 
     def arcs(self) -> Iterator[tuple[NodeId, NodeId, float]]:
+        """Every arc as (tail, head, weight), in ascending (tail, head) order."""
         for u in self._vertices:
             for v, w in self._out[u].items():
                 yield u, v, w

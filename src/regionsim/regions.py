@@ -179,7 +179,7 @@ def build_boundary_dual_graph(g: Digraph, cells: BoundaryCellMap) -> BoundaryDua
         from_seed[s] = single_source_distances(sub, s)
         to_seed[s] = single_source_distances(sub, s, reverse=True)
     arcs: dict[tuple[NodeId, NodeId], DualArc] = {}
-    for u, v, w in sorted(g.arcs()):
+    for u, v, w in g.arcs():
         su = cells.cell_of.get(u)
         sv = cells.cell_of.get(v)
         if su is None or sv is None or su == sv:

@@ -269,8 +269,10 @@ def deploy(config: ScenarioConfig, seed: int) -> Deployment:
             region_id=region,
         )
     sink_id = count
-    sink_region = int(config.sink_y // size) * cols + int(config.sink_x // size)
-    sink_region = min(sink_region, cols * rows - 1)
+    # a sink on the right or top edge belongs to the last column or row
+    sink_col = min(int(config.sink_x // size), cols - 1)
+    sink_row = min(int(config.sink_y // size), rows - 1)
+    sink_region = sink_row * cols + sink_col
     nodes[sink_id] = NodePos(
         id=sink_id,
         x=config.sink_x,

@@ -22,20 +22,22 @@ Model notes:
   * Under the region-search protocol only nodes on an active session route
     stay in sense mode after setup; the comparison protocols keep every
     sensor in sense mode, which is the energy gap being measured.
-  * Battery deaths.  A charge that leaves a node at or below
-    DEATH_EPSILON_J kills it at once; the charge is billed in full, so the
-    node can end up to one charge below zero.  Steady drain is handled by one
-    live death event per node, and a new projection replaces the queued
-    one only when it is more than 1 s earlier; the replaced entry stays in
-    the heap and is skipped when it pops.  A node that no charge touches
-    dies at its crossing; a node whose projection packet charges keep moving
-    earlier dies when the queued event fires, up to 1 s late and up to 1 s of
-    drain below zero (12 mJ while sensing).  Under dt on the default scenario
-    at seed 2 the 15 session sources end 1.3 to 9.8 mJ below zero.
+  * Battery deaths.  _Run._impulse is the one settle step: it accrues a
+    node's drain, bills a charge in full (so a node can end up to one charge
+    below zero), then kills the node at or below DEATH_EPSILON_J or projects
+    its drain death.  Due deaths, duty-mode switches and t = 0 settle with a
+    zero charge.  Each node has one live death event; a new projection
+    replaces it only when more than 1 s earlier, and the replaced entry is
+    skipped when it pops.  A node that no charge touches dies at its
+    crossing; a node whose projection packet charges keep moving earlier
+    dies when the queued event fires, up to 1 s late and up to 1 s of drain
+    below zero (12 mJ while sensing).  Under dt on the default scenario at
+    seed 2 the 15 session sources end 1.3 to 9.8 mJ below zero.
   * Ledger layout.  Each sensor's spends are one flat [tx, rx, sense, sleep]
     list in EnergyLedger.rows.  The loop updates those rows in place and
     reads a balance as budget - (((tx + rx) + sense) + sleep), the expression
-    the ledger's own methods use, so both give the same bits.
+    the ledger's own methods use, so both give the same bits.  A report
+    sums its interval row from its own ledger snapshot, in sensor order.
 """
 
 import csv
@@ -48,7 +50,6 @@ import numpy as np
 
 from .energy import (
     DEATH_EPSILON_J,
-    LEDGER_MODES,
     RX,
     SENSE,
     SLEEP,
@@ -160,13 +161,13 @@ class _Run:
 
     ``_due[v]`` is the time of v's one live entry in the death heap; a popped
     entry at any other time was superseded by an earlier projection and is
-    skipped.
+    skipped; a live one settles its node through ``_impulse``.
 
     The event loop reads and writes the ledger rows directly, with the
     arithmetic of ``EnergyLedger.accrue``, ``charge`` and ``remaining`` in the
     same order, so it gives the same bits as those methods would.  The checks
     those methods make are made once at setup, on the constant hop and flood
-    charges.
+    charges.  Reports read the ledger only through ``snapshot``.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int):
@@ -318,9 +319,8 @@ class _Run:
         for v in self.sensors:
             self.mode[v] = SENSE if v in self.init_active else SLEEP
             self.mode_since[v] = 0.0
-            self._project_death(v)
-        self.intervals.append(self._interval_row(0.0))
-        self.ledger_snapshots.append((0.0, self.ledger.snapshot()))
+            self._impulse(v, self.mode[v], 0.0)
+        self._report()
 
     def _timeline(self):
         """Every event but the deaths, as sorted (time, kind) pairs."""
@@ -355,22 +355,18 @@ class _Run:
             self.rows[v][m] += self.drain_w[m] * dur
             self.mode_since[v] = t
 
-    def _set_mode(self, v: NodeId, t: float, m: int):
+    def _set_mode(self, v: NodeId, m: int):
         if v not in self.alive:
             return
-        self._accrue_to(v, t)
+        self._accrue_to(v, self.now)
         if self.mode[v] != m:
             self.mode[v] = m
-            self._project_death(v)
-
-    def _kill(self, v: NodeId, t: float):
-        self.alive.discard(v)
-        self.deaths.append((t, v))
+            self._impulse(v, m, 0.0)
 
     def _impulse(self, v: NodeId, slot: int, joules: float):
-        """Charge a live node: accrue its drain, add the charge, then kill it
-        or project its drain death (``_accrue_to`` and ``_project_death``
-        inlined, since this runs once per hop end of every packet)."""
+        """Settle a live node: accrue its drain, add the charge (zero for a
+        due death, a mode switch or t = 0), then kill it or project its drain
+        death (``_accrue_to`` inlined: this runs once per packet hop end)."""
         now = self.now
         e = self.rows[v]
         m = self.mode[v]
@@ -382,25 +378,16 @@ class _Run:
         e[slot] += joules
         remaining = self.budget - (((e[TX] + e[RX]) + e[SENSE]) + e[SLEEP])
         if remaining <= DEATH_EPSILON_J:
-            self._kill(v, now)
+            self.alive.discard(v)
+            self.deaths.append((now, v))
             return
+        # remaining > DEATH_EPSILON_J, so t >= now
         t = now + remaining / w
         if t <= self.duration:
             due = self._due.get(v)
             if due is None or t < due - 1.0:
-                due = self._due[v] = max(t, now)
-                heapq.heappush(self.heap, (due, v))
-
-    def _project_death(self, v: NodeId):
-        """Queue v's drain death if it falls within the run and more than 1 s
-        before the one already queued; the death event revalidates anyway."""
-        t = self.now + self.ledger.remaining(v) / self.drain_w[self.mode[v]]
-        if t > self.duration:
-            return
-        due = self._due.get(v)
-        if due is None or t < due - 1.0:
-            due = self._due[v] = max(t, self.now)
-            heapq.heappush(self.heap, (due, v))
+                self._due[v] = t
+                heapq.heappush(self.heap, (t, v))
 
     # -- event handlers ----------------------------------------------------
 
@@ -409,7 +396,7 @@ class _Run:
         # so the heap is empty once the timeline is.
         heap = self.heap
         pop = heapq.heappop
-        handlers = (self._handle_init, self._handle_tick, self._handle_report)
+        handlers = (self._handle_init, self._handle_tick, self._report)
         for t, kind in self._timeline():
             while heap and heap[0][0] <= t:
                 self._handle_death(*pop(heap))
@@ -427,7 +414,7 @@ class _Run:
             if rxj and u in alive:
                 self._impulse(u, RX, rxj)
         for v in self.sensors:
-            self._set_mode(v, self.now, SENSE if v in self.duty else SLEEP)
+            self._set_mode(v, SENSE if v in self.duty else SLEEP)
 
     def _handle_tick(self):
         alive = self.alive
@@ -449,17 +436,35 @@ class _Run:
             return  # dead already, or superseded by an earlier projection
         del self._due[v]
         self.now = t
-        self._accrue_to(v, t)
-        if self.ledger.is_alive(v):
-            self._project_death(v)
-        else:
-            self._kill(v, t)
+        self._impulse(v, self.mode[v], 0.0)
 
-    def _handle_report(self):
+    def _report(self):
+        """Accrue the alive nodes, then snapshot the ledger and sum its row."""
+        now = self.now
         for v in self.alive:
-            self._accrue_to(v, self.now)
-        self.intervals.append(self._interval_row(self.now))
-        self.ledger_snapshots.append((self.now, self.ledger.snapshot()))
+            self._accrue_to(v, now)
+        snapshot = self.ledger.snapshot()
+        self.ledger_snapshots.append((now, snapshot))
+        tx = rx = sense = sleep = total = 0.0
+        for _, txj, rxj, sensej, sleepj, _ in snapshot:
+            tx += txj
+            rx += rxj
+            sense += sensej
+            sleep += sleepj
+            total += ((txj + rxj) + sensej) + sleepj
+        self.intervals.append(IntervalRow(
+            t_s=now,
+            coverage_pct=self._coverage_pct(),
+            alive=len(self.alive),
+            generated=self.generated,
+            delivered=self.delivered,
+            delivery_ratio=self.delivered / self.generated if self.generated else 0.0,
+            tx_j=tx,
+            rx_j=rx,
+            sense_j=sense,
+            sleep_j=sleep,
+            total_j=total,
+        ))
 
     # -- metrics ---------------------------------------------------------
 
@@ -480,36 +485,11 @@ class _Run:
                 break
         return 100.0 * float(covered.mean())
 
-    def _mode_totals(self) -> tuple[dict[str, float], float]:
-        """Network-wide joules by ledger mode and in total, in sensor order."""
-        by_mode = dict.fromkeys(LEDGER_MODES, 0.0)
-        total = 0.0
-        for v in self.sensors:
-            spent = self.ledger.spent_by_mode(v)
-            for m in by_mode:
-                by_mode[m] += spent[m]
-            total += self.ledger.total_spent(v)
-        return by_mode, total
-
-    def _interval_row(self, t: float) -> IntervalRow:
-        by_mode, total = self._mode_totals()
-        ratio = self.delivered / self.generated if self.generated else 0.0
-        return IntervalRow(
-            t_s=t,
-            coverage_pct=self._coverage_pct(),
-            alive=len(self.alive),
-            generated=self.generated,
-            delivered=self.delivered,
-            delivery_ratio=ratio,
-            tx_j=by_mode["tx"],
-            rx_j=by_mode["rx"],
-            sense_j=by_mode["sense"],
-            sleep_j=by_mode["sleep"],
-            total_j=total,
-        )
-
     def _build_report(self) -> RunReport:
-        by_mode, total = self._mode_totals()
+        # the last row is the report at duration, after which nothing runs
+        last = self.intervals[-1]
+        by_mode = {"tx": last.tx_j, "rx": last.rx_j, "sense": last.sense_j,
+                   "sleep": last.sleep_j}
         lifetime = self.deaths[0][0] if self.deaths else self.duration
         established = len(self._senders)
         return RunReport(
@@ -521,7 +501,7 @@ class _Run:
             flood=self.flood_stats,
             flood_trace_rows=self.flood_trace_rows,
             totals_by_mode=by_mode,
-            total_energy_j=total,
+            total_energy_j=last.total_j,
             lifetime_s=lifetime,
             deaths=self.deaths,
             generated=self.generated,

@@ -2,6 +2,8 @@
 
 import filecmp
 
+import pytest
+
 from regionsim.cli import main
 
 TINY = """
@@ -113,3 +115,20 @@ def test_identical_invocations_byte_identical(tmp_path):
     assert main(["run", "--scenario", s, "--out", str(tmp_path / "y")]) == 0
     for name in ("summary.csv", "sessions.csv", "energy.csv", "report.txt"):
         assert filecmp.cmp(tmp_path / "x" / name, tmp_path / "y" / name, shallow=False)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--graphs", "0"], "--graphs must be >= 1"),
+        (["--graphs", "-3"], "--graphs must be >= 1"),
+        (["--sizes", "0"], "--sizes must all be >= 1"),
+        (["--sizes", "abc"], "--sizes must list integers"),
+    ],
+)
+def test_check_lemmas_rejects_empty_or_invalid_suites(args, message, capsys):
+    code = main(["check-lemmas", "--seed", "3", *args])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "PASS" not in captured.out

@@ -330,6 +330,24 @@ def test_induced_rejects_unknown_vertex():
         path_graph(3).induced(["v0", "x"])
 
 
+def test_arcs_come_in_tail_head_order():
+    from regionsim.checks import random_suite
+
+    rng = random.Random(23)
+    graphs = []
+    for _ in range(30):
+        n = rng.randint(2, 25)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
+        rng.shuffle(pairs)  # insertion order must not matter
+        graphs.append(Digraph(range(n), {p: rng.uniform(0.1, 5.0) for p in pairs}))
+    graphs += [item.g for item in random_suite(20, seed=9)]
+    for g in graphs:
+        for sub in (g, g.induced(rng.sample(g.vertices, len(g) // 2))):
+            keys = [(u, v) for u, v, _ in sub.arcs()]
+            assert keys == sorted(keys)
+            assert len(keys) == sub.arc_count
+
+
 def test_hop_equals_weighted_length_in_unit_mode():
     rng = random.Random(31)
     g = random_digraph(rng, 15)

@@ -153,3 +153,13 @@ def test_sink_is_extra_pinned_node():
     assert not sink.is_boundary_node
     assert d.sink_id not in d.seeds
     assert len(d.sensor_ids) == 35
+
+
+@pytest.mark.parametrize(
+    "sink, region",
+    [((160.0, 60.0), 7), ((60.0, 160.0), 13), ((160.0, 160.0), 15), ((0.0, 0.0), 0)],
+)
+def test_sink_region_clamps_column_and_row(sink, region):
+    config = ScenarioConfig(node_count=35, sink_x=sink[0], sink_y=sink[1])
+    d = deploy(config, seed=2)
+    assert d.nodes[d.sink_id].region_id == region

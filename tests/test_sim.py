@@ -143,6 +143,51 @@ def test_total_matches_ledger_sum_exactly():
     assert total == report.total_energy_j
 
 
+@pytest.mark.parametrize(
+    "config",
+    [SMALL, replace(SMALL, protocol="dt", battery_j=3.0, sessions=4,
+                    sim_duration_s=900.0, report_interval_s=300.0)],
+    ids=["res", "dt-draining"],
+)
+def test_interval_rows_sum_their_own_snapshots(config):
+    report = run(config)
+    assert len(report.intervals) == len(report.ledger_snapshots)
+    for row, (t, snapshot) in zip(report.intervals, report.ledger_snapshots):
+        assert t == row.t_s
+        assert [r[0] for r in snapshot] == sorted(r[0] for r in snapshot)
+        tx = rx = sense = sleep = total = 0.0
+        for _, txj, rxj, sensej, sleepj, _ in snapshot:
+            tx += txj
+            rx += rxj
+            sense += sensej
+            sleep += sleepj
+            total += ((txj + rxj) + sensej) + sleepj
+        assert (row.tx_j, row.rx_j, row.sense_j, row.sleep_j, row.total_j) == (
+            tx, rx, sense, sleep, total
+        )
+    last = report.intervals[-1]
+    assert last.t_s == config.sim_duration_s
+    assert report.totals_by_mode == {
+        "tx": last.tx_j, "rx": last.rx_j, "sense": last.sense_j, "sleep": last.sleep_j
+    }
+    assert report.total_energy_j == last.total_j
+
+
+def test_stale_due_death_resettles_a_sleeping_node():
+    # every sensor senses during init, so the flood charges at 30 s project
+    # sense-mode deaths at about 218 s; the switch to sleep moves each
+    # crossing past the run's end, but the sense-mode entries stay queued
+    # and pop while their nodes are alive
+    config = replace(
+        SMALL, battery_j=3.0, sessions=0, sim_duration_s=900.0, report_interval_s=300.0
+    )
+    report = run(config)
+    assert report.deaths == []
+    _, snapshot = report.ledger_snapshots[-1]
+    for _, _, _, _, _, remaining in snapshot:
+        assert remaining > 1.8
+
+
 def test_battery_death_stops_forwarding():
     config = replace(SMALL, battery_j=0.35, sessions=2, sim_duration_s=600.0)
     report = run(config)
