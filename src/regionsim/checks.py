@@ -2,7 +2,7 @@
 
 These drive the `check-lemmas` CLI subcommand: cell containment, the
 boundary-route stretch bound, and flood-label agreement with an independent
-multi-source breadth-first search.
+multi-source breadth-first search and with the message-level flood.
 """
 
 import random
@@ -10,7 +10,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .flood import message_savings, naive_flood_count, run_flood
+from .flood import FloodState, message_savings, naive_flood_count, run_flood
 from .graph import Digraph, NodeId, random_connected_unit_disk
 from .regions import (
     StretchBoundError,
@@ -165,11 +165,23 @@ class FloodOracleReport:
         return not self.mismatches
 
 
+def _flood_outcome(state: FloodState) -> tuple:
+    return (state.distance, sorted(state.regions), state.tx_count, state.rx_count,
+            state.discard_count)
+
+
 def run_flood_oracle_suite(suite: Iterable[SuiteGraph]) -> FloodOracleReport:
-    """Compare flood labels (distance, region set) against the BFS oracle."""
+    """Compare flood labels (distance, region set) against the BFS oracle.
+
+    The untraced flood, which ``run_flood`` computes from the labelling, is
+    also compared with the message-level flood (``trace=[]``) per node,
+    message tallies included, and in totals, rounds and unreached nodes;
+    those mismatches are listed as (graph, node or None, got, want).
+    """
     report = FloodOracleReport()
     for item in suite:
         result = run_flood(item.g, item.seeds)
+        messages = run_flood(item.g, item.seeds, trace=[])
         oracle = multi_source_bfs(item.g, item.seeds)
         report.graphs += 1
         for v in item.g.vertices:
@@ -181,6 +193,13 @@ def run_flood_oracle_suite(suite: Iterable[SuiteGraph]) -> FloodOracleReport:
                     (item.index, v, st.distance, sorted(st.regions), want_dist,
                      sorted(want_regions))
                 )
+            got, want = _flood_outcome(st), _flood_outcome(messages.states[v])
+            if got != want:
+                report.mismatches.append((item.index, v, got, want))
+        got = (result.totals, result.rounds, result.unreached)
+        want = (messages.totals, messages.rounds, messages.unreached)
+        if got != want:
+            report.mismatches.append((item.index, None, got, want))
         savings = message_savings(result.totals, naive_flood_count(item.g, item.seeds))
         report.min_savings = min(report.min_savings, savings)
         report.max_savings = max(report.max_savings, savings)

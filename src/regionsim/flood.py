@@ -10,6 +10,13 @@ distance D) is:
   hop == D, region new-> merge region, rebroadcast with hop+1
   hop == D, region old-> discard
   hop <  D (or unset) -> replace state with this region/hop, rebroadcast
+
+Under the synchronized schedule every message travels at the same speed, so
+round r delivers exactly the hop-r messages: a node's distance is its level
+in a multi-source breadth-first search and its regions are those of its
+in-neighbours one level closer.  ``run_flood`` computes an untraced sync flood
+from that labelling, message tallies included, and delivers messages one by
+one only for a trace or the ``async`` mode.
 """
 
 import random
@@ -119,7 +126,80 @@ def run_flood(
     message travels at the same speed); ``async`` delivers in seeded random
     order and converges to the same labels.  ``trace`` collects rows
     (round, sender, receiver, region, hop, action) when given.
+
+    An untraced sync flood is read off the breadth-first labelling (round r
+    delivers exactly the hop-r messages), in time linear in the arcs.  The
+    message-level loop runs for a trace or the ``async`` mode; both give the
+    same result.
     """
+    if mode == "sync" and trace is None:
+        return _label_flood(g, seeds)
+    return _message_flood(g, seeds, mode, seed, trace)
+
+
+def _result(g: Digraph, states: dict[NodeId, FloodState], rounds: int) -> FloodResult:
+    totals = FloodTotals(
+        tx=sum(s.tx_count for s in states.values()),
+        rx=sum(s.rx_count for s in states.values()),
+        discard=sum(s.discard_count for s in states.values()),
+    )
+    unreached = tuple(v for v in g.vertices if states[v].distance is None)
+    return FloodResult(states, totals, rounds, unreached)
+
+
+def _label_flood(g: Digraph, seeds: Iterable[NodeId]) -> FloodResult:
+    """The sync flood's result from a level-synchronous multi-source BFS.
+
+    A node's distance is its BFS level and its regions are the union of the
+    regions of its in-neighbours one level closer.  With k(v) regions at v,
+    v sends k(v) messages on each out-arc and receives k(u) on each in-arc
+    (u, v); a reached non-seed accepts k(v) of them and discards the rest, a
+    seed or an unreached node discards all.  Round r runs while some node at
+    level r - 1 has an out-arc.
+    """
+    seed_tuple = _normalize_seeds(g, seeds)
+    states = {v: FloodState() for v in g.vertices}
+    for s in seed_tuple:
+        states[s].regions = {s}
+        states[s].distance = 0
+    rounds = 0
+    level = 0
+    frontier = list(seed_tuple)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            su = states[u]
+            k = len(su.regions)
+            out = g.out_neighbors(u)
+            su.tx_count = k * len(out)
+            if out:
+                rounds = level + 1
+            for v in out:
+                sv = states[v]
+                sv.rx_count += k
+                if sv.distance is None:
+                    sv.distance = level + 1
+                    sv.regions = set(su.regions)
+                    nxt.append(v)
+                elif sv.distance == level + 1:
+                    sv.regions |= su.regions
+        frontier = nxt
+        level += 1
+    for st in states.values():
+        st.discard_count = st.rx_count
+        if st.distance:  # reached and not a seed: k(v) messages accepted
+            st.discard_count -= len(st.regions)
+    return _result(g, states, rounds)
+
+
+def _message_flood(
+    g: Digraph,
+    seeds: Iterable[NodeId],
+    mode: str,
+    seed: int | None,
+    trace: list | None,
+) -> FloodResult:
+    """Deliver every flood message one by one through ``handle_message``."""
     states, pending = init_flood(g, seeds)
 
     def deliver(rnd: int, snd: NodeId, rcv: NodeId, region: NodeId, hop: int) -> list[PendingMessage]:
@@ -153,37 +233,41 @@ def run_flood(
             queue.extend(deliver(rounds, snd, rcv, region, hop))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    totals = FloodTotals(
-        tx=sum(s.tx_count for s in states.values()),
-        rx=sum(s.rx_count for s in states.values()),
-        discard=sum(s.discard_count for s in states.values()),
-    )
-    unreached = tuple(v for v in g.vertices if states[v].distance is None)
-    return FloodResult(states, totals, rounds, unreached)
+    return _result(g, states, rounds)
 
 
 def naive_flood_count(g: Digraph, seeds: Iterable[NodeId]) -> int:
     """Message count of per-seed unrestricted flooding.
 
     Every node rebroadcasts each seed's flood once, on first receipt, across
-    the whole graph; counts are per-link messages.
+    the whole graph; counts are per-link messages.  A seed's count is the
+    out-degree sum of the nodes it reaches.  When every arc has its reverse,
+    that set is the seed's connected component, so one search per component
+    serves every seed in it; otherwise each seed gets its own search.
     """
     seed_tuple = _normalize_seeds(g, seeds)
+    symmetric = all(g.has_arc(v, u) for u, v, _ in g.arcs())
+    component_count: dict[NodeId, int] = {}
     total = 0
     for s in seed_tuple:
+        if s in component_count:
+            total += component_count[s]
+            continue
         reached = {s}
         frontier = [s]
-        total += len(g.out_neighbors(s))
+        count = len(g.out_neighbors(s))
         while frontier:
             nxt = []
             for v in frontier:
                 for nb in g.out_neighbors(v):
                     if nb not in reached:
                         reached.add(nb)
-                        total += len(g.out_neighbors(nb))
+                        count += len(g.out_neighbors(nb))
                         nxt.append(nb)
             frontier = nxt
+        total += count
+        if symmetric:
+            component_count.update(dict.fromkeys(reached, count))
     return total
 
 

@@ -34,7 +34,9 @@ class NodePos:
     region_id: int | None = None
 
     def __post_init__(self):
-        if self.radio_range <= 0:
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"node {self.id!r}: position must be finite")
+        if not self.radio_range > 0:
             raise ValueError(f"node {self.id!r}: radio_range must be > 0")
 
     def distance_to(self, other: "NodePos") -> float:
@@ -151,6 +153,10 @@ def neighborhoods(g: Digraph, v: NodeId) -> Neighborhood:
     return Neighborhood(frozenset(g.in_neighbors(v)), frozenset(g.out_neighbors(v)))
 
 
+# bucket offsets that, with the bucket itself, meet every adjacent bucket once
+_HALF_NEIGHBOURHOOD = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
 def build_unit_disk_digraph(
     nodes: Iterable[NodePos], symmetric: bool = True, unit_weight: bool = False
 ) -> Digraph:
@@ -159,6 +165,10 @@ def build_unit_disk_digraph(
     An arc (u, v) exists iff v lies within u's radio range; with ``symmetric``
     both ranges must cover the distance, so arcs come in pairs.  Weights are
     euclidean meters, or exactly 1 with ``unit_weight``.
+
+    Nodes are bucketed on a square grid strictly wider than the largest radio
+    range, so two nodes in range share a bucket or lie in adjacent ones, and
+    only those pairs are measured, each unordered pair once.
     """
     node_list = list(nodes)
     if not node_list:
@@ -168,17 +178,30 @@ def build_unit_disk_digraph(
         if n.id in seen:
             raise ValueError(f"duplicate node id {n.id!r}")
         seen.add(n.id)
+    # A pair in range is strictly less than one width apart, even where its
+    # rounded distance equals the range, so the floors of the correctly
+    # rounded x / width of the two differ by at most one, and so do the y's.
+    width = max(n.radio_range for n in node_list) * (1 + 1e-9)
+    buckets: dict[tuple[int, int], list[NodePos]] = {}
+    for n in node_list:
+        buckets.setdefault((math.floor(n.x / width), math.floor(n.y / width)), []).append(n)
     arcs: dict[tuple[NodeId, NodeId], float] = {}
-    for a in node_list:
-        for b in node_list:
-            if a.id == b.id:
-                continue
-            d = a.distance_to(b)
-            reach = min(a.radio_range, b.radio_range) if symmetric else a.radio_range
-            if d <= reach:
+    for (bx, by), members in buckets.items():
+        adjacent = [b for dx, dy in _HALF_NEIGHBOURHOOD for b in buckets.get((bx + dx, by + dy), ())]
+        for i, a in enumerate(members):
+            for b in members[i + 1:] + adjacent:
+                d = a.distance_to(b)  # bit-equal to b.distance_to(a)
                 if d == 0.0 and not unit_weight:
                     raise ValueError(f"nodes {a.id!r} and {b.id!r} are coincident")
-                arcs[(a.id, b.id)] = 1.0 if unit_weight else d
+                if symmetric:
+                    reach_a = reach_b = min(a.radio_range, b.radio_range)
+                else:
+                    reach_a, reach_b = a.radio_range, b.radio_range
+                w = 1.0 if unit_weight else d
+                if d <= reach_a:
+                    arcs[(a.id, b.id)] = w
+                if d <= reach_b:
+                    arcs[(b.id, a.id)] = w
     return Digraph((n.id for n in node_list), arcs)
 
 

@@ -65,6 +65,10 @@ class ScenarioConfig:
         def fail(msg):
             raise ScenarioError(msg)
 
+        # NaN passes every comparison below and infinity hangs the event loop
+        for name, value in scenario_to_dict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                fail(f"{name} must be finite, got {value}")
         if self.area_width <= 0 or self.area_height <= 0:
             fail("area dimensions must be > 0")
         if self.region_size <= 0:

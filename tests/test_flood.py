@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regionsim.checks import multi_source_bfs
+from regionsim.checks import multi_source_bfs, random_suite, run_flood_oracle_suite
 from regionsim.flood import (
     FloodAction,
     FloodMessage,
@@ -19,6 +19,7 @@ from regionsim.flood import (
     run_flood,
 )
 from regionsim.graph import Digraph, NodePos, build_unit_disk_digraph
+from regionsim.scenario import ScenarioConfig, deploy
 
 
 def path_graph(n):
@@ -298,3 +299,126 @@ def test_cells_from_flood_match_direct_computation():
     assert via_flood.owners == direct.owners
     assert via_flood.cell_of == direct.cell_of
     assert via_flood.tie_nodes == direct.tie_nodes
+
+
+# -- the labelling against the message-level flood ------------------------------
+
+
+def random_digraph(rng, n):
+    """Asymmetric digraph, usually disconnected: each ordered pair is an arc
+    with one probability drawn per graph."""
+    p = rng.uniform(0.0, 0.3)
+    arcs = {(u, v): 1.0 for u in range(n) for v in range(n) if u != v and rng.random() < p}
+    return Digraph(range(n), arcs)
+
+
+def asymmetric_cases(count=200, seed=71):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 30)
+        g = random_digraph(rng, n)
+        yield g, rng.sample(range(n), rng.randint(1, min(5, n)))
+
+
+def field_graph(config, seed):
+    d = deploy(config, seed)
+    return build_unit_disk_digraph([d.nodes[v] for v in sorted(d.nodes)]), d.seeds
+
+
+SPARSE_FIELD = ScenarioConfig(
+    area_width=640.0, area_height=640.0, node_count=1120, radio_range=60.0
+)
+
+
+def assert_same_flood(g, seeds):
+    got = run_flood(g, seeds)
+    want = run_flood(g, seeds, trace=[])
+    for v in g.vertices:
+        a, b = got.states[v], want.states[v]
+        assert (a.distance, a.regions, a.tx_count, a.rx_count, a.discard_count) == (
+            b.distance, b.regions, b.tx_count, b.rx_count, b.discard_count
+        ), v
+    assert got.totals == want.totals
+    assert got.rounds == want.rounds
+    assert got.unreached == want.unreached
+
+
+def test_labelling_equals_message_flood_on_suite(suite200):
+    for item in suite200:
+        assert_same_flood(item.g, item.seeds)
+
+
+def test_labelling_equals_message_flood_on_asymmetric_digraphs():
+    for g, seeds in asymmetric_cases():
+        assert_same_flood(g, seeds)
+
+
+@pytest.mark.parametrize(
+    "config, seed",
+    [
+        (ScenarioConfig(), 1),
+        (ScenarioConfig(), 2),
+        (SPARSE_FIELD, 1),
+        (SPARSE_FIELD, 2),
+        (ScenarioConfig(node_count=280), 1),
+    ],
+    ids=["default-1", "default-2", "sparse-1", "sparse-2", "dense-1"],
+)
+def test_labelling_equals_message_flood_on_fields(config, seed):
+    assert_same_flood(*field_graph(config, seed))
+
+
+def test_flood_oracle_suite_reports_tally_mismatch(monkeypatch):
+    import regionsim.flood as flood_module
+
+    label_flood = flood_module._label_flood
+
+    def off_by_one(g, seeds):
+        result = label_flood(g, seeds)
+        result.states[max(g.vertices)].rx_count += 1
+        return result
+
+    suite = list(random_suite(3, seed=5))
+    assert run_flood_oracle_suite(suite).ok
+    monkeypatch.setattr(flood_module, "_label_flood", off_by_one)
+    report = run_flood_oracle_suite(suite)
+    assert not report.ok
+    assert [m[0] for m in report.mismatches] == [0, 1, 2]
+
+
+# -- the naive count against a per-seed search -----------------------------------
+
+
+def per_seed_naive_count(g, seeds):
+    total = 0
+    for s in set(seeds):
+        reached = {s}
+        frontier = [s]
+        while frontier:
+            frontier = [nb for v in frontier for nb in g.out_neighbors(v) if nb not in reached]
+            reached.update(frontier)
+        total += sum(len(g.out_neighbors(v)) for v in reached)
+    return total
+
+
+def test_naive_count_equals_per_seed_search_on_suite(suite200):
+    for item in suite200:
+        assert naive_flood_count(item.g, item.seeds) == per_seed_naive_count(item.g, item.seeds)
+
+
+def test_naive_count_equals_per_seed_search_on_asymmetric_digraphs():
+    for g, seeds in asymmetric_cases():
+        assert naive_flood_count(g, seeds) == per_seed_naive_count(g, seeds)
+
+
+def test_naive_count_on_disconnected_symmetric_graph():
+    # components: a path 0-4, a lattice 10..18, an isolated node 30
+    arcs = {}
+    for i in range(4):
+        arcs[(i, i + 1)] = arcs[(i + 1, i)] = 1.0
+    for u, v, _ in lattice(3, 3).arcs():
+        arcs[(u + 10, v + 10)] = 1.0
+    g = Digraph([*range(5), *range(10, 19), 30], arcs)
+    for seeds in ([0], [0, 4], [0, 12, 30], [1, 2, 10, 11, 18, 30], [30]):
+        assert naive_flood_count(g, seeds) == per_seed_naive_count(g, seeds)
+    assert naive_flood_count(g, [0, 4, 10, 30]) == 2 * 8 + 24

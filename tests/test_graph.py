@@ -133,6 +133,78 @@ def test_digraph_rejects_self_loops_and_bad_weights():
         Digraph([0, 1], {(0, 2): 1.0})
 
 
+def all_pairs_unit_disk(nodes, symmetric=True, unit_weight=False):
+    """Arcs of the unit-disk digraph by measuring every ordered pair."""
+    arcs = {}
+    for a in nodes:
+        for b in nodes:
+            if a.id == b.id:
+                continue
+            d = a.distance_to(b)
+            reach = min(a.radio_range, b.radio_range) if symmetric else a.radio_range
+            if d <= reach:
+                arcs[(a.id, b.id)] = 1.0 if unit_weight else d
+    return arcs
+
+
+def random_layout(rng, n):
+    """Mixed ranges and negative coordinates; about a third of the nodes sit
+    on distinct multiples of the largest range, the edges of the build's grid."""
+    lattice = [(20.0 * i, 20.0 * j) for i in range(-4, 5) for j in range(-4, 5)]
+    on_edges = rng.sample(lattice, n // 3)
+    inside = [(rng.uniform(-80.0, 80.0), rng.uniform(-80.0, 80.0)) for _ in range(n - n // 3)]
+    return [
+        NodePos(i, x, y, rng.choice((5.0, 12.5, 20.0)))
+        for i, (x, y) in enumerate(on_edges + inside)
+    ]
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("unit_weight", [False, True])
+def test_bucketed_build_equals_all_pairs(symmetric, unit_weight):
+    rng = random.Random(41)
+    for _ in range(60):
+        nodes = random_layout(rng, rng.randint(1, 60))
+        g = build_unit_disk_digraph(nodes, symmetric=symmetric, unit_weight=unit_weight)
+        want = all_pairs_unit_disk(nodes, symmetric, unit_weight)
+        got = {(u, v): w for u, v, w in g.arcs()}
+        assert got.keys() == want.keys()
+        assert all(got[a].hex() == want[a].hex() for a in want)
+
+
+def test_bucketed_build_keeps_arc_rounded_onto_range():
+    # the true distance is just over 64 but rounds to exactly 64.0
+    a = NodePos(0, math.nextafter(64.0, 0.0), 0.0, 64.0)
+    b = NodePos(1, 128.0, 0.0, 64.0)
+    assert a.distance_to(b) == 64.0
+    for symmetric in (True, False):
+        g = build_unit_disk_digraph([a, b], symmetric=symmetric)
+        assert g.has_arc(0, 1) and g.has_arc(1, 0)
+
+
+def test_coincident_nodes_rejected_unless_unit_weight():
+    nodes = [NodePos(0, 3.0, 4.0, 10.0), NodePos(1, 50.0, 0.0, 10.0), NodePos(2, 3.0, 4.0, 10.0)]
+    with pytest.raises(ValueError, match="nodes 0 and 2 are coincident"):
+        build_unit_disk_digraph(nodes)
+    g = build_unit_disk_digraph(nodes, unit_weight=True)
+    assert g.has_arc(0, 2) and g.has_arc(2, 0) and g.arc_count == 2
+
+
+@pytest.mark.parametrize(
+    "x, y, radio_range, message",
+    [
+        (math.nan, 0.0, 5.0, "position must be finite"),
+        (0.0, math.inf, 5.0, "position must be finite"),
+        (-math.inf, 0.0, 5.0, "position must be finite"),
+        (0.0, 0.0, math.nan, "radio_range must be > 0"),
+        (0.0, 0.0, 0.0, "radio_range must be > 0"),
+    ],
+)
+def test_node_position_and_range_validated(x, y, radio_range, message):
+    with pytest.raises(ValueError, match=message):
+        NodePos(7, x, y, radio_range)
+
+
 # -- neighborhoods -----------------------------------------------------------
 
 

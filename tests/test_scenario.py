@@ -97,6 +97,37 @@ def test_sink_outside_area_rejected():
         ScenarioConfig(sink_x=500.0)
 
 
+NON_FINITE_FIELDS = [
+    ("area", "width", "area_width"),
+    ("area", "region_size", "region_size"),
+    ("nodes", "radio_range", "radio_range"),
+    ("nodes", "sink_x", "sink_x"),
+    ("nodes", "battery_j", "battery_j"),
+    ("energy", "p_rx_mw", "energy.p_rx_mw"),
+    ("energy", "level_max_dbm", "energy.level_max_dbm"),
+    ("traffic", "packet_rate_hz", "packet_rate_hz"),
+    ("traffic", "sim_duration_s", "sim_duration_s"),
+    ("traffic", "report_interval_s", "report_interval_s"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, name, value",
+    [(*f, v) for f in NON_FINITE_FIELDS for v in ("nan", "inf")]
+    + [("energy", "level_min_dbm", "energy.level_min_dbm", "-inf")],
+)
+def test_non_finite_value_rejected(tmp_path, section, key, name, value):
+    path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ScenarioError, match=f"{name} must be finite"):
+        load_scenario(path)
+
+
+def test_non_finite_value_rejected_without_a_file():
+    for name in ("init_phase_s", "sensing_range", "path_loss_exponent"):
+        with pytest.raises(ScenarioError, match=f"{name} must be finite"):
+            ScenarioConfig(**{name: float("nan")})
+
+
 def test_config_snapshot_is_flat_and_sorted():
     snap = scenario_to_dict(ScenarioConfig())
     keys = list(snap)
