@@ -66,9 +66,11 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    tags = PROTOCOLS if args.protocols == "all" else tuple(
+    tags = PROTOCOLS if args.protocols == "all" else tuple(dict.fromkeys(
         t.strip() for t in args.protocols.split(",") if t.strip()
-    )
+    ))  # a repeated protocol runs once, in first-seen order
+    if not tags:
+        raise ScenarioError("no protocols given")
     for t in tags:
         if t not in PROTOCOLS:
             raise ScenarioError(f"unknown protocol {t!r}")

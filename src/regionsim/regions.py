@@ -52,14 +52,16 @@ class BoundaryCellMap:
         dist_to_seed: dict[NodeId, float],
     ) -> "BoundaryCellMap":
         """Cell map from each node's sorted minimizing seeds and its distance."""
+        members: dict[NodeId, set] = {s: set() for s in seeds}
+        for v, own in owners.items():
+            for s in own:
+                members[s].add(v)
         return cls(
             seeds=seeds,
             metric=metric,
             owners=owners,
             cell_of={v: own[0] for v, own in owners.items()},
-            members={
-                s: frozenset(v for v, own in owners.items() if s in own) for s in seeds
-            },
+            members={s: frozenset(vs) for s, vs in members.items()},
             tie_nodes=frozenset(v for v, own in owners.items() if len(own) > 1),
             dist_to_seed=dist_to_seed,
         )

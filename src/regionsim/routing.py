@@ -166,9 +166,7 @@ def build_res_tables(
     return RoutingTable(sink=sink, next_hop=next_hop, stranded=tuple(sorted(stranded)))
 
 
-def walk_table(
-    tables: RoutingTable, source: NodeId, sink: NodeId, max_hops: int | None = None
-) -> tuple[NodeId, ...]:
+def walk_table(tables: RoutingTable, source: NodeId, sink: NodeId) -> tuple[NodeId, ...]:
     """Follow next-hop entries from source to sink; raise on any loop."""
     if sink != tables.sink:
         raise ValueError(f"tables were built for sink {tables.sink!r}")
@@ -183,8 +181,6 @@ def walk_table(
             raise RouteNotFound(f"res: no route from {source!r} (stuck at {at!r})")
         if nxt in visited:
             raise CycleError(f"routing table cycle at {nxt!r} walking from {source!r}")
-        if max_hops is not None and len(verts) > max_hops:
-            raise CycleError(f"walk from {source!r} exceeded {max_hops} hops")
         verts.append(nxt)
         visited.add(nxt)
         at = nxt
@@ -230,7 +226,7 @@ def route(
     if protocol == "res":
         if tables is None:
             raise ValueError("res routing needs prebuilt tables")
-        verts = walk_table(tables, source, sink, max_hops=len(g))
+        verts = walk_table(tables, source, sink)
     elif protocol == "dt":
         d = nodes[source].distance_to(nodes[sink])
         if min_level_for_distance(params, d, nodes[source].radio_range, alpha) is None:

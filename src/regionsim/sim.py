@@ -1,18 +1,18 @@
 """Deterministic discrete-event runs, batch averaging, and output files.
 
 One run = deploy nodes, build the communication graph, set up the selected
-protocol, then walk one fixed timeline of events while a heap supplies the
-battery deaths that fall between them.  Identical (config, seed) pairs
-produce identical reports and byte-identical CSV files.
+protocol, then walk one fixed timeline of events, settling the battery deaths
+that fall between them.  Identical (config, seed) pairs produce identical
+reports and byte-identical CSV files.
 
 Event loop.  The traffic is fixed, so everything but the deaths is known
 before the run starts: the init event at init_phase_s (flood charges, then
 each sensor's duty mode in id order), one tick per packet instant from
 init_phase_s on, where every routed session sends one packet in source-id
 order, and the interval reports.  These merge into one timeline ordered by
-(time, kind), with init < tick < report.  The heap holds only drain deaths
-as (time, node) pairs; before each timeline event, every death due at or
-before its time is handled, so deaths go first within a timestamp.
+(time, kind), with init < tick < report.  Before each timeline event, every
+drain death due at or before it is settled in (time, node) order, so deaths
+go first within a timestamp.
 
 Model notes:
   * The sink is a mains-powered base station: it relays and receives but has
@@ -26,11 +26,10 @@ Model notes:
     node's drain, bills a charge in full (so a node can end up to one charge
     below zero), then kills the node at or below DEATH_EPSILON_J or projects
     its drain death.  Due deaths, duty-mode switches and t = 0 settle with a
-    zero charge.  Each node has one live death event; a new projection
-    replaces it only when more than 1 s earlier, and the replaced entry is
-    skipped when it pops.  A node that no charge touches dies at its
-    crossing; a node whose projection packet charges keep moving earlier
-    dies when the queued event fires, up to 1 s late and up to 1 s of drain
+    zero charge.  Each node has one due time; a new projection replaces it
+    only when more than 1 s earlier.  A node that no charge touches dies at
+    its crossing; a node whose projection packet charges keep moving earlier
+    dies at its recorded due time, up to 1 s late and up to 1 s of drain
     below zero (12 mJ while sensing).  Under dt on the default scenario at
     seed 2 the 15 session sources end 1.3 to 9.8 mJ below zero.
   * Ledger layout.  Each sensor's spends are one flat [tx, rx, sense, sleep]
@@ -42,6 +41,7 @@ Model notes:
 
 import csv
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -159,9 +159,9 @@ class BatchReport:
 class _Run:
     """Single-run engine; builds everything in __init__ and leaves a report.
 
-    ``_due[v]`` is the time of v's one live entry in the death heap; a popped
-    entry at any other time was superseded by an earlier projection and is
-    skipped; a live one settles its node through ``_impulse``.
+    ``_due[v]`` is v's projected drain death, its only record; ``_next_due``
+    is the smallest (inf for none).  The loop settles a due time through
+    ``_impulse``, and drops that of a node that died meanwhile.
 
     The event loop reads and writes the ledger rows directly, with the
     arithmetic of ``EnergyLedger.accrue``, ``charge`` and ``remaining`` in the
@@ -199,8 +199,7 @@ class _Run:
         self.alive: set[NodeId] = set(self.sensors)
         self.deaths: list[tuple[float, NodeId]] = []
         self._due: dict[NodeId, float] = {}
-
-        self.heap: list[tuple[float, NodeId]] = []  # drain deaths only
+        self._next_due = math.inf
         self.now = 0.0
         self.generated = 0
         self.delivered = 0
@@ -387,19 +386,26 @@ class _Run:
             due = self._due.get(v)
             if due is None or t < due - 1.0:
                 self._due[v] = t
-                heapq.heappush(self.heap, (t, v))
+                if t < self._next_due:
+                    self._next_due = t
 
     # -- event handlers ----------------------------------------------------
 
     def _loop(self):
-        # Every death falls at or before the last report, at the run's end,
-        # so the heap is empty once the timeline is.
-        heap = self.heap
-        pop = heapq.heappop
+        # Every due time falls at or before the last report, at the run's
+        # end, so _due is empty once the timeline is.
+        due = self._due
         handlers = (self._handle_init, self._handle_tick, self._report)
         for t, kind in self._timeline():
-            while heap and heap[0][0] <= t:
-                self._handle_death(*pop(heap))
+            while self._next_due <= t:
+                # smallest time first, then smallest node id
+                td = self._next_due
+                v = min(u for u, tu in due.items() if tu == td)
+                del due[v]
+                self._next_due = min(due.values(), default=math.inf)
+                if v in self.alive:
+                    self.now = td
+                    self._impulse(v, self.mode[v], 0.0)
             self.now = t
             handlers[kind]()
 
@@ -430,13 +436,6 @@ class _Run:
                 rec.delivered += 1
                 self.delivered += 1
         self.generated += len(self._senders)
-
-    def _handle_death(self, t: float, v: NodeId):
-        if v not in self.alive or self._due.get(v) != t:
-            return  # dead already, or superseded by an earlier projection
-        del self._due[v]
-        self.now = t
-        self._impulse(v, self.mode[v], 0.0)
 
     def _report(self):
         """Accrue the alive nodes, then snapshot the ledger and sum its row."""

@@ -76,6 +76,32 @@ def test_compare_subcommand(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("make_out", [False, True])
+def test_compare_empty_protocol_list_is_rejected(tmp_path, capsys, make_out):
+    out = tmp_path / "c"
+    if make_out:
+        out.mkdir()
+    code = main(
+        ["compare", "--scenario", scenario(tmp_path), "--out", str(out),
+         "--protocols", " , "]
+    )
+    assert code == 2
+    assert "no protocols given" in capsys.readouterr().err
+    assert not (out / "comparison.csv").exists()
+
+
+def test_compare_repeated_protocol_runs_once(tmp_path, capsys):
+    code = main(
+        ["compare", "--scenario", scenario(tmp_path), "--out", str(tmp_path / "c"),
+         "--protocols", "dt,mte,dt"]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.count("  dt ") == 1
+    lines = (tmp_path / "c" / "comparison.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["protocol", "dt", "mte"]
+
+
 def test_check_lemmas_subcommand(capsys):
     code = main(["check-lemmas", "--sizes", "10", "--seed", "3", "--graphs", "3"])
     assert code == 0

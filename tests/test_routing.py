@@ -202,7 +202,7 @@ def test_res_walk_terminates_within_vertex_count():
         for src in g.vertices:
             if src == sink or src in tables.stranded:
                 continue
-            verts = walk_table(tables, src, sink, max_hops=n)
+            verts = walk_table(tables, src, sink)
             assert len(verts) <= n
 
 

@@ -176,8 +176,8 @@ def test_interval_rows_sum_their_own_snapshots(config):
 def test_stale_due_death_resettles_a_sleeping_node():
     # every sensor senses during init, so the flood charges at 30 s project
     # sense-mode deaths at about 218 s; the switch to sleep moves each
-    # crossing past the run's end, but the sense-mode entries stay queued
-    # and pop while their nodes are alive
+    # crossing past the run's end, but the sense-mode due times stay and
+    # come due while their nodes are alive
     config = replace(
         SMALL, battery_j=3.0, sessions=0, sim_duration_s=900.0, report_interval_s=300.0
     )
@@ -242,6 +242,26 @@ def test_drain_deaths_fire_once_at_the_crossing(protocol):
     remaining = {row[0]: row[5] for row in snapshot}
     for v in drained:
         assert abs(remaining[v]) <= 1e-9, (v, remaining[v])
+
+
+def test_equal_due_deaths_settle_in_node_id_order():
+    # at a 50 m range every sensor but node 2 is in the sink's neighbourhood
+    # and senses from t = 0, so those 17 share the crossing at 3 J / 12 mW =
+    # 250 s; node 2 sleeps through init and dies later
+    config = replace(
+        SMALL,
+        protocol="dt",
+        radio_range=50.0,
+        battery_j=3.0,
+        sessions=0,
+        sim_duration_s=900.0,
+        report_interval_s=300.0,
+    )
+    report = run(config)
+    tied = [v for t, v in report.deaths if t == 250.0]
+    assert len(tied) == 17
+    assert report.deaths[:17] == [(250.0, v) for v in sorted(tied)]
+    assert report.deaths[17:] == [(278.75, 2)]
 
 
 def test_dead_network_has_zero_coverage():
