@@ -14,6 +14,16 @@ order, and the interval reports.  These merge into one timeline ordered by
 drain death due at or before it is settled in (time, node) order, so deaths
 go first within a timestamp.
 
+Epochs.  Between two other events, and until a node dies, every tick charges
+the same ledger cells with the same joules, so the loop applies each such
+run of ticks, an epoch, in one bulk step that replays the scalar settle
+arithmetic with numpy, bit for bit.  An epoch starts at a tick and ends at
+whichever comes first: the next non-tick event, the next due time, the tick
+before the first one in which a balance reaches DEATH_EPSILON_J, or the tick
+after which a due time written in the epoch falls at or before the next
+tick.  The tick in which a node dies is replayed through the scalar
+_handle_tick, as are init, due settles and t = 0.
+
 Model notes:
   * The sink is a mains-powered base station: it relays and receives but has
     no ledger entry and never dies.
@@ -43,7 +53,10 @@ import csv
 import heapq
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -156,12 +169,29 @@ class BatchReport:
     metrics: dict[str, tuple[float, float]]  # metric -> (mean, std)
 
 
+def _tiled_sums(start: float, adds: np.ndarray, k: int) -> np.ndarray:
+    """``start``, then the running sum after each add of ``adds`` repeated k
+    times, added one at a time as a Python ``+=`` loop would."""
+    acc = np.empty(k * len(adds) + 1)
+    acc[0] = start
+    acc[1:].reshape(k, len(adds))[:] = adds
+    return np.add.accumulate(acc, out=acc)
+
+
 class _Run:
     """Single-run engine; builds everything in __init__ and leaves a report.
 
     ``_due[v]`` is v's projected drain death, its only record; ``_next_due``
     is the smallest (inf for none).  The loop settles a due time through
     ``_impulse``, and drops that of a node that died meanwhile.
+
+    The loop hands each run of ticks before the next other event and before
+    ``_next_due`` to ``_bulk_ticks``, which applies the ticks of an epoch (see
+    the module notes) and returns how many.  If it stopped at a tick in
+    which a node dies, ``_handle_tick`` replays that tick; if a due time now
+    falls at or before the next tick, the loop settles it first.
+    ``_impulse`` stays the one settle rule: the bulk step reproduces its
+    arithmetic on ticks where it neither kills a node nor settles a due time.
 
     The event loop reads and writes the ledger rows directly, with the
     arithmetic of ``EnergyLedger.accrue``, ``charge`` and ``remaining`` in the
@@ -205,6 +235,7 @@ class _Run:
         self.delivered = 0
         self.intervals: list[IntervalRow] = []
         self.ledger_snapshots: list[tuple[float, list]] = []
+        self._coverage = (-1, 0.0)  # (len(alive), coverage % of that set)
 
         self._coverage_points = self._draw_coverage_points()
         self._setup_protocol()
@@ -394,20 +425,39 @@ class _Run:
     def _loop(self):
         # Every due time falls at or before the last report, at the run's
         # end, so _due is empty once the timeline is.
-        due = self._due
         handlers = (self._handle_init, self._handle_tick, self._report)
-        for t, kind in self._timeline():
-            while self._next_due <= t:
-                # smallest time first, then smallest node id
-                td = self._next_due
-                v = min(u for u, tu in due.items() if tu == td)
-                del due[v]
-                self._next_due = min(due.values(), default=math.inf)
-                if v in self.alive:
-                    self.now = td
-                    self._impulse(v, self.mode[v], 0.0)
-            self.now = t
-            handlers[kind]()
+        for kind, events in groupby(self._timeline(), key=itemgetter(1)):
+            times = [t for t, _ in events]
+            if kind != TICK:
+                for t in times:
+                    self._settle_due(t)
+                    self.now = t
+                    handlers[kind]()
+                continue
+            i = 0
+            while i < len(times):
+                self._settle_due(times[i])
+                ticks = times[i : bisect_left(times, self._next_due, i)]
+                k = self._bulk_ticks(ticks)
+                i += k
+                if k < len(ticks) and ticks[k] < self._next_due:
+                    # the tick in which a node dies
+                    self.now = ticks[k]
+                    self._handle_tick()
+                    i += 1
+
+    def _settle_due(self, t: float):
+        """Settle every due time at or before t: smallest time first, then
+        smallest node id."""
+        due = self._due
+        while self._next_due <= t:
+            td = self._next_due
+            v = min(u for u, tu in due.items() if tu == td)
+            del due[v]
+            self._next_due = min(due.values(), default=math.inf)
+            if v in self.alive:
+                self.now = td
+                self._impulse(v, self.mode[v], 0.0)
 
     def _handle_init(self):
         # region flood setup messages are paid at the end of the init phase
@@ -436,6 +486,139 @@ class _Run:
                 rec.delivered += 1
                 self.delivered += 1
         self.generated += len(self._senders)
+
+    def _charge_plan(self) -> tuple[list, list]:
+        """What each tick charges while the alive set stays as it is.
+
+        Returns ``(nodes, sessions)``.  Per charged node, ``nodes`` holds
+        ``(v, c, adds)``: v takes c charges a tick, and ``adds`` pairs each
+        ledger slot they touch with the c joules it gets from them, 0.0 where
+        a charge goes to the other slot.  Per sender, ``sessions`` holds
+        ``(record, joules of its charges up to the first dead node, whether
+        that is all of them)``.
+        """
+        alive = self.alive
+        charged: dict[NodeId, list[tuple[int, float]]] = {}
+        sessions = []
+        for rec, charges in self._senders:
+            prefix = []
+            for v, slot, joules in charges:
+                if v not in alive:
+                    break
+                charged.setdefault(v, []).append((slot, joules))
+                prefix.append(joules)
+            sessions.append((rec, np.array(prefix), len(prefix) == len(charges)))
+        nodes = []
+        for v, node_charges in charged.items():
+            adds = [
+                (s, np.array([j if slot == s else 0.0 for slot, j in node_charges]))
+                for s in sorted({slot for slot, _ in node_charges})
+            ]
+            nodes.append((v, len(node_charges), adds))
+        return nodes, sessions
+
+    def _bulk_ticks(self, ticks: list[float]) -> int:
+        """Apply the leading ticks of ``ticks`` at once; returns how many.
+
+        The ticks hold no other event and fall before ``_next_due``, so until
+        a node dies every tick charges the same cells with the same joules.
+        This replays ``_impulse`` on them in the scalar order: each touched
+        ledger cell is one ``np.add.accumulate`` over its adds (the drain at
+        the tick's first charge, then the charges in sender order), and the
+        balance and projection follow after every charge, elementwise.  It
+        stops before the first tick in which a balance reaches
+        DEATH_EPSILON_J, which the loop replays through ``_handle_tick``, and
+        after the first tick following which a written due time falls at or
+        before the next tick.  One node is worked at a time and only its
+        due-time writes outlive it; once the stop is known, each cell's sum
+        over the applied ticks is accumulated again.
+        """
+        nodes, sessions = self._charge_plan()
+        T = np.array(ticks)
+        limit = len(ticks)
+        wdT = {m: w * np.diff(T) for m, w in self.drain_w.items()}
+        writes = []  # per node: (tick index, due time) of each write
+        for v, c, adds in nodes:
+            if not limit:
+                break
+            K = limit
+            e = self.rows[v]
+            w = self.drain_w[self.mode[v]]
+            cells = list(e)  # each cell's value after every charge
+            for slot, joules in adds:
+                cells[slot] = _tiled_sums(e[slot], joules, K)[1:]
+            cells[self.mode[v]] = np.repeat(self._drained(v, ticks, wdT, K)[1:], c)
+            remaining = self.budget - (
+                ((cells[TX] + cells[RX]) + cells[SENSE]) + cells[SLEEP]
+            )
+            del cells
+            # balances only fall, so a tick's last charge leaves its lowest
+            dead = remaining[c - 1 :: c] <= DEATH_EPSILON_J
+            if dead.any():
+                limit = int(dead.argmax())
+            n = limit * c
+            proj = np.repeat(T[:limit], c) + remaining[:n] / w
+            del remaining
+            proj[proj > self.duration] = math.inf
+            # The first projection below a threshold is where their running
+            # minimum first falls below it, and that minimum never rises.  A
+            # write is such a place, so it equals the minimum there.
+            low = np.minimum.accumulate(proj, out=proj)
+            neg = np.negative(low)
+            due = self._due.get(v)
+            threshold = math.inf if due is None else due - 1.0
+            i = int(np.searchsorted(neg, -threshold, "right"))
+            wt = wv = None
+            if i < n:
+                # nxt[i]: the place of the write after one at place i
+                nxt = memoryview(np.searchsorted(neg, -(low - 1.0), "right"))
+                wrote = np.zeros(n, dtype=bool)
+                mark = memoryview(wrote)
+                while i < n:
+                    mark[i] = True
+                    i = nxt[i]
+                at = np.flatnonzero(wrote)
+                del nxt, mark, wrote
+                wt, wv = at // c, low[at]
+                # the loop settles a due time before the first tick at or after it
+                limit = min(limit, int(np.maximum(np.searchsorted(T, wv), wt + 1).min()))
+            writes.append((wt, wv))
+            del proj, low, neg
+        K = limit
+        if not K:
+            return 0
+        last = ticks[K - 1]
+        for (v, c, adds), (wt, wv) in zip(nodes, writes):
+            e = self.rows[v]
+            for slot, joules in adds:
+                e[slot] = float(_tiled_sums(e[slot], joules, K)[-1])
+            e[self.mode[v]] = float(self._drained(v, ticks, wdT, K)[-1])
+            self.mode_since[v] = last
+            n = 0 if wt is None else int(np.searchsorted(wt, K))
+            if n:
+                t = float(wv[n - 1])
+                self._due[v] = t
+                if t < self._next_due:
+                    self._next_due = t
+        for rec, joules, delivered in sessions:
+            rec.generated += K
+            if len(joules):
+                rec.energy_j = float(_tiled_sums(rec.energy_j, joules, K)[-1])
+            if delivered:
+                rec.delivered += K
+                self.delivered += K
+        self.generated += K * len(sessions)
+        return K
+
+    def _drained(self, v: NodeId, ticks: list[float], wdT: dict, k: int) -> np.ndarray:
+        """v's drain cell before and after each of the first k ticks, which
+        add ``w * (t - mode_since)`` and then ``w * (t_i - t_{i-1})``."""
+        m = self.mode[v]
+        acc = np.empty(k + 1)
+        acc[0] = self.rows[v][m]
+        acc[1] = self.drain_w[m] * (ticks[0] - self.mode_since[v])  # 0.0 changes no bit
+        acc[2:] = wdT[m][: k - 1]
+        return np.add.accumulate(acc, out=acc)
 
     def _report(self):
         """Accrue the alive nodes, then snapshot the ledger and sum its row."""
@@ -468,6 +651,12 @@ class _Run:
     # -- metrics ---------------------------------------------------------
 
     def _coverage_pct(self) -> float:
+        # the alive set only shrinks, so an unchanged size is an unchanged set
+        if self._coverage[0] != len(self.alive):
+            self._coverage = (len(self.alive), self._covered_pct())
+        return self._coverage[1]
+
+    def _covered_pct(self) -> float:
         if not self.alive:
             return 0.0
         ids = sorted(self.alive)

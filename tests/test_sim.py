@@ -8,6 +8,7 @@ import pytest
 from regionsim.scenario import ScenarioConfig
 from regionsim.sim import (
     BatchReport,
+    _Run,
     coverage_series,
     emit_outputs,
     run,
@@ -262,6 +263,92 @@ def test_equal_due_deaths_settle_in_node_id_order():
     assert len(tied) == 17
     assert report.deaths[:17] == [(250.0, v) for v in sorted(tied)]
     assert report.deaths[17:] == [(278.75, 2)]
+
+
+DRAINING = replace(
+    SMALL, battery_j=3.0, sessions=4, sim_duration_s=900.0, report_interval_s=300.0
+)
+
+
+def run_bulk_and_scalar(monkeypatch, config, seed=None):
+    """Run once as is and once with every tick through _handle_tick; the two
+    must report the same state to the last bit.  Returns the first report."""
+
+    def state(report):
+        sessions = [(s.generated, s.delivered, s.energy_j) for s in report.sessions]
+        return repr((report.deaths, report.ledger_snapshots, sessions, report.intervals))
+
+    scalar_ticks = [0]
+    handle_tick = _Run._handle_tick
+
+    def counting_tick(self):
+        scalar_ticks[-1] += 1
+        handle_tick(self)
+
+    monkeypatch.setattr(_Run, "_handle_tick", counting_tick)
+    bulk = run(config, seed)
+    scalar_ticks.append(0)
+    monkeypatch.setattr(_Run, "_bulk_ticks", lambda self, ticks: 0)
+    scalar = run(config, seed)
+    assert state(bulk) == state(scalar)
+    # the first run took most ticks in bulk
+    assert scalar_ticks[0] < scalar_ticks[1] / 2
+    return bulk
+
+
+@pytest.mark.parametrize(
+    "config, seed",
+    [
+        *[(replace(DRAINING, protocol=p), None) for p in ("res", "dt", "mte", "merr", "or")],
+        (replace(DRAINING, protocol="mte", packet_rate_hz=4.0), None),
+        (replace(DRAINING, protocol="dt", packet_rate_hz=10.0), None),
+        (replace(DRAINING, protocol="mte", init_phase_s=0.0), None),
+        (ScenarioConfig(protocol="dt"), 2),
+        (ScenarioConfig(protocol="mte"), 2),
+    ],
+    ids=["res", "dt", "mte", "merr", "or", "mte-4hz", "dt-10hz", "mte-no-init",
+         "default-dt", "default-mte"],
+)
+def test_bulk_ticks_match_scalar_ticks(monkeypatch, config, seed):
+    run_bulk_and_scalar(monkeypatch, config, seed)
+
+
+def test_bulk_ticks_match_scalar_ticks_when_sources_die_in_the_first_tick(monkeypatch):
+    # 30 s of sensing leave 0.5 mJ, less than one transmission
+    config = replace(SMALL, protocol="dt", battery_j=0.3605, sessions=4)
+    report = run_bulk_and_scalar(monkeypatch, config)
+    sources = sorted(s.source for s in report.sessions)
+    assert report.deaths[:4] == [(config.init_phase_s, v) for v in sources]
+
+
+def test_bulk_ticks_match_scalar_ticks_when_a_relay_dies_mid_tick(monkeypatch):
+    config = replace(DRAINING, protocol="mte", seed=1, sessions=6, radio_range=60.0)
+    report = run_bulk_and_scalar(monkeypatch, config)
+    senders = sorted(report.sessions, key=lambda s: s.source)
+    # node 5 relays the first sender's packets and dies at a tick; the other
+    # five senders still send in that tick
+    assert senders[0].vertices[1] == 5
+    assert report.deaths[0] == (144.0, 5)
+    assert all(s.generated == senders[0].generated for s in senders)
+    assert senders[0].delivered < senders[2].delivered
+
+
+def test_report_times_and_counts_are_python_numbers():
+    for protocol in ("dt", "mte"):
+        report = run(replace(DRAINING, protocol=protocol))
+        assert report.deaths
+        assert all(type(t) is float and type(v) is int for t, v in report.deaths)
+        for s in report.sessions:
+            assert type(s.generated) is int and type(s.delivered) is int
+            assert type(s.energy_j) is float
+        assert type(report.generated) is int and type(report.delivered) is int
+        for row in report.intervals:
+            assert type(row.t_s) is float
+            assert type(row.alive) is int
+            assert type(row.generated) is int and type(row.delivered) is int
+        for t, snapshot in report.ledger_snapshots:
+            assert type(t) is float
+            assert all(type(x) is float for row in snapshot for x in row[1:])
 
 
 def test_dead_network_has_zero_coverage():

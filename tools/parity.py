@@ -3,8 +3,11 @@
 Runs the run lists of ``perfbench.workloads.WORKLOADS`` at the given seeds,
 writes each run's ``sim.emit_outputs`` files and prints one
 ``perfbench.outcheck.digest_outputs`` digest per run as JSON, one run per
-line.  Two checkouts produce the same output bytes on these runs exactly when
-their printouts are equal:
+line.  Each line also carries ``repr_digest``, a hash of the full-precision
+``repr`` of the report's deaths, ledger snapshots, session counters and
+interval rows, which catches differences below the files' nine decimals.  Two
+checkouts produce the same outputs on these runs exactly when their printouts
+are equal:
 
     python3 tools/parity.py --seeds 1 2 > new.json
     python3 tools/parity.py --repo ../old-checkout --seeds 1 2 > old.json
@@ -15,10 +18,18 @@ imported (default: the one holding this script).
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import tempfile
 from pathlib import Path
+
+
+def repr_digest(report) -> str:
+    """sha256 of the full-precision state a run reports."""
+    sessions = [(s.generated, s.delivered, s.energy_j) for s in report.sessions]
+    state = (report.deaths, report.ledger_snapshots, sessions, report.intervals)
+    return hashlib.sha256(repr(state).encode()).hexdigest()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -39,7 +50,8 @@ def main(argv: list[str] | None = None) -> int:
             for seed in args.seeds:
                 for i, (config, run_seed) in enumerate(workload.run_list(seed)):
                     out = Path(tmp) / f"{name}-{seed}-{i}"
-                    paths = sim.emit_outputs(sim.run(config, run_seed), out)
+                    report = sim.run(config, run_seed)
+                    paths = sim.emit_outputs(report, out)
                     digest, size = digest_outputs(paths, out)
                     rows.append({
                         "run": f"{name}/{seed}/{i}",
@@ -47,6 +59,7 @@ def main(argv: list[str] | None = None) -> int:
                         "run_seed": run_seed,
                         "digest": digest,
                         "bytes": size,
+                        "repr_digest": repr_digest(report),
                     })
     print("[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n]")
     return 0
