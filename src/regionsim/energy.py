@@ -3,6 +3,7 @@ coverage sizing and scale diagnostics."""
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .graph import NodeId
@@ -46,7 +47,7 @@ class EnergyParams:
         if self.draw_floor_mw >= self.p_comm_max_mw:
             raise ValueError("draw floor must sit below the communication maximum")
 
-    @property
+    @cached_property
     def level_dbms(self) -> tuple[float, ...]:
         step = (self.level_max_dbm - self.level_min_dbm) / (self.level_count - 1)
         return tuple(self.level_min_dbm + i * step for i in range(self.level_count))

@@ -141,27 +141,18 @@ def build_res_tables(
         if not members:
             continue
         if cell == sink_cell:
-            tree = _tree_next_hops(g, members, sink)
-            for v in members:
-                if v == sink:
-                    continue
-                if v in tree:
-                    next_hop[v] = tree[v]
-                else:
-                    stranded.append(v)
-            continue
-        arc = exit_arc.get(cell)
-        if arc is None:
+            target, crossing = sink, {}
+        elif cell in exit_arc:
+            tail, head = exit_arc[cell].crossing
+            target, crossing = tail, {tail: head}
+        else:
             stranded.extend(members)
             continue
-        tail, head = arc.crossing
-        tree = _tree_next_hops(g, members, tail)
+        hops = _tree_next_hops(g, members, target) | crossing
         for v in members:
-            if v == tail:
-                next_hop[v] = head
-            elif v in tree:
-                next_hop[v] = tree[v]
-            else:
+            if v in hops:
+                next_hop[v] = hops[v]
+            elif v != sink:
                 stranded.append(v)
     return RoutingTable(sink=sink, next_hop=next_hop, stranded=tuple(sorted(stranded)))
 
@@ -228,9 +219,6 @@ def route(
             raise ValueError("res routing needs prebuilt tables")
         verts = walk_table(tables, source, sink)
     elif protocol == "dt":
-        d = nodes[source].distance_to(nodes[sink])
-        if min_level_for_distance(params, d, nodes[source].radio_range, alpha) is None:
-            raise RouteNotFound(f"dt: sink beyond max range of {source!r}")
         verts = (source, sink)
     elif protocol == "mte":
         path = shortest_path(g, source, sink, weight_fn=lambda u, v, w: w**alpha)
@@ -242,10 +230,7 @@ def route(
             lvl = min_level_for_distance(params, w, nodes[u].radio_range, alpha)
             if lvl is None:
                 return float("inf")
-            e = tx_energy(bits, lvl, params)
-            if v != sink:
-                e += rx_energy(bits, params)
-            return e
+            return _hop_joules(params, bits, lvl, v != sink)
 
         path = shortest_path(g, source, sink, weight_fn=hop_energy)
         if path is None:
@@ -272,7 +257,8 @@ def _merr_walk(
     alpha: float,
 ) -> tuple[NodeId, ...]:
     """Greedy relay: make progress toward the sink through hops nearest the
-    characteristic distance; deliver directly once the sink is that close."""
+    characteristic distance; deliver directly once the sink is that close.
+    Every hop strictly shortens the distance to the sink, so no node repeats."""
     verts = [source]
     at = source
     while at != sink:
@@ -294,9 +280,16 @@ def _merr_walk(
             raise RouteNotFound(f"merr: stuck at {at!r} routing to {sink!r}")
         verts.append(best)
         at = best
-        if len(verts) > len(g):
-            raise CycleError(f"merr walk from {source!r} exceeded {len(g)} hops")
     return tuple(verts)
+
+
+def _hop_joules(params: EnergyParams, bits: float, level: int, relayed: bool) -> float:
+    """Sensor energy of one hop: the transmission at ``level``, plus the
+    reception when the receiver relays (is a sensor, not the sink)."""
+    joules = tx_energy(bits, level, params)
+    if relayed:
+        joules += rx_energy(bits, params)
+    return joules
 
 
 def per_packet_charges(
@@ -322,11 +315,7 @@ def packet_energy(route: SessionRoute, params: EnergyParams, bits: float) -> flo
     Summed hop by hop, each hop's transmit plus receive charge first; a
     session's reported packet energy relies on this order, down to the last bit.
     """
-    total = hop = 0.0
-    for _, mode, joules in per_packet_charges(route, params, bits):
-        if mode == "tx":  # a new hop starts
-            total += hop
-            hop = joules
-        else:
-            hop += joules
-    return total + hop
+    total = 0.0
+    for receiver, level in zip(route.vertices[1:], route.levels):
+        total += _hop_joules(params, bits, level, receiver != route.sink)
+    return total

@@ -33,20 +33,22 @@ Model notes:
     stay in sense mode after setup; the comparison protocols keep every
     sensor in sense mode, which is the energy gap being measured.
   * Battery deaths.  _Run._impulse is the one settle step: it accrues a
-    node's drain, bills a charge in full (so a node can end up to one charge
-    below zero), then kills the node at or below DEATH_EPSILON_J or projects
-    its drain death.  Due deaths, duty-mode switches and t = 0 settle with a
-    zero charge.  Each node has one due time; a new projection replaces it
-    only when more than 1 s earlier.  A node that no charge touches dies at
-    its crossing; a node whose projection packet charges keep moving earlier
-    dies at its recorded due time, up to 1 s late and up to 1 s of drain
-    below zero (12 mJ while sensing).  Under dt on the default scenario at
-    seed 2 the 15 session sources end 1.3 to 9.8 mJ below zero.
+    node's drain and bills a charge in full through the EnergyLedger's own
+    methods (so a node can end up to one charge below zero), then kills the
+    node at or below DEATH_EPSILON_J or projects its drain death.  Due
+    deaths, duty-mode switches and t = 0 settle with a zero charge.  Each
+    node has one due time; a new projection replaces it only when more than
+    1 s earlier.  A node that no charge touches dies at its crossing; a
+    node whose projection packet charges keep moving earlier dies at its
+    recorded due time, up to 1 s late and up to 1 s of drain below zero
+    (12 mJ while sensing).  Under dt on the default scenario at seed 2 the
+    15 session sources end 1.3 to 9.8 mJ below zero.
   * Ledger layout.  Each sensor's spends are one flat [tx, rx, sense, sleep]
-    list in EnergyLedger.rows.  The loop updates those rows in place and
-    reads a balance as budget - (((tx + rx) + sense) + sleep), the expression
-    the ledger's own methods use, so both give the same bits.  A report
-    sums its interval row from its own ledger snapshot, in sensor order.
+    list in EnergyLedger.rows.  Only the epoch step works on those rows
+    directly: it replays EnergyLedger.accrue, charge and remaining, whose
+    balance is budget - (((tx + rx) + sense) + sleep), so both give the same
+    bits.  A report sums its interval row from its own ledger snapshot, in
+    sensor order.
 """
 
 import csv
@@ -63,6 +65,7 @@ import numpy as np
 
 from .energy import (
     DEATH_EPSILON_J,
+    LEDGER_MODES,
     RX,
     SENSE,
     SLEEP,
@@ -91,8 +94,7 @@ class SimulationError(RuntimeError):
     """A run aborted; the message carries the failing seed."""
 
 
-# Timeline event kinds, doubling as their order within one timestamp and as
-# indices into _Run._loop's handlers.
+# Timeline event kinds, doubling as their order within one timestamp.
 INIT, TICK, REPORT = 0, 1, 2
 
 
@@ -193,11 +195,11 @@ class _Run:
     ``_impulse`` stays the one settle rule: the bulk step reproduces its
     arithmetic on ticks where it neither kills a node nor settles a due time.
 
-    The event loop reads and writes the ledger rows directly, with the
-    arithmetic of ``EnergyLedger.accrue``, ``charge`` and ``remaining`` in the
-    same order, so it gives the same bits as those methods would.  The checks
-    those methods make are made once at setup, on the constant hop and flood
-    charges.  Reports read the ledger only through ``snapshot``.
+    ``_impulse`` settles through ``EnergyLedger.accrue``, ``charge`` and
+    ``remaining``, which check every flood charge as init bills it.  Only
+    ``_bulk_ticks`` works on the ledger rows directly, with the same
+    arithmetic in the same order, so the hop charges it bills are checked
+    once at setup.  Reports read the ledger only through ``snapshot``.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int):
@@ -286,9 +288,6 @@ class _Run:
                 (v, result.states[v].tx_count * tx1, result.states[v].rx_count * rx1)
                 for v in self.sensors
             ]
-            for v, txj, rxj in self._flood_charges:
-                self.ledger.check_charge(v, "tx", txj)
-                self.ledger.check_charge(v, "rx", rxj)
         elif self.config.protocol == "merr":
             self.d_char = characteristic_distance(
                 self.params, self.config.radio_range, self.alpha
@@ -381,8 +380,7 @@ class _Run:
     def _accrue_to(self, v: NodeId, t: float):
         dur = t - self.mode_since[v]
         if dur > 0:
-            m = self.mode[v]
-            self.rows[v][m] += self.drain_w[m] * dur
+            self.ledger.accrue(v, LEDGER_MODES[self.mode[v]], dur, self.params)
             self.mode_since[v] = t
 
     def _set_mode(self, v: NodeId, m: int):
@@ -394,25 +392,19 @@ class _Run:
             self._impulse(v, m, 0.0)
 
     def _impulse(self, v: NodeId, slot: int, joules: float):
-        """Settle a live node: accrue its drain, add the charge (zero for a
+        """Settle a live node: accrue its drain, bill the charge (zero for a
         due death, a mode switch or t = 0), then kill it or project its drain
-        death (``_accrue_to`` inlined: this runs once per packet hop end)."""
+        death."""
         now = self.now
-        e = self.rows[v]
-        m = self.mode[v]
-        w = self.drain_w[m]
-        dur = now - self.mode_since[v]
-        if dur > 0:
-            e[m] += w * dur
-            self.mode_since[v] = now
-        e[slot] += joules
-        remaining = self.budget - (((e[TX] + e[RX]) + e[SENSE]) + e[SLEEP])
+        self._accrue_to(v, now)
+        self.ledger.charge(v, LEDGER_MODES[slot], joules)
+        remaining = self.ledger.remaining(v)
         if remaining <= DEATH_EPSILON_J:
             self.alive.discard(v)
             self.deaths.append((now, v))
             return
         # remaining > DEATH_EPSILON_J, so t >= now
-        t = now + remaining / w
+        t = now + remaining / self.drain_w[self.mode[v]]
         if t <= self.duration:
             due = self._due.get(v)
             if due is None or t < due - 1.0:
@@ -425,14 +417,14 @@ class _Run:
     def _loop(self):
         # Every due time falls at or before the last report, at the run's
         # end, so _due is empty once the timeline is.
-        handlers = (self._handle_init, self._handle_tick, self._report)
         for kind, events in groupby(self._timeline(), key=itemgetter(1)):
             times = [t for t, _ in events]
             if kind != TICK:
+                handle = self._handle_init if kind == INIT else self._report
                 for t in times:
                     self._settle_due(t)
                     self.now = t
-                    handlers[kind]()
+                    handle()
                 continue
             i = 0
             while i < len(times):

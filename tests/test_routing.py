@@ -10,6 +10,7 @@ from regionsim.flood import cells_from_flood, run_flood
 from regionsim.graph import Digraph, NodePos, build_unit_disk_digraph
 from regionsim.regions import build_boundary_dual_graph, compute_boundary_cells, dual_route
 from regionsim.routing import (
+    PROTOCOLS,
     CycleError,
     RouteNotFound,
     RoutingTable,
@@ -358,3 +359,33 @@ def test_per_packet_charges_skip_sink_rx():
     assert (0, "tx") in nodes_charged
     assert (1, "tx") in nodes_charged and (1, "rx") in nodes_charged
     assert not any(n == 2 for n, _, _ in charges)  # sink is mains powered
+
+
+@pytest.mark.parametrize("bits", [1000.0, 1024.0])
+def test_packet_energy_is_the_left_fold_of_hop_prices(bits):
+    rng = random.Random(101)
+    from regionsim.graph import random_connected_unit_disk
+
+    node_list, g = random_connected_unit_disk(30, rng, side=150.0, radio_range=70.0)
+    nodes = {n.id: n for n in node_list}
+    sink = 0
+    tables = res_pipeline(g, sorted(rng.sample(range(1, 30), 5)), sink)
+    routed, multi_hop = set(), set()
+    for src in range(1, 30):
+        for proto in PROTOCOLS:
+            try:
+                r = route(proto, g, nodes, src, sink, PARAMS, tables=tables, bits=bits)
+            except RouteNotFound:
+                continue
+            want = 0.0
+            for v, level in zip(r.vertices[1:], r.levels):
+                hop = tx_energy(bits, level, PARAMS)
+                if v != sink:
+                    hop += rx_energy(bits, PARAMS)
+                want += hop
+            assert packet_energy(r, PARAMS, bits) == want, (src, proto)
+            routed.add(proto)
+            if r.hops > 1:
+                multi_hop.add(proto)
+    assert routed == set(PROTOCOLS)
+    assert multi_hop == {"res", "mte", "merr", "or"}

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from regionsim.energy import EnergyLedger
 from regionsim.scenario import ScenarioConfig
 from regionsim.sim import (
     BatchReport,
@@ -270,9 +271,30 @@ DRAINING = replace(
 )
 
 
+def test_scalar_settles_bill_through_the_ledger(monkeypatch):
+    calls = {"charge": 0, "impulse": 0}
+    charge, impulse = EnergyLedger.charge, _Run._impulse
+
+    def counting_charge(self, *args):
+        calls["charge"] += 1
+        charge(self, *args)
+
+    def counting_impulse(self, *args):
+        calls["impulse"] += 1
+        impulse(self, *args)
+
+    monkeypatch.setattr(EnergyLedger, "charge", counting_charge)
+    monkeypatch.setattr(_Run, "_impulse", counting_impulse)
+    report = run(replace(DRAINING, protocol="mte"))
+    assert report.deaths
+    assert calls["impulse"] > 0
+    assert calls["charge"] == calls["impulse"]
+
+
 def run_bulk_and_scalar(monkeypatch, config, seed=None):
-    """Run once as is and once with every tick through _handle_tick; the two
-    must report the same state to the last bit.  Returns the first report."""
+    """Run once as is and once with every tick through _handle_tick, which
+    settles through the EnergyLedger's own methods; the two must report the
+    same state to the last bit.  Returns the first report."""
 
     def state(report):
         sessions = [(s.generated, s.delivered, s.energy_j) for s in report.sessions]
