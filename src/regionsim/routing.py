@@ -6,7 +6,9 @@ All protocols route on the same digraph and energy model:
          cell's exit arc (chosen on the boundary dual graph toward the sink's
          cell); in the sink's cell, follow the tree to the sink.
   dt   - one direct transmission to the sink at the lowest covering level.
-  mte  - multi-hop path minimizing the sum of hop distances^alpha.
+  mte  - table walk on one minimum-energy sink tree per run: every node
+         forwards along its path minimizing the sum of hop distances^alpha
+         to the sink.
   merr - greedy relay toward the sink through hops closest to the
          characteristic distance of the radio.
   or   - offline optimum of total per-packet energy; lower-bound baseline.
@@ -20,6 +22,7 @@ from .graph import (
     Digraph,
     NodeId,
     NodePos,
+    WeightFn,
     shortest_path,
     shortest_paths,
 )
@@ -92,24 +95,26 @@ def characteristic_distance(
 
 @dataclass(frozen=True)
 class RoutingTable:
-    """Per-node next hop toward a fixed sink; stranded nodes have no entry."""
+    """Per-node next hop toward a fixed sink under ``protocol``; stranded
+    nodes have no entry."""
 
     sink: NodeId
     next_hop: dict[NodeId, NodeId]
     stranded: tuple[NodeId, ...]
+    protocol: str = "res"
 
 
 def _tree_next_hops(
-    g: Digraph, members: tuple[NodeId, ...], target: NodeId
+    g: Digraph, target: NodeId, weight_fn: WeightFn | None = None
 ) -> dict[NodeId, NodeId]:
-    """Next hop toward ``target`` inside the subgraph induced by ``members``.
+    """Next hop toward ``target`` for every vertex of ``g`` that reaches it.
 
     Read off the reversed lexicographic tree: the path of ``v`` runs target,
     ..., next hop, v, so equal-length routes break ties on the sequence that
     starts at ``target``, as the exit arcs of ``build_res_tables`` do.
-    Members that cannot reach ``target`` inside the subgraph get no entry.
+    Vertices that cannot reach ``target`` get no entry.
     """
-    tree = shortest_paths(g.induced(members), target, reverse=True)
+    tree = shortest_paths(g, target, weight_fn=weight_fn, reverse=True)
     return {v: p.vertices[-2] for v, p in tree.items() if v != target}
 
 
@@ -148,13 +153,25 @@ def build_res_tables(
         else:
             stranded.extend(members)
             continue
-        hops = _tree_next_hops(g, members, target) | crossing
+        hops = _tree_next_hops(g.induced(members), target) | crossing
         for v in members:
             if v in hops:
                 next_hop[v] = hops[v]
             elif v != sink:
                 stranded.append(v)
     return RoutingTable(sink=sink, next_hop=next_hop, stranded=tuple(sorted(stranded)))
+
+
+def build_mte_table(g: Digraph, sink: NodeId, alpha: float = 2.0) -> RoutingTable:
+    """Minimum-transmission-energy next hops toward the sink, for every node.
+
+    A node's mte route is its path minimizing the sum of hop distances^alpha,
+    which does not depend on the session, so one reversed tree from the sink
+    serves every source; ties break on the sink-first sequence.
+    """
+    next_hop = _tree_next_hops(g, sink, weight_fn=lambda u, v, w: w**alpha)
+    stranded = tuple(v for v in g.vertices if v != sink and v not in next_hop)
+    return RoutingTable(sink=sink, next_hop=next_hop, stranded=stranded, protocol="mte")
 
 
 def walk_table(tables: RoutingTable, source: NodeId, sink: NodeId) -> tuple[NodeId, ...]:
@@ -169,7 +186,7 @@ def walk_table(tables: RoutingTable, source: NodeId, sink: NodeId) -> tuple[Node
     while at != sink:
         nxt = tables.next_hop.get(at)
         if nxt is None:
-            raise RouteNotFound(f"res: no route from {source!r} (stuck at {at!r})")
+            raise RouteNotFound(f"{tables.protocol}: no route from {source!r} (stuck at {at!r})")
         if nxt in visited:
             raise CycleError(f"routing table cycle at {nxt!r} walking from {source!r}")
         verts.append(nxt)
@@ -206,7 +223,12 @@ def route(
     tables: RoutingTable | None = None,
     bits: float = 1024.0,
 ) -> SessionRoute:
-    """Route one session under the named protocol; raises RouteNotFound."""
+    """Route one session under the named protocol; raises RouteNotFound.
+
+    ``res`` walks ``tables``, which must be res tables.  ``mte`` walks them
+    when they are an mte table (``build_mte_table`` for this sink and alpha),
+    and otherwise builds one for this call.
+    """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if source == sink:
@@ -215,16 +237,15 @@ def route(
     g._require(sink)
 
     if protocol == "res":
-        if tables is None:
-            raise ValueError("res routing needs prebuilt tables")
+        if tables is None or tables.protocol != "res":
+            raise ValueError("res routing needs prebuilt res tables")
         verts = walk_table(tables, source, sink)
     elif protocol == "dt":
         verts = (source, sink)
     elif protocol == "mte":
-        path = shortest_path(g, source, sink, weight_fn=lambda u, v, w: w**alpha)
-        if path is None:
-            raise RouteNotFound(f"mte: {sink!r} unreachable from {source!r}")
-        verts = path.vertices
+        if tables is None or tables.protocol != "mte":
+            tables = build_mte_table(g, sink, alpha)
+        verts = walk_table(tables, source, sink)
     elif protocol == "or":
         def hop_energy(u, v, w):
             lvl = min_level_for_distance(params, w, nodes[u].radio_range, alpha)

@@ -3,7 +3,8 @@
 One run = deploy nodes, build the communication graph, set up the selected
 protocol, then walk one fixed timeline of events, settling the battery deaths
 that fall between them.  Identical (config, seed) pairs produce identical
-reports and byte-identical CSV files.
+reports and byte-identical CSV files.  Routing tables are built once per run
+(res: cell tables; mte: one minimum-energy tree toward the sink).
 
 Event loop.  The traffic is fixed, so everything but the deaths is known
 before the run starts: the init event at init_phase_s (flood charges, then
@@ -43,6 +44,10 @@ Model notes:
     recorded due time, up to 1 s late and up to 1 s of drain below zero
     (12 mJ while sensing).  Under dt on the default scenario at seed 2 the
     15 session sources end 1.3 to 9.8 mJ below zero.
+  * Coverage.  Set-up indexes the sample points within sensing range of
+    each sensor and counts, per point, the sensors covering it; a death
+    subtracts the dead sensor's points, so a report's coverage is the share
+    of points whose count is nonzero, as a Python float.
   * Ledger layout.  Each sensor's spends are one flat [tx, rx, sense, sleep]
     list in EnergyLedger.rows.  Only the epoch step works on those rows
     directly: it replays EnergyLedger.accrue, charge and remaining, whose
@@ -79,6 +84,7 @@ from .graph import NodeId, build_unit_disk_digraph, neighborhoods
 from .regions import build_boundary_dual_graph
 from .routing import (
     RouteNotFound,
+    build_mte_table,
     build_res_tables,
     characteristic_distance,
     packet_energy,
@@ -237,9 +243,8 @@ class _Run:
         self.delivered = 0
         self.intervals: list[IntervalRow] = []
         self.ledger_snapshots: list[tuple[float, list]] = []
-        self._coverage = (-1, 0.0)  # (len(alive), coverage % of that set)
 
-        self._coverage_points = self._draw_coverage_points()
+        self._setup_coverage()
         self._setup_protocol()
         self._setup_sessions()
         self._setup_modes()
@@ -248,12 +253,29 @@ class _Run:
 
     # -- setup -----------------------------------------------------------
 
-    def _draw_coverage_points(self) -> np.ndarray:
+    def _setup_coverage(self):
+        """Index which sample points each sensor covers, and count per point
+        the sensors covering it; a death subtracts its points."""
         rng = np.random.default_rng([abs(self.seed), 0x5EED])
         pts = rng.random((COVERAGE_SAMPLES, 2))
         pts[:, 0] *= self.config.area_width
         pts[:, 1] *= self.config.area_height
-        return pts
+        r = self.config.sensing_range
+        r2 = r**2
+        # a covered point lies within r of x up to rounding, so inside x +- pad
+        pad = r * (1 + 1e-9)
+        by_x = np.argsort(pts[:, 0], kind="stable")
+        xs = pts[by_x, 0]
+        self._covers: dict[NodeId, np.ndarray] = {}
+        self._cover_count = np.zeros(COVERAGE_SAMPLES, dtype=np.int32)
+        for v in self.sensors:
+            x, y = self.nodes[v].x, self.nodes[v].y
+            near = by_x[np.searchsorted(xs, x - pad) : np.searchsorted(xs, x + pad, "right")]
+            dx = pts[near, 0] - x
+            dy = pts[near, 1] - y
+            covers = near[(dx * dx + dy * dy) <= r2]
+            self._covers[v] = covers
+            self._cover_count[covers] += 1
 
     def _setup_protocol(self):
         sink_nb = neighborhoods(self.g, self.sink).all_nodes
@@ -264,7 +286,9 @@ class _Run:
         self.d_char: float | None = None
         self._flood_charges: list[tuple[NodeId, float, float]] = []
 
-        if self.config.protocol == "res":
+        if self.config.protocol == "mte":
+            self.tables = build_mte_table(self.g, self.sink, self.alpha)
+        elif self.config.protocol == "res":
             trace: list | None = [] if self.config.flood_trace else None
             result = run_flood(self.g, self.deployment.seeds, trace=trace)
             self.flood_trace_rows = trace or []
@@ -402,6 +426,7 @@ class _Run:
         if remaining <= DEATH_EPSILON_J:
             self.alive.discard(v)
             self.deaths.append((now, v))
+            self._cover_count[self._covers[v]] -= 1
             return
         # remaining > DEATH_EPSILON_J, so t >= now
         t = now + remaining / self.drain_w[self.mode[v]]
@@ -643,27 +668,8 @@ class _Run:
     # -- metrics ---------------------------------------------------------
 
     def _coverage_pct(self) -> float:
-        # the alive set only shrinks, so an unchanged size is an unchanged set
-        if self._coverage[0] != len(self.alive):
-            self._coverage = (len(self.alive), self._covered_pct())
-        return self._coverage[1]
-
-    def _covered_pct(self) -> float:
-        if not self.alive:
-            return 0.0
-        ids = sorted(self.alive)
-        xs = np.array([self.nodes[v].x for v in ids])
-        ys = np.array([self.nodes[v].y for v in ids])
-        pts = self._coverage_points
-        r2 = self.config.sensing_range**2
-        covered = np.zeros(len(pts), dtype=bool)
-        for i in range(0, len(xs), 64):  # bound the broadcast block size
-            dx = pts[:, 0, None] - xs[None, i : i + 64]
-            dy = pts[:, 1, None] - ys[None, i : i + 64]
-            covered |= ((dx * dx + dy * dy) <= r2).any(axis=1)
-            if covered.all():
-                break
-        return 100.0 * float(covered.mean())
+        covered = int(np.count_nonzero(self._cover_count))
+        return 100.0 * (covered / COVERAGE_SAMPLES)
 
     def _build_report(self) -> RunReport:
         # the last row is the report at duration, after which nothing runs

@@ -14,6 +14,7 @@ from regionsim.routing import (
     CycleError,
     RouteNotFound,
     RoutingTable,
+    build_mte_table,
     build_res_tables,
     characteristic_distance,
     level_range,
@@ -258,6 +259,63 @@ def test_mte_prefers_three_short_hops():
     g = build_unit_disk_digraph(nodes.values())
     r = route("mte", g, nodes, 0, 3, PARAMS)
     assert r.vertices == (0, 1, 2, 3)
+
+
+def test_mte_tie_follows_sink_first_sequence():
+    # 5 reaches sink 0 directly (5^2 = 25) or through 1 (3^2 + 4^2 = 25), an
+    # exact tie.  The sink tree's path (0, 1, 5) is smaller than (0, 5), so 5
+    # forwards to 1, where a search from 5 would take the smaller (5, 0).
+    from regionsim.graph import shortest_paths
+
+    g = symmetric_digraph({(5, 1): 3.0, (1, 0): 4.0, (5, 0): 5.0})
+    nodes = {v: NodePos(v, float(v), 0.0, 180.0) for v in g.vertices}
+    tree = shortest_paths(g, 0, weight_fn=lambda u, v, w: w**2, reverse=True)
+    r = route("mte", g, nodes, 5, 0, PARAMS)
+    assert r.vertices == tree[5].vertices[::-1] == (5, 1, 0)
+
+
+def test_mte_walks_the_sink_tree_of_minimum_energy_paths():
+    from regionsim.graph import random_connected_unit_disk, shortest_path
+
+    def energy(verts):
+        return sum(g.weight(u, v) ** 2 for u, v in zip(verts, verts[1:]))
+
+    rng = random.Random(97)
+    for _ in range(20):
+        node_list, g = random_connected_unit_disk(rng.randint(8, 30), rng)
+        nodes = {n.id: n for n in node_list}
+        sink = rng.choice(g.vertices)
+        table = build_mte_table(g, sink)
+        assert table.protocol == "mte" and table.stranded == ()
+        for src in g.vertices:
+            if src == sink:
+                continue
+            r = route("mte", g, nodes, src, sink, PARAMS)
+            assert r.vertices == walk_table(table, src, sink)
+            assert r == route("mte", g, nodes, src, sink, PARAMS, tables=table)
+            best = shortest_path(g, src, sink, weight_fn=lambda u, v, w: w**2)
+            assert energy(r.vertices) == pytest.approx(best.length, rel=1e-12)
+
+
+def test_mte_unreachable_source_raises_route_not_found():
+    # two components: {0, 1} and {2, 3}
+    nodes = {
+        0: NodePos(0, 0.0, 0.0, 15.0),
+        1: NodePos(1, 10.0, 0.0, 15.0),
+        2: NodePos(2, 100.0, 0.0, 15.0),
+        3: NodePos(3, 110.0, 0.0, 15.0),
+    }
+    g = build_unit_disk_digraph(nodes.values())
+    table = build_mte_table(g, 0)
+    assert table.next_hop == {1: 0}
+    assert table.stranded == (2, 3)
+    with pytest.raises(RouteNotFound, match="^mte: no route from 3"):
+        walk_table(table, 3, 0)
+    with pytest.raises(RouteNotFound, match="^mte: no route from 2"):
+        route("mte", g, nodes, 2, 0, PARAMS)
+    assert route("mte", g, nodes, 1, 0, PARAMS, tables=table).vertices == (1, 0)
+    with pytest.raises(ValueError, match="res tables"):
+        route("res", g, nodes, 1, 0, PARAMS, tables=table)
 
 
 def test_merr_progress_and_termination():

@@ -3,11 +3,13 @@
 import filecmp
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from regionsim.energy import EnergyLedger
-from regionsim.scenario import ScenarioConfig
+from regionsim.scenario import ScenarioConfig, deploy
 from regionsim.sim import (
+    COVERAGE_SAMPLES,
     BatchReport,
     _Run,
     coverage_series,
@@ -366,6 +368,7 @@ def test_report_times_and_counts_are_python_numbers():
         assert type(report.generated) is int and type(report.delivered) is int
         for row in report.intervals:
             assert type(row.t_s) is float
+            assert type(row.coverage_pct) is float
             assert type(row.alive) is int
             assert type(row.generated) is int and type(row.delivered) is int
         for t, snapshot in report.ledger_snapshots:
@@ -373,14 +376,71 @@ def test_report_times_and_counts_are_python_numbers():
             assert all(type(x) is float for row in snapshot for x in row[1:])
 
 
+DEAD_NETWORK = replace(SMALL, battery_j=0.35, sessions=3, sim_duration_s=900.0)
+
+
 def test_dead_network_has_zero_coverage():
     # tiny battery: every node exhausts during/shortly after the init phase
-    config = replace(SMALL, battery_j=0.35, sessions=3, sim_duration_s=900.0)
+    config = DEAD_NETWORK
     report = run(config)
     series = coverage_series(report)
     assert series[0][1] == pytest.approx(100.0, abs=1.0)
     assert len(report.deaths) == SMALL.node_count
     assert series[-1][1] == 0.0
+
+
+def brute_force_coverage_pct(config, seed, alive):
+    """Coverage of the alive set from scratch: every alive sensor against
+    every sample point, in blocks of 64 sensors."""
+    rng = np.random.default_rng([abs(seed), 0x5EED])
+    pts = rng.random((COVERAGE_SAMPLES, 2))
+    pts[:, 0] *= config.area_width
+    pts[:, 1] *= config.area_height
+    if not alive:
+        return 0.0
+    nodes = deploy(config, seed).nodes
+    ids = sorted(alive)
+    xs = np.array([nodes[v].x for v in ids])
+    ys = np.array([nodes[v].y for v in ids])
+    covered = np.zeros(len(pts), dtype=bool)
+    for i in range(0, len(xs), 64):
+        dx = pts[:, 0, None] - xs[None, i : i + 64]
+        dy = pts[:, 1, None] - ys[None, i : i + 64]
+        covered |= ((dx * dx + dy * dy) <= config.sensing_range**2).any(axis=1)
+    return 100.0 * float(covered.mean())
+
+
+SPARSE = ScenarioConfig(area_width=640.0, area_height=640.0, node_count=1120,
+                        radio_range=60.0, sim_duration_s=600.0, report_interval_s=300.0)
+
+
+@pytest.mark.parametrize(
+    "config, seed",
+    [
+        # a narrower sensing range, so that deaths uncover points
+        (replace(DRAINING, sensing_range=20.0, report_interval_s=30.0), None),
+        (replace(DRAINING, protocol="dt", sensing_range=20.0, report_interval_s=30.0), None),
+        (ScenarioConfig(protocol="mte"), 2),
+        (SPARSE, 3),
+        (DEAD_NETWORK, None),
+    ],
+    ids=["draining-res", "draining-dt", "default-mte", "sparse-res", "dead-network"],
+)
+def test_coverage_equals_brute_force_at_every_report(config, seed):
+    seed = config.seed if seed is None else seed
+    report = run(config, seed)
+    sensors = set(deploy(config, seed).sensor_ids)
+    oracle = {}
+    for row in report.intervals:
+        # deaths settle before a report at the same time
+        alive = frozenset(sensors - {v for t, v in report.deaths if t <= row.t_s})
+        assert len(alive) == row.alive
+        if alive not in oracle:
+            oracle[alive] = brute_force_coverage_pct(config, seed, alive)
+        assert row.coverage_pct == oracle[alive], row.t_s
+    if report.deaths:
+        # the deaths moved the coverage the test compares
+        assert len({row.coverage_pct for row in report.intervals}) > 1
 
 
 def test_run_deterministic():
