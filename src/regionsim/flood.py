@@ -246,7 +246,7 @@ def naive_flood_count(g: Digraph, seeds: Iterable[NodeId]) -> int:
     serves every seed in it; otherwise each seed gets its own search.
     """
     seed_tuple = _normalize_seeds(g, seeds)
-    symmetric = all(g.has_arc(v, u) for u, v, _ in g.arcs())
+    symmetric = all(set(g.out_neighbors(v)) == set(g.in_neighbors(v)) for v in g.vertices)
     component_count: dict[NodeId, int] = {}
     total = 0
     for s in seed_tuple:

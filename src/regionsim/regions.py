@@ -8,6 +8,7 @@ which bound the stretch of routing through cells.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .graph import Digraph, NodeId, PathResult, shortest_path, single_source_distances
@@ -150,13 +151,19 @@ class DualArc:
 
 @dataclass(frozen=True)
 class BoundaryDualGraph:
-    """One vertex per boundary cell; arcs where communication arcs cross cells."""
+    """One vertex per boundary cell; arcs where communication arcs cross cells.
+
+    ``subgraphs`` holds each cell's canonical subgraph, keyed by seed in seed
+    order; the res tables and boundary routes search these.
+    """
 
     cells: tuple[NodeId, ...]
     arcs: dict[tuple[NodeId, NodeId], DualArc]
+    subgraphs: dict[NodeId, Digraph]
 
-    def digraph(self) -> Digraph:
-        """The cells and dual arcs as a weighted ``Digraph``."""
+    @cached_property
+    def graph(self) -> Digraph:
+        """The cells and dual arcs as a weighted ``Digraph``, built once."""
         return Digraph(self.cells, {key: arc.weight for key, arc in self.arcs.items()})
 
 
@@ -166,20 +173,13 @@ def build_boundary_dual_graph(g: Digraph, cells: BoundaryCellMap) -> BoundaryDua
     The weight of a dual arc is the minimum, over communication arcs (u, v)
     crossing the two cells, of
         d(seed_src -> u) + w(u, v) + d(v -> seed_dst)
-    with both d terms measured inside the canonical cell subgraphs.  Crossing
-    arcs whose endpoints are unreachable inside their subgraph are skipped.
-    Ties pick the lexicographically smallest (u, v) pair.
+    with both d terms measured inside the canonical cell subgraphs, which the
+    result keeps.  Crossing arcs whose endpoints are unreachable inside their
+    subgraph are skipped.  Ties pick the lexicographically smallest (u, v) pair.
     """
-    from_seed: dict[NodeId, dict[NodeId, float]] = {}
-    to_seed: dict[NodeId, dict[NodeId, float]] = {}
-    for s in cells.seeds:
-        members = cells.canonical_members(s)
-        if not members:
-            from_seed[s], to_seed[s] = {}, {}
-            continue
-        sub = g.induced(members)
-        from_seed[s] = single_source_distances(sub, s)
-        to_seed[s] = single_source_distances(sub, s, reverse=True)
+    subgraphs = {s: g.induced(cells.canonical_members(s)) for s in cells.seeds}
+    from_seed = {s: single_source_distances(sub, s) for s, sub in subgraphs.items()}
+    to_seed = {s: single_source_distances(sub, s, reverse=True) for s, sub in subgraphs.items()}
     arcs: dict[tuple[NodeId, NodeId], DualArc] = {}
     for u, v, w in g.arcs():
         su = cells.cell_of.get(u)
@@ -194,7 +194,7 @@ def build_boundary_dual_graph(g: Digraph, cells: BoundaryCellMap) -> BoundaryDua
         key = (su, sv)
         if key not in arcs or composed < arcs[key].weight:
             arcs[key] = DualArc(su, sv, composed, (u, v))
-    return BoundaryDualGraph(cells=cells.seeds, arcs=arcs)
+    return BoundaryDualGraph(cells=cells.seeds, arcs=arcs, subgraphs=subgraphs)
 
 
 def dual_route(
@@ -207,7 +207,7 @@ def dual_route(
     """
     if src_cell not in dual.cells or dst_cell not in dual.cells:
         raise ValueError("unknown cell")
-    path = shortest_path(dual.digraph(), src_cell, dst_cell)
+    path = shortest_path(dual.graph, src_cell, dst_cell)
     if path is None:
         return None
     cellpath = path.vertices
@@ -224,10 +224,8 @@ class BoundaryRouteResult:
     bound: int
 
 
-def _intra_cell_path(
-    g: Digraph, cells: BoundaryCellMap, cell: NodeId, frm: NodeId, to: NodeId
-) -> PathResult:
-    path = shortest_path(g.induced(cells.canonical_members(cell)), frm, to)
+def _intra_cell_path(dual: BoundaryDualGraph, cell: NodeId, frm: NodeId, to: NodeId) -> PathResult:
+    path = shortest_path(dual.subgraphs[cell], frm, to)
     if path is None:
         raise ValueError(f"no intra-cell path {frm!r}->{to!r} in cell {cell!r}")
     return path
@@ -244,7 +242,8 @@ def boundary_route(
 
     Both endpoints must be seeds.  The boundary path enters each traversed
     cell, detours through its seed, and leaves by the dual route's chosen
-    crossing arc, so its length equals the dual-graph distance.  The ratio is
+    crossing arc, so its length equals the dual-graph distance.  The legs
+    inside a cell search the cell subgraphs that ``dual`` holds.  The ratio is
     checked against the direct path's arc count; cells must have been computed
     in the same metric as the graph weights for the bound to apply.
     """
@@ -262,14 +261,14 @@ def boundary_route(
     length = 0.0
     at = s
     for arc in route:
-        leg = _intra_cell_path(g, cells, arc.src, at, arc.crossing[0])
+        leg = _intra_cell_path(dual, arc.src, at, arc.crossing[0])
         verts.extend(leg.vertices[1:])
         length += leg.length
         u, v = arc.crossing
         verts.append(v)
         length += g.weight(u, v)
         seed = arc.dst
-        leg = _intra_cell_path(g, cells, seed, v, seed)
+        leg = _intra_cell_path(dual, seed, v, seed)
         verts.extend(leg.vertices[1:])
         length += leg.length
         at = seed

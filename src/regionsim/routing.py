@@ -119,14 +119,15 @@ def _tree_next_hops(
 
 
 def build_res_tables(
-    g: Digraph, cells: BoundaryCellMap, dual: BoundaryDualGraph, sink: NodeId
+    cells: BoundaryCellMap, dual: BoundaryDualGraph, sink: NodeId
 ) -> RoutingTable:
     """Region-search next-hop tables toward the sink.
 
     Each non-sink cell forwards along its intra-cell tree to the tail of the
     crossing arc its dual route chose, then across; the sink's cell forwards
-    straight to the sink.  Nodes that cannot reach their cell's exit (or whose
-    cell has no dual route) are reported stranded.
+    straight to the sink.  The intra-cell trees are searched on the cell
+    subgraphs that ``dual`` holds.  Nodes that cannot reach their cell's exit
+    (or whose cell has no dual route) are reported stranded.
     """
     if sink not in cells.cell_of:
         raise ValueError(f"sink {sink!r} has no cell assignment")
@@ -134,27 +135,24 @@ def build_res_tables(
 
     # shortest dual route from every cell toward the sink cell: the reversed
     # lexicographic tree, whose path of c runs sink_cell, ..., next cell, c
-    tree = shortest_paths(dual.digraph(), sink_cell, reverse=True)
+    tree = shortest_paths(dual.graph, sink_cell, reverse=True)
     exit_arc = {
         c: dual.arcs[(c, path.vertices[-2])] for c, path in tree.items() if c != sink_cell
     }
 
     next_hop: dict[NodeId, NodeId] = {}
     stranded: list[NodeId] = []
-    for cell in cells.seeds:
-        members = cells.canonical_members(cell)
-        if not members:
-            continue
+    for cell, sub in dual.subgraphs.items():
         if cell == sink_cell:
             target, crossing = sink, {}
         elif cell in exit_arc:
             tail, head = exit_arc[cell].crossing
             target, crossing = tail, {tail: head}
         else:
-            stranded.extend(members)
+            stranded.extend(sub.vertices)
             continue
-        hops = _tree_next_hops(g.induced(members), target) | crossing
-        for v in members:
+        hops = _tree_next_hops(sub, target) | crossing
+        for v in sub.vertices:
             if v in hops:
                 next_hop[v] = hops[v]
             elif v != sink:

@@ -167,7 +167,7 @@ _ENERGY_FIELDS = {f.name for f in fields(EnergyParams)}
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse and validate a scenario file; defaults fill anything omitted."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         text = Path(path).read_text()
     except OSError as exc:

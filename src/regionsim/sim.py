@@ -304,7 +304,7 @@ class _Run:
             )
             cells = cells_from_flood(self.g, self.deployment.seeds, result.states)
             dual = build_boundary_dual_graph(self.g, cells)
-            self.tables = build_res_tables(self.g, cells, dual, self.sink)
+            self.tables = build_res_tables(cells, dual, self.sink)
             top = self.params.level_count - 1
             tx1 = tx_energy(self.bits, top, self.params)
             rx1 = rx_energy(self.bits, self.params)

@@ -158,3 +158,11 @@ def test_check_lemmas_rejects_empty_or_invalid_suites(args, message, capsys):
     captured = capsys.readouterr()
     assert message in captured.err
     assert "PASS" not in captured.out
+
+
+def test_percent_in_scenario_value_is_a_scenario_error(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[traffic]\nprotocol = res%\n")
+    code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "scenario error: protocol must be one of" in capsys.readouterr().err

@@ -241,7 +241,8 @@ def test_dual_route_unreachable_cells():
 def dual_of(weights):
     cells = sorted({c for key in weights for c in key})
     arcs = {(a, b): DualArc(a, b, w, (a, b)) for (a, b), w in weights.items()}
-    return BoundaryDualGraph(tuple(cells), arcs)
+    subgraphs = {c: Digraph([c], {}) for c in cells}
+    return BoundaryDualGraph(tuple(cells), arcs, subgraphs)
 
 
 def test_dual_route_ties_on_exact_float_sums_then_cell_sequence():
@@ -255,7 +256,7 @@ def test_dual_route_ties_on_exact_float_sums_then_cell_sequence():
 
 def test_dual_digraph_carries_dual_arc_weights():
     dual = dual_of({(0, 1): 0.5, (1, 0): 0.25, (1, 2): 2.0})
-    dg = dual.digraph()
+    dg = dual.graph
     assert dg.vertices == (0, 1, 2)
     assert list(dg.arcs()) == [(0, 1, 0.5), (1, 0, 0.25), (1, 2, 2.0)]
 

@@ -36,7 +36,7 @@ def res_pipeline(g, seeds, sink):
     result = run_flood(g, seeds)
     cells = cells_from_flood(g, seeds, result.states)
     dual = build_boundary_dual_graph(g, cells)
-    return build_res_tables(g, cells, dual, sink)
+    return build_res_tables(cells, dual, sink)
 
 
 # -- power level geometry ---------------------------------------------------------
@@ -106,7 +106,7 @@ def test_res_routes_cross_cells_only_at_dual_crossings():
     result = run_flood(g, seeds)
     cells = cells_from_flood(g, seeds, result.states)
     dual = build_boundary_dual_graph(g, cells)
-    tables = build_res_tables(g, cells, dual, sink=0)
+    tables = build_res_tables(cells, dual, sink=0)
     crossings = {arc.crossing for arc in dual.arcs.values()}
     for src in g.vertices:
         if src == 0 or src in tables.stranded:
@@ -127,7 +127,7 @@ def symmetric_digraph(weights):
 def singleton_cells_tables(g, sink):
     cells = compute_boundary_cells(g, g.vertices, weighted=True)
     dual = build_boundary_dual_graph(g, cells)
-    return dual, build_res_tables(g, cells, dual, sink)
+    return dual, build_res_tables(cells, dual, sink)
 
 
 def test_res_exit_arc_ties_on_sink_first_cell_sequence():
@@ -178,7 +178,7 @@ def test_res_walk_segments_are_reversed_intra_cell_tree_paths():
         result = run_flood(g, seeds)
         cells = cells_from_flood(g, seeds, result.states)
         dual = build_boundary_dual_graph(g, cells)
-        tables = build_res_tables(g, cells, dual, sink)
+        tables = build_res_tables(cells, dual, sink)
         for src in g.vertices:
             if src == sink or src in tables.stranded:
                 continue
@@ -206,6 +206,48 @@ def test_res_walk_terminates_within_vertex_count():
                 continue
             verts = walk_table(tables, src, sink)
             assert len(verts) <= n
+
+
+def test_cells_are_induced_once_and_held_by_the_dual_graph(monkeypatch):
+    from regionsim.checks import random_suite
+    from regionsim.regions import boundary_route
+    from regionsim.scenario import ScenarioConfig, deploy
+
+    calls = []
+    induced = Digraph.induced
+
+    def counting_induced(self, members):
+        calls.append(members)
+        return induced(self, members)
+
+    monkeypatch.setattr(Digraph, "induced", counting_induced)
+
+    cases = []  # (graph, cells, sink, seed pairs to route between)
+    for item in random_suite(20, seed=13):
+        cells = compute_boundary_cells(item.g, item.seeds, weighted=True)
+        pairs = list(itertools.permutations(item.seeds, 2))
+        cases.append((item.g, cells, item.g.vertices[0], pairs))
+    deployment = deploy(ScenarioConfig(), 2)
+    nodes = deployment.nodes
+    g = build_unit_disk_digraph([nodes[v] for v in sorted(nodes)], symmetric=True)
+    flood = run_flood(g, deployment.seeds)
+    cells = cells_from_flood(g, deployment.seeds, flood.states)
+    cases.append((g, cells, deployment.sink_id, []))
+
+    for g, cells, sink, pairs in cases:
+        calls.clear()
+        dual = build_boundary_dual_graph(g, cells)
+        assert len(calls) == len(cells.seeds)
+        assert list(dual.subgraphs) == list(cells.seeds)
+        calls.clear()
+        build_res_tables(cells, dual, sink)
+        for s, t in pairs:
+            boundary_route(g, cells, dual, s, t)
+        assert calls == []
+        for c, sub in dual.subgraphs.items():
+            expected = induced(g, cells.canonical_members(c))
+            assert sub.vertices == expected.vertices
+            assert list(sub.arcs()) == list(expected.arcs())
 
 
 def test_walk_single_hop():
