@@ -246,7 +246,8 @@ def naive_flood_count(g: Digraph, seeds: Iterable[NodeId]) -> int:
     serves every seed in it; otherwise each seed gets its own search.
     """
     seed_tuple = _normalize_seeds(g, seeds)
-    symmetric = all(set(g.out_neighbors(v)) == set(g.in_neighbors(v)) for v in g.vertices)
+    out = g._out
+    symmetric = all(out[v].keys() == g._in[v].keys() for v in g.vertices)
     component_count: dict[NodeId, int] = {}
     total = 0
     for s in seed_tuple:
@@ -255,14 +256,14 @@ def naive_flood_count(g: Digraph, seeds: Iterable[NodeId]) -> int:
             continue
         reached = {s}
         frontier = [s]
-        count = len(g.out_neighbors(s))
+        count = len(out[s])
         while frontier:
             nxt = []
             for v in frontier:
-                for nb in g.out_neighbors(v):
+                for nb in out[v]:
                     if nb not in reached:
                         reached.add(nb)
-                        count += len(g.out_neighbors(nb))
+                        count += len(out[nb])
                         nxt.append(nb)
             frontier = nxt
         total += count

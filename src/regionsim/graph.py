@@ -8,6 +8,14 @@ Every search is one routine, ``shortest_paths``: the lexicographic
 shortest-path tree, where equal-weight paths break ties on the smallest
 vertex-id sequence.  Distances, hop counts, connectivity, the boundary dual
 routes and the ``res`` next hops all read that tree.
+
+The public ``Digraph`` constructor sorts and checks every arc.  The unit-disk
+builder and ``Digraph.induced`` produce adjacency that is already checked and
+in ascending order, and hand it to the private ``Digraph._from_adjacency``,
+which neither sorts nor checks.  The builder lists candidate pairs with
+numpy, but measures each pair's weight with ``math.hypot`` in Python:
+``np.hypot`` rounds differently on about one random pair in 180, and every
+weight feeds the distances, cells and routes the outputs are built from.
 """
 
 import heapq
@@ -15,6 +23,8 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
+
+import numpy as np
 
 NodeId = int | str
 
@@ -74,6 +84,28 @@ class Digraph:
             self._out[u][v] = w
             self._in[v][u] = w
 
+    @classmethod
+    def _from_adjacency(
+        cls,
+        vertices: tuple[NodeId, ...],
+        out: dict[NodeId, dict[NodeId, float]],
+        in_: dict[NodeId, dict[NodeId, float]],
+    ) -> "Digraph":
+        """Digraph over adjacency that is already checked and ordered.
+
+        ``vertices`` is sorted; ``out[u]`` and ``in_[v]`` hold every vertex,
+        each in ascending neighbour order, with positive float weights and no
+        self-loops, exactly as ``__init__`` would lay them out.  ``in_`` may be
+        ``out`` itself when every arc has its reverse with the same weight.
+        Nothing is sorted or re-checked: only builders that guarantee this
+        call it.
+        """
+        g = cls.__new__(cls)
+        g._vertices = vertices
+        g._out = out
+        g._in = in_
+        return g
+
     @property
     def vertices(self) -> tuple[NodeId, ...]:
         return self._vertices
@@ -118,13 +150,18 @@ class Digraph:
     def induced(self, members: Iterable[NodeId]) -> "Digraph":
         """Subgraph on ``members`` keeping every arc between two members.
 
-        Walks only the members' out-arcs, not the whole graph.
+        Filters only the members' own adjacency, which keeps its order.
         """
         mset = set(members)
         for v in mset:
             self._require(v)
-        arcs = {(u, v): w for u in mset for v, w in self._out[u].items() if v in mset}
-        return Digraph(mset, arcs)
+        vertices = tuple(sorted(mset))
+        out = {u: {v: w for v, w in self._out[u].items() if v in mset} for u in vertices}
+        if self._in is self._out:
+            in_ = out
+        else:
+            in_ = {v: {u: w for u, w in self._in[v].items() if u in mset} for v in vertices}
+        return Digraph._from_adjacency(vertices, out, in_)
 
 
 @dataclass(frozen=True)
@@ -157,6 +194,35 @@ def neighborhoods(g: Digraph, v: NodeId) -> Neighborhood:
 _HALF_NEIGHBOURHOOD = ((0, 1), (1, -1), (1, 0), (1, 1))
 
 
+def _bucket_pairs(bucket_of: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node index pairs (i, j) of each bucket pair (b, c) in ``blocks``: every
+    member of b with every member of c, and only i < j when b is c."""
+    by_bucket = np.argsort(bucket_of, kind="stable")
+    counts = np.bincount(bucket_of)
+    starts = np.cumsum(counts) - counts
+    b, c = blocks[:, 0], blocks[:, 1]
+    sizes = counts[b] * counts[c]
+    block = np.repeat(np.arange(len(blocks)), sizes)
+    local = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cols = counts[c][block]
+    i = by_bucket[starts[b][block] + local // cols]
+    j = by_bucket[starts[c][block] + local % cols]
+    keep = (b[block] != c[block]) | (i < j)
+    return i[keep], j[keep]
+
+
+def _adjacency(
+    vertices: tuple[NodeId, ...], frm: np.ndarray, to: np.ndarray, weights: np.ndarray
+) -> dict[NodeId, dict[NodeId, float]]:
+    """Per-vertex ``{neighbour: weight}`` dicts in ascending neighbour order,
+    from arc arrays that index ``vertices``."""
+    by = np.lexsort((to, frm))
+    bounds = np.searchsorted(frm[by], np.arange(len(vertices) + 1)).tolist()
+    nbrs = np.array(vertices, dtype=object)[to[by]].tolist()
+    ws = weights[by].tolist()
+    return {v: dict(zip(nbrs[a:b], ws[a:b])) for v, a, b in zip(vertices, bounds, bounds[1:])}
+
+
 def build_unit_disk_digraph(
     nodes: Iterable[NodePos], symmetric: bool = True, unit_weight: bool = False
 ) -> Digraph:
@@ -167,8 +233,11 @@ def build_unit_disk_digraph(
     euclidean meters, or exactly 1 with ``unit_weight``.
 
     Nodes are bucketed on a square grid strictly wider than the largest radio
-    range, so two nodes in range share a bucket or lie in adjacent ones, and
-    only those pairs are measured, each unordered pair once.
+    range, so two nodes in range share a bucket or lie in adjacent ones.  The
+    pairs of each bucket with itself and its adjacent buckets are listed in
+    numpy arrays, each unordered pair once; a squared-distance prefilter drops
+    pairs clearly out of range, and the rest are measured with ``math.hypot``
+    and tested exactly.
     """
     node_list = list(nodes)
     if not node_list:
@@ -182,27 +251,56 @@ def build_unit_disk_digraph(
     # rounded distance equals the range, so the floors of the correctly
     # rounded x / width of the two differ by at most one, and so do the y's.
     width = max(n.radio_range for n in node_list) * (1 + 1e-9)
-    buckets: dict[tuple[int, int], list[NodePos]] = {}
-    for n in node_list:
-        buckets.setdefault((math.floor(n.x / width), math.floor(n.y / width)), []).append(n)
-    arcs: dict[tuple[NodeId, NodeId], float] = {}
-    for (bx, by), members in buckets.items():
-        adjacent = [b for dx, dy in _HALF_NEIGHBOURHOOD for b in buckets.get((bx + dx, by + dy), ())]
-        for i, a in enumerate(members):
-            for b in members[i + 1:] + adjacent:
-                d = a.distance_to(b)  # bit-equal to b.distance_to(a)
-                if d == 0.0 and not unit_weight:
-                    raise ValueError(f"nodes {a.id!r} and {b.id!r} are coincident")
-                if symmetric:
-                    reach_a = reach_b = min(a.radio_range, b.radio_range)
-                else:
-                    reach_a, reach_b = a.radio_range, b.radio_range
-                w = 1.0 if unit_weight else d
-                if d <= reach_a:
-                    arcs[(a.id, b.id)] = w
-                if d <= reach_b:
-                    arcs[(b.id, a.id)] = w
-    return Digraph((n.id for n in node_list), arcs)
+    buckets: dict[tuple[int, int], int] = {}
+    bucket_of = [
+        buckets.setdefault((math.floor(n.x / width), math.floor(n.y / width)), len(buckets))
+        for n in node_list
+    ]
+    blocks = [(b, b) for b in buckets.values()] + [
+        (b, c)
+        for (bx, by), b in buckets.items()
+        for dx, dy in _HALF_NEIGHBOURHOOD
+        if (c := buckets.get((bx + dx, by + dy))) is not None
+    ]
+    i, j = _bucket_pairs(np.array(bucket_of), np.array(blocks))
+    xs = np.array([n.x for n in node_list])
+    ys = np.array([n.y for n in node_list])
+    reach = np.array([n.radio_range for n in node_list])
+    dx = xs[i] - xs[j]  # bit-equal to a.x - b.x in Python
+    dy = ys[i] - ys[j]
+    # Prefilter: keep a pair whose dx * dx + dy * dy is within a margin of
+    # reach * reach, reach being the range its arcs are tested against (the
+    # larger one when asymmetric).  math.hypot is within one ulp of the exact
+    # distance, and each rounded square and sum within one ulp of its exact
+    # value, so a pair with hypot(dx, dy) <= reach has a rounded squared sum
+    # below reach * reach * (1 + 1e-15); gradual underflow adds a few 2**-1074
+    # at most.  The margins 1e-9 and 2**-1000 exceed both, so the prefilter
+    # drops only pairs that the exact test below would drop.
+    pair_reach = np.minimum(reach[i], reach[j]) if symmetric else np.maximum(reach[i], reach[j])
+    near = dx * dx + dy * dy <= pair_reach * pair_reach * (1 + 1e-9) + 2.0**-1000
+    i, j = i[near], j[near]
+    d = np.array(list(map(math.hypot, dx[near].tolist(), dy[near].tolist())), dtype=float)
+    del dx, dy, pair_reach, near
+    if not unit_weight and (coincident := d == 0.0).any():
+        a, b = min(sorted(p) for p in zip(i[coincident].tolist(), j[coincident].tolist()))
+        raise ValueError(f"nodes {node_list[a].id!r} and {node_list[b].id!r} are coincident")
+    if symmetric:
+        fwd = bwd = d <= np.minimum(reach[i], reach[j])
+    else:
+        fwd, bwd = d <= reach[i], d <= reach[j]
+    w = np.ones_like(d) if unit_weight else d
+    order = sorted(range(len(node_list)), key=lambda k: node_list[k].id)
+    vertices = tuple(node_list[k].id for k in order)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    tails = rank[np.concatenate((i[fwd], j[bwd]))]
+    heads = rank[np.concatenate((j[fwd], i[bwd]))]
+    weights = np.concatenate((w[fwd], w[bwd]))
+    del i, j, d, w, fwd, bwd
+    out = _adjacency(vertices, tails, heads, weights)
+    # symmetric arcs come in pairs of equal weight, so both directions read alike
+    in_ = out if symmetric else _adjacency(vertices, heads, tails, weights)
+    return Digraph._from_adjacency(vertices, out, in_)
 
 
 def perturb_weights(g: Digraph, seed: int, scale: float = 1e-9) -> Digraph:

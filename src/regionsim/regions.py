@@ -9,7 +9,10 @@ which bound the stretch of routing through cells.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable
+
+import numpy as np
 
 from .graph import Digraph, NodeId, PathResult, shortest_path, single_source_distances
 
@@ -176,24 +179,48 @@ def build_boundary_dual_graph(g: Digraph, cells: BoundaryCellMap) -> BoundaryDua
     with both d terms measured inside the canonical cell subgraphs, which the
     result keeps.  Crossing arcs whose endpoints are unreachable inside their
     subgraph are skipped.  Ties pick the lexicographically smallest (u, v) pair.
+    The dual arcs come in the order of their first crossing arc in ``g.arcs()``.
+
+    The minimum is taken over arc arrays: every term is the same float and the
+    sum the same left-to-right IEEE expression as a loop over ``g.arcs()``.
     """
     subgraphs = {s: g.induced(cells.canonical_members(s)) for s in cells.seeds}
-    from_seed = {s: single_source_distances(sub, s) for s, sub in subgraphs.items()}
-    to_seed = {s: single_source_distances(sub, s, reverse=True) for s, sub in subgraphs.items()}
+    vertices = g.vertices
+    rank = {v: k for k, v in enumerate(vertices)}
+    # per vertex: its cell's index, and its distances from and to its seed
+    # inside the cell (NaN when it has no cell or the search misses it)
+    cell = np.full(len(vertices), -1)
+    from_seed = np.full(len(vertices), np.nan)
+    to_seed = np.full(len(vertices), np.nan)
+    for c, (s, sub) in enumerate(subgraphs.items()):
+        cell[[rank[v] for v in sub.vertices]] = c
+        dist = single_source_distances(sub, s)
+        from_seed[[rank[v] for v in dist]] = list(dist.values())
+        dist = single_source_distances(sub, s, reverse=True)
+        to_seed[[rank[v] for v in dist]] = list(dist.values())
+    # every arc of g in g.arcs() order, as (tail, head) vertex indices
+    adjacency = [g._out[v] for v in vertices]
+    tails = np.repeat(np.arange(len(vertices)), [len(nbrs) for nbrs in adjacency])
+    heads = np.fromiter(map(rank.__getitem__, chain.from_iterable(adjacency)), np.intp, len(tails))
+    weights = np.fromiter(chain.from_iterable(nbrs.values() for nbrs in adjacency), float, len(tails))
+    composed = (from_seed[tails] + weights) + to_seed[heads]
+    crossing = np.flatnonzero((cell[tails] != cell[heads]) & ~np.isnan(composed))
+    pair = cell[tails[crossing]] * len(subgraphs) + cell[heads[crossing]]
+    weight = composed[crossing]
+    # per cell pair: the smallest weight, ties to the earliest crossing arc,
+    # which is the smallest (u, v); then the pairs in first-crossing order
+    ranked = np.lexsort((crossing, weight, pair))
+    best = ranked[np.diff(pair[ranked], prepend=-1) != 0]
+    _, first = np.unique(pair, return_index=True)
+    best = best[np.argsort(first)]
+    u, v = tails[crossing[best]], heads[crossing[best]]
+    seeds = cells.seeds
     arcs: dict[tuple[NodeId, NodeId], DualArc] = {}
-    for u, v, w in g.arcs():
-        su = cells.cell_of.get(u)
-        sv = cells.cell_of.get(v)
-        if su is None or sv is None or su == sv:
-            continue
-        head = from_seed[su].get(u)
-        tail = to_seed[sv].get(v)
-        if head is None or tail is None:
-            continue
-        composed = head + w + tail
-        key = (su, sv)
-        if key not in arcs or composed < arcs[key].weight:
-            arcs[key] = DualArc(su, sv, composed, (u, v))
+    for cu, cv, w, a, b in zip(
+        cell[u].tolist(), cell[v].tolist(), weight[best].tolist(), u.tolist(), v.tolist()
+    ):
+        su, sv = seeds[cu], seeds[cv]
+        arcs[(su, sv)] = DualArc(su, sv, w, (vertices[a], vertices[b]))
     return BoundaryDualGraph(cells=cells.seeds, arcs=arcs, subgraphs=subgraphs)
 
 

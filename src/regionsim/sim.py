@@ -266,14 +266,15 @@ class _Run:
         pad = r * (1 + 1e-9)
         by_x = np.argsort(pts[:, 0], kind="stable")
         xs = pts[by_x, 0]
+        ys = pts[by_x, 1]
         self._covers: dict[NodeId, np.ndarray] = {}
         self._cover_count = np.zeros(COVERAGE_SAMPLES, dtype=np.int32)
         for v in self.sensors:
             x, y = self.nodes[v].x, self.nodes[v].y
-            near = by_x[np.searchsorted(xs, x - pad) : np.searchsorted(xs, x + pad, "right")]
-            dx = pts[near, 0] - x
-            dy = pts[near, 1] - y
-            covers = near[(dx * dx + dy * dy) <= r2]
+            lo, hi = np.searchsorted(xs, x - pad), np.searchsorted(xs, x + pad, "right")
+            dx = xs[lo:hi] - x
+            dy = ys[lo:hi] - y
+            covers = by_x[lo:hi][(dx * dx + dy * dy) <= r2]
             self._covers[v] = covers
             self._cover_count[covers] += 1
 

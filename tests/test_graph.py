@@ -172,6 +172,51 @@ def test_bucketed_build_equals_all_pairs(symmetric, unit_weight):
         assert all(got[a].hex() == want[a].hex() for a in want)
 
 
+def assert_same_adjacency(g, ref):
+    """Same vertices, and per vertex the same out- and in-neighbours in the
+    same order, with bit-equal weights on both sides."""
+    assert g.vertices == ref.vertices
+    for v in ref.vertices:
+        assert g.out_neighbors(v) == ref.out_neighbors(v)
+        assert g.in_neighbors(v) == ref.in_neighbors(v)
+        for got, want in ((g._out[v], ref._out[v]), (g._in[v], ref._in[v])):
+            assert [w.hex() for w in got.values()] == [w.hex() for w in want.values()]
+
+
+def relabelled(nodes):
+    """The same layout with string ids, whose sorted order is not the int order."""
+    return [NodePos(f"n{n.id}", n.x, n.y, n.radio_range) for n in nodes]
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("unit_weight", [False, True])
+def test_build_lays_out_adjacency_as_the_checked_constructor(symmetric, unit_weight):
+    rng = random.Random(43)
+    for _ in range(40):
+        nodes = random_layout(rng, rng.randint(1, 60))
+        for layout in (nodes, relabelled(nodes)):
+            g = build_unit_disk_digraph(layout, symmetric=symmetric, unit_weight=unit_weight)
+            want = all_pairs_unit_disk(layout, symmetric, unit_weight)
+            assert_same_adjacency(g, Digraph((n.id for n in layout), want))
+
+
+@pytest.mark.parametrize("field", ["default", "dense", "sparse"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_build_lays_out_field_adjacency_as_the_checked_constructor(field, seed):
+    from regionsim.scenario import ScenarioConfig, deploy
+
+    config = {
+        "default": ScenarioConfig(),
+        "dense": ScenarioConfig(node_count=280),
+        "sparse": ScenarioConfig(
+            area_width=640.0, area_height=640.0, node_count=1120, radio_range=60.0
+        ),
+    }[field]
+    d = deploy(config, seed)
+    g = build_unit_disk_digraph([d.nodes[v] for v in sorted(d.nodes)])
+    assert_same_adjacency(g, Digraph(g.vertices, {(u, v): w for u, v, w in g.arcs()}))
+
+
 def test_bucketed_build_keeps_arc_rounded_onto_range():
     # the true distance is just over 64 but rounds to exactly 64.0
     a = NodePos(0, math.nextafter(64.0, 0.0), 0.0, 64.0)
@@ -180,6 +225,26 @@ def test_bucketed_build_keeps_arc_rounded_onto_range():
     for symmetric in (True, False):
         g = build_unit_disk_digraph([a, b], symmetric=symmetric)
         assert g.has_arc(0, 1) and g.has_arc(1, 0)
+
+
+def test_bucketed_build_keeps_pair_whose_squared_distance_rounds_over_range():
+    # the range is the pair's own rounded distance, but the rounded squares
+    # sum to more than the rounded square of the range: the prefilter keeps it
+    rng = random.Random(5)
+    found = 0
+    while found < 20:
+        a = NodePos(0, rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0), 1.0)
+        x, y = a.x + rng.uniform(1.0, 100.0), a.y + rng.uniform(1.0, 100.0)
+        dx, dy = a.x - x, a.y - y
+        reach = math.hypot(dx, dy)
+        if dx * dx + dy * dy <= reach * reach:
+            continue
+        found += 1
+        nodes = [NodePos(0, a.x, a.y, reach), NodePos(1, x, y, reach)]
+        for symmetric in (True, False):
+            g = build_unit_disk_digraph(nodes, symmetric=symmetric)
+            assert g.has_arc(0, 1) and g.has_arc(1, 0)
+            assert g.weight(0, 1) == reach
 
 
 def test_coincident_nodes_rejected_unless_unit_weight():
@@ -390,11 +455,8 @@ def test_induced_equals_full_arc_scan():
                 members, {(u, v): w for u, v, w in g.arcs() if u in mset and v in mset}
             )
             sub = g.induced(members)
-            assert sub.vertices == scan.vertices
             assert list(sub.arcs()) == list(scan.arcs())
-            for v in sub.vertices:
-                assert sub.out_neighbors(v) == scan.out_neighbors(v)
-                assert sub.in_neighbors(v) == scan.in_neighbors(v)
+            assert_same_adjacency(sub, scan)
 
 
 def test_induced_rejects_unknown_vertex():

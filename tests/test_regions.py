@@ -200,6 +200,77 @@ def test_dual_weight_never_exceeds_any_crossing_composition():
                     assert arc.weight <= du[a] + w + dv[b] + 1e-9
 
 
+def reference_dual_arcs(g, cells):
+    """Dual arcs by a loop over ``g.arcs()``: a pair's first crossing arc
+    creates it, and only a strictly smaller composition replaces it."""
+    from regionsim.graph import single_source_distances
+
+    subs = {s: g.induced(cells.canonical_members(s)) for s in cells.seeds}
+    from_seed = {s: single_source_distances(sub, s) for s, sub in subs.items()}
+    to_seed = {s: single_source_distances(sub, s, reverse=True) for s, sub in subs.items()}
+    arcs = {}
+    for u, v, w in g.arcs():
+        su, sv = cells.cell_of.get(u), cells.cell_of.get(v)
+        if su is None or sv is None or su == sv:
+            continue
+        head, tail = from_seed[su].get(u), to_seed[sv].get(v)
+        if head is None or tail is None:
+            continue
+        composed = head + w + tail
+        if (su, sv) not in arcs or composed < arcs[(su, sv)].weight:
+            arcs[(su, sv)] = DualArc(su, sv, composed, (u, v))
+    return arcs
+
+
+def assert_dual_matches_reference(g, cells):
+    dual = build_boundary_dual_graph(g, cells)
+    want = reference_dual_arcs(g, cells)
+    assert all(type(arc.weight) is float for arc in dual.arcs.values())
+    assert [(k, a.src, a.dst, a.weight.hex(), a.crossing) for k, a in dual.arcs.items()] == [
+        (k, a.src, a.dst, a.weight.hex(), a.crossing) for k, a in want.items()
+    ]
+    return dual
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_dual_arcs_match_reference_loop_on_suite(weighted):
+    from regionsim.checks import random_suite
+
+    for item in random_suite(60, seed=17):
+        assert_dual_matches_reference(item.g, compute_boundary_cells(item.g, item.seeds, weighted))
+
+
+def test_dual_arcs_match_reference_loop_on_asymmetric_digraphs():
+    # flood cells leave the nodes no seed reaches without a cell
+    from regionsim.flood import cells_from_flood, run_flood
+    from test_flood import asymmetric_cases
+
+    for g, seeds in asymmetric_cases():
+        assert_dual_matches_reference(g, cells_from_flood(g, seeds, run_flood(g, seeds).states))
+
+
+def test_dual_arc_ties_go_to_the_smallest_crossing_arc():
+    # two crossings of 1 + 1 + 1 each way: (1, 3) beats (2, 4), (3, 1) beats (4, 2)
+    links = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5)]
+    g = Digraph(range(6), {arc: 1.0 for u, v in links for arc in ((u, v), (v, u))})
+    cells = compute_boundary_cells(g, [0, 5])
+    assert cells.canonical_members(0) == (0, 1, 2)
+    dual = assert_dual_matches_reference(g, cells)
+    assert {k: (a.weight, a.crossing) for k, a in dual.arcs.items()} == {
+        (0, 5): (3.0, (1, 3)),
+        (5, 0): (3.0, (3, 1)),
+    }
+
+
+def test_dual_skips_crossing_unreachable_inside_its_cell():
+    # 1 reaches both seeds in one hop and joins cell 0, but 0 cannot reach 1
+    g = Digraph([0, 1, 2], {(1, 0): 1.0, (1, 2): 1.0, (2, 1): 1.0})
+    cells = compute_boundary_cells(g, [0, 2])
+    assert cells.cell_of[1] == 0
+    dual = assert_dual_matches_reference(g, cells)
+    assert dual.arcs == {(2, 0): DualArc(2, 0, 2.0, (2, 1))}
+
+
 # -- boundary routing ----------------------------------------------------------
 
 
