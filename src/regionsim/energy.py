@@ -52,10 +52,15 @@ class EnergyParams:
         step = (self.level_max_dbm - self.level_min_dbm) / (self.level_count - 1)
         return tuple(self.level_min_dbm + i * step for i in range(self.level_count))
 
+    @cached_property
+    def level_mws(self) -> tuple[float, ...]:
+        """Radiated power of each level, in milliwatts."""
+        return tuple(10.0 ** (dbm / 10.0) for dbm in self.level_dbms)
+
     def level_mw(self, level: int) -> float:
         """Radiated power of a level, in milliwatts."""
         self._check_level(level)
-        return 10.0 ** (self.level_dbms[level] / 10.0)
+        return self.level_mws[level]
 
     def draw_mw(self, level: int) -> float:
         """Total radio draw at a level: linear in radiated mW between endpoints."""

@@ -15,6 +15,7 @@ All protocols route on the same digraph and energy model:
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 from .energy import EnergyParams, rx_energy, tx_energy
@@ -66,12 +67,24 @@ def level_range(
     return radio_range * (params.level_mw(level) / top) ** (1.0 / alpha)
 
 
+@lru_cache(maxsize=64)
+def level_reaches(
+    params: EnergyParams, radio_range: float, alpha: float
+) -> tuple[float, ...]:
+    """``level_range`` of every level, computed once per arguments."""
+    return tuple(
+        level_range(params, level, radio_range, alpha)
+        for level in range(params.level_count)
+    )
+
+
 def min_level_for_distance(
     params: EnergyParams, distance: float, radio_range: float, alpha: float
 ) -> int | None:
     """Lowest level whose reach covers the distance; None if out of max range."""
-    for level in range(params.level_count):
-        if level_range(params, level, radio_range, alpha) >= distance - 1e-9:
+    need = distance - 1e-9
+    for level, reach in enumerate(level_reaches(params, radio_range, alpha)):
+        if reach >= need:
             return level
     return None
 
@@ -85,8 +98,7 @@ def characteristic_distance(
     so cost per meter is lowest at full reach).
     """
     best_r, best_cost = None, None
-    for level in range(params.level_count):
-        r = level_range(params, level, radio_range, alpha)
+    for level, r in enumerate(level_reaches(params, radio_range, alpha)):
         cost = (params.draw_mw(level) + params.p_rx_mw) / r
         if best_cost is None or cost < best_cost:
             best_cost, best_r = cost, r
@@ -245,11 +257,17 @@ def route(
             tables = build_mte_table(g, sink, alpha)
         verts = walk_table(tables, source, sink)
     elif protocol == "or":
+        # each (level, relayed) pair is priced once, when an arc first needs it
+        prices: dict[tuple[int, bool], float] = {}
+
         def hop_energy(u, v, w):
             lvl = min_level_for_distance(params, w, nodes[u].radio_range, alpha)
             if lvl is None:
                 return float("inf")
-            return _hop_joules(params, bits, lvl, v != sink)
+            key = (lvl, v != sink)
+            if key not in prices:
+                prices[key] = _hop_joules(params, bits, *key)
+            return prices[key]
 
         path = shortest_path(g, source, sink, weight_fn=hop_energy)
         if path is None:

@@ -22,8 +22,11 @@ arithmetic with numpy, bit for bit.  An epoch starts at a tick and ends at
 whichever comes first: the next non-tick event, the next due time, the tick
 before the first one in which a balance reaches DEATH_EPSILON_J, or the tick
 after which a due time written in the epoch falls at or before the next
-tick.  The tick in which a node dies is replayed through the scalar
-_handle_tick, as are init, due settles and t = 0.
+tick.  The step works on blocks of nodes that take the same number of
+charges per tick in the same duty mode, each read in one pass of 2-D numpy
+arrays, of at most BLOCK_PLACES floats unless a single node needs more.  The
+tick in which a node dies is replayed through the scalar _handle_tick, as
+are init, due settles and t = 0.
 
 Model notes:
   * The sink is a mains-powered base station: it relays and receives but has
@@ -94,6 +97,8 @@ from .routing import (
 from .scenario import ScenarioConfig, ScenarioError, deploy, scenario_to_dict
 
 COVERAGE_SAMPLES = 10_000
+# floats per array of one block of the epoch step (256 KB)
+BLOCK_PLACES = 1 << 15
 
 
 class SimulationError(RuntimeError):
@@ -186,6 +191,25 @@ def _tiled_sums(start: float, adds: np.ndarray, k: int) -> np.ndarray:
     return np.add.accumulate(acc, out=acc)
 
 
+def _due_writes(low: np.ndarray, threshold: float) -> np.ndarray:
+    """The places at which ``_impulse``'s rule writes a due time, given one
+    node's running minimum ``low`` of the projections after every charge and
+    its due time less 1 s before the first: the first place below the
+    threshold, then each next place more than 1 s below the last write."""
+    neg = np.negative(low)  # ascending, as searchsorted needs
+    n = len(neg)
+    i = int(np.searchsorted(neg, -threshold, "right"))
+    wrote = np.zeros(n, dtype=bool)
+    if i < n:
+        # nxt[i]: the place of the write after one at place i
+        nxt = memoryview(np.searchsorted(neg, neg + 1.0, "right"))
+        mark = memoryview(wrote)
+        while i < n:
+            mark[i] = True
+            i = nxt[i]
+    return np.flatnonzero(wrote)
+
+
 class _Run:
     """Single-run engine; builds everything in __init__ and leaves a report.
 
@@ -203,9 +227,10 @@ class _Run:
 
     ``_impulse`` settles through ``EnergyLedger.accrue``, ``charge`` and
     ``remaining``, which check every flood charge as init bills it.  Only
-    ``_bulk_ticks`` works on the ledger rows directly, with the same
-    arithmetic in the same order, so the hop charges it bills are checked
-    once at setup.  Reports read the ledger only through ``snapshot``.
+    the epoch step (``_bulk_ticks`` and its ``_bulk_block``) works on the
+    ledger rows directly, with the same arithmetic in the same order, so the
+    hop charges it bills are checked once at setup.  Reports read the ledger
+    only through ``snapshot``.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int):
@@ -505,15 +530,15 @@ class _Run:
                 self.delivered += 1
         self.generated += len(self._senders)
 
-    def _charge_plan(self) -> tuple[list, list]:
+    def _charge_plan(self) -> tuple[dict, list]:
         """What each tick charges while the alive set stays as it is.
 
-        Returns ``(nodes, sessions)``.  Per charged node, ``nodes`` holds
-        ``(v, c, adds)``: v takes c charges a tick, and ``adds`` pairs each
-        ledger slot they touch with the c joules it gets from them, 0.0 where
-        a charge goes to the other slot.  Per sender, ``sessions`` holds
-        ``(record, joules of its charges up to the first dead node, whether
-        that is all of them)``.
+        Returns ``(groups, sessions)``.  ``groups`` maps ``(c, mode)`` to the
+        charged nodes in that duty mode that take c charges a tick, each as
+        ``(v, slots, joules)``: the ledger slot and the joules of each of its
+        charges, in sender order.  Per sender, ``sessions`` holds ``(record,
+        joules of its charges up to the first dead node, whether that is all
+        of them)``.
         """
         alive = self.alive
         charged: dict[NodeId, list[tuple[int, float]]] = {}
@@ -526,98 +551,71 @@ class _Run:
                 charged.setdefault(v, []).append((slot, joules))
                 prefix.append(joules)
             sessions.append((rec, np.array(prefix), len(prefix) == len(charges)))
-        nodes = []
+        groups: dict[tuple[int, int], list] = {}
         for v, node_charges in charged.items():
-            adds = [
-                (s, np.array([j if slot == s else 0.0 for slot, j in node_charges]))
-                for s in sorted({slot for slot, _ in node_charges})
-            ]
-            nodes.append((v, len(node_charges), adds))
-        return nodes, sessions
+            slots, joules = zip(*node_charges)
+            groups.setdefault((len(slots), self.mode[v]), []).append((v, slots, joules))
+        return groups, sessions
 
     def _bulk_ticks(self, ticks: list[float]) -> int:
         """Apply the leading ticks of ``ticks`` at once; returns how many.
 
         The ticks hold no other event and fall before ``_next_due``, so until
         a node dies every tick charges the same cells with the same joules.
-        This replays ``_impulse`` on them in the scalar order: each touched
-        ledger cell is one ``np.add.accumulate`` over its adds (the drain at
-        the tick's first charge, then the charges in sender order), and the
-        balance and projection follow after every charge, elementwise.  It
-        stops before the first tick in which a balance reaches
-        DEATH_EPSILON_J, which the loop replays through ``_handle_tick``, and
-        after the first tick following which a written due time falls at or
-        before the next tick.  One node is worked at a time and only its
-        due-time writes outlive it; once the stop is known, each cell's sum
-        over the applied ticks is accumulated again.
+        This replays ``_impulse`` on them in the scalar order, over blocks of
+        the nodes that take the same number of charges a tick in the same
+        duty mode (``_bulk_block``).  It stops before the first tick in which
+        a balance reaches DEATH_EPSILON_J, which the loop replays through
+        ``_handle_tick``, and after the first tick following which a written
+        due time falls at or before the next tick.  Each block keeps only its
+        cells at every tick's end and its due-time writes; once the stop K is
+        known, each cell takes its value after tick K from them.
+
+        Why the bits hold.  A prefix of ``np.add.accumulate`` (and of
+        ``np.minimum.accumulate``) equals the accumulate of that prefix, and
+        everything else is elementwise.  So a block computed over the limit
+        known when it starts, longer than K or not, holds at and before K the
+        values the scalar path computes.  K is the minimum over rows of the
+        first dead tick and the due-write stops, each of which is read off
+        such a prefix (a row's chain walked over a prefix is the prefix of
+        its chain), so K is the same in whatever order the blocks run and
+        however the rows are split into blocks.  ``_due`` may take its
+        entries in another insertion order than tick by tick, which is
+        harmless: ``_settle_due`` reads only minima.
         """
-        nodes, sessions = self._charge_plan()
+        groups, sessions = self._charge_plan()
         T = np.array(ticks)
         limit = len(ticks)
         wdT = {m: w * np.diff(T) for m, w in self.drain_w.items()}
-        writes = []  # per node: (tick index, due time) of each write
-        for v, c, adds in nodes:
-            if not limit:
-                break
-            K = limit
-            e = self.rows[v]
-            w = self.drain_w[self.mode[v]]
-            cells = list(e)  # each cell's value after every charge
-            for slot, joules in adds:
-                cells[slot] = _tiled_sums(e[slot], joules, K)[1:]
-            cells[self.mode[v]] = np.repeat(self._drained(v, ticks, wdT, K)[1:], c)
-            remaining = self.budget - (
-                ((cells[TX] + cells[RX]) + cells[SENSE]) + cells[SLEEP]
-            )
-            del cells
-            # balances only fall, so a tick's last charge leaves its lowest
-            dead = remaining[c - 1 :: c] <= DEATH_EPSILON_J
-            if dead.any():
-                limit = int(dead.argmax())
-            n = limit * c
-            proj = np.repeat(T[:limit], c) + remaining[:n] / w
-            del remaining
-            proj[proj > self.duration] = math.inf
-            # The first projection below a threshold is where their running
-            # minimum first falls below it, and that minimum never rises.  A
-            # write is such a place, so it equals the minimum there.
-            low = np.minimum.accumulate(proj, out=proj)
-            neg = np.negative(low)
-            due = self._due.get(v)
-            threshold = math.inf if due is None else due - 1.0
-            i = int(np.searchsorted(neg, -threshold, "right"))
-            wt = wv = None
-            if i < n:
-                # nxt[i]: the place of the write after one at place i
-                nxt = memoryview(np.searchsorted(neg, -(low - 1.0), "right"))
-                wrote = np.zeros(n, dtype=bool)
-                mark = memoryview(wrote)
-                while i < n:
-                    mark[i] = True
-                    i = nxt[i]
-                at = np.flatnonzero(wrote)
-                del nxt, mark, wrote
-                wt, wv = at // c, low[at]
-                # the loop settles a due time before the first tick at or after it
-                limit = min(limit, int(np.maximum(np.searchsorted(T, wv), wt + 1).min()))
-            writes.append((wt, wv))
-            del proj, low, neg
+        blocks = []
+        for (c, m), members in groups.items():
+            # split rows, never ticks: each block's arrays hold about
+            # BLOCK_PLACES floats, or one row if that is longer
+            i = 0
+            while i < len(members) and limit:
+                size = max(1, BLOCK_PLACES // (limit * c + 1))
+                block = members[i : i + size]
+                i += size
+                limit, ends, writes = self._bulk_block(block, c, m, T, wdT, limit)
+                blocks.append((block, ends, writes))
         K = limit
         if not K:
             return 0
         last = ticks[K - 1]
-        for (v, c, adds), (wt, wv) in zip(nodes, writes):
-            e = self.rows[v]
-            for slot, joules in adds:
-                e[slot] = float(_tiled_sums(e[slot], joules, K)[-1])
-            e[self.mode[v]] = float(self._drained(v, ticks, wdT, K)[-1])
-            self.mode_since[v] = last
-            n = 0 if wt is None else int(np.searchsorted(wt, K))
-            if n:
-                t = float(wv[n - 1])
-                self._due[v] = t
-                if t < self._next_due:
-                    self._next_due = t
+        rows, mode_since, due = self.rows, self.mode_since, self._due
+        for block, ends, writes in blocks:
+            for slot, end in ends.items():
+                for (v, _, _), x in zip(block, end[:, K].tolist()):
+                    rows[v][slot] = x
+            for v, _, _ in block:
+                mode_since[v] = last
+            for v, wt, wv in writes:
+                n = int(np.searchsorted(wt, K))
+                if n:
+                    t = float(wv[n - 1])
+                    due[v] = t
+                    if t < self._next_due:
+                        self._next_due = t
         for rec, joules, delivered in sessions:
             rec.generated += K
             if len(joules):
@@ -628,15 +626,73 @@ class _Run:
         self.generated += K * len(sessions)
         return K
 
-    def _drained(self, v: NodeId, ticks: list[float], wdT: dict, k: int) -> np.ndarray:
-        """v's drain cell before and after each of the first k ticks, which
-        add ``w * (t - mode_since)`` and then ``w * (t_i - t_{i-1})``."""
-        m = self.mode[v]
-        acc = np.empty(k + 1)
-        acc[0] = self.rows[v][m]
-        acc[1] = self.drain_w[m] * (ticks[0] - self.mode_since[v])  # 0.0 changes no bit
-        acc[2:] = wdT[m][: k - 1]
-        return np.add.accumulate(acc, out=acc)
+    def _bulk_block(self, block: list, c: int, m: int, T: np.ndarray, wdT: dict,
+                    limit: int) -> tuple[int, dict, list]:
+        """One block of ``_bulk_ticks``: the nodes of ``block``, each taking
+        c charges a tick in duty mode m, over the first ``limit`` ticks of T.
+
+        Returns the lowered limit; per cell the block touches, its value
+        before the first tick and at the end of each tick up to that limit,
+        as a (rows, limit + 1) array; and ``(v, tick indices, due times)``
+        for each node that writes due times before the limit.
+        """
+        K = limit
+        r = len(block)
+        w = self.drain_w[m]
+        start = np.array([self.rows[v] for v, _, _ in block])
+        # each cell after every charge as (rows, ticks, charges), broadcast
+        # where it holds one value per row or per tick
+        cells = [start[:, s, None, None] for s in range(len(LEDGER_MODES))]
+        ends = {}
+        slots = np.array([s for _, s, _ in block])
+        joules = np.array([j for _, _, j in block])
+        for s in np.unique(slots).tolist():
+            # the cell, then each charge in sender order: its joules, or 0.0
+            # where it goes to the other slot, which changes no bit
+            acc = np.empty((r, K * c + 1))
+            acc[:, 0] = start[:, s]
+            acc[:, 1:].reshape(r, K, c)[:] = np.where(slots == s, joules, 0.0)[:, None]
+            np.add.accumulate(acc, axis=1, out=acc)
+            cells[s] = acc[:, 1:].reshape(r, K, c)
+            ends[s] = acc[:, ::c]
+        # the drain at each tick's first charge: w * (t - mode_since), then
+        # w * (t_i - t_{i-1}); a 0.0 changes no bit
+        drain = np.empty((r, K + 1))
+        drain[:, 0] = start[:, m]
+        drain[:, 1] = w * (T[0] - np.array([self.mode_since[v] for v, _, _ in block]))
+        drain[:, 2:] = wdT[m][: K - 1]
+        np.add.accumulate(drain, axis=1, out=drain)
+        cells[m] = drain[:, 1:, None]
+        ends[m] = drain
+        remaining = self.budget - (
+            ((cells[TX] + cells[RX]) + cells[SENSE]) + cells[SLEEP]
+        )
+        del cells
+        # balances only fall, so a tick's last charge leaves its lowest
+        dead = remaining[:, :, -1] <= DEATH_EPSILON_J
+        hit = dead.any(axis=1)
+        if hit.any():
+            limit = int(dead.argmax(axis=1)[hit].min())
+        writes = []
+        if limit:
+            proj = T[:limit, None] + remaining[:, :limit] / w
+            del remaining
+            proj[proj > self.duration] = math.inf
+            # The first projection below a threshold is where their running
+            # minimum first falls below it, and that minimum never rises.  A
+            # write is such a place, so it equals the minimum there.
+            low = proj.reshape(r, limit * c)
+            np.minimum.accumulate(low, axis=1, out=low)
+            thresholds = np.array([self._due.get(v, math.inf) for v, _, _ in block]) - 1.0
+            for i in np.flatnonzero(low[:, -1] < thresholds).tolist():
+                at = _due_writes(low[i, : limit * c], thresholds[i])
+                if len(at):
+                    wt, wv = at // c, low[i, at]
+                    # the loop settles a due time before the first tick at or after it
+                    limit = min(limit, int(np.maximum(np.searchsorted(T, wv), wt + 1).min()))
+                    writes.append((block[i][0], wt, wv))
+        # a view would keep each whole accumulation alive until the epoch ends
+        return limit, {s: end[:, : limit + 1].copy() for s, end in ends.items()}, writes
 
     def _report(self):
         """Accrue the alive nodes, then snapshot the ledger and sum its row."""

@@ -18,6 +18,7 @@ from regionsim.routing import (
     build_res_tables,
     characteristic_distance,
     level_range,
+    level_reaches,
     min_level_for_distance,
     packet_energy,
     per_packet_charges,
@@ -61,6 +62,44 @@ def test_characteristic_distance_is_a_level_reach():
     d = characteristic_distance(PARAMS, 180.0, 2.0)
     reaches = [level_range(PARAMS, l, 180.0, 2.0) for l in range(10)]
     assert any(d == pytest.approx(r) for r in reaches)
+
+
+def uncached_reaches(params, radio_range, alpha):
+    top = 10.0 ** (params.level_dbms[-1] / 10.0)
+    return [
+        radio_range * (10.0 ** (dbm / 10.0) / top) ** (1.0 / alpha)
+        for dbm in params.level_dbms
+    ]
+
+
+def uncached_min_level(params, distance, radio_range, alpha):
+    for level, reach in enumerate(uncached_reaches(params, radio_range, alpha)):
+        if reach >= distance - 1e-9:
+            return level
+    return None
+
+
+def test_cached_level_reaches_follow_the_uncached_rule():
+    tables = {}
+    for radio_range in (30.0, 60.0, 120.5, 180.0):
+        for alpha in (2.0, 2.5, 4.0):
+            reaches = level_reaches(PARAMS, radio_range, alpha)
+            want = uncached_reaches(PARAMS, radio_range, alpha)
+            assert [r.hex() for r in reaches] == [r.hex() for r in want]
+            assert [r.hex() for r in reaches] == [
+                level_range(PARAMS, level, radio_range, alpha).hex() for level in range(10)
+            ]
+            for reach in reaches:
+                for d in (reach - 1e-9, reach, reach + 1e-9):
+                    assert min_level_for_distance(PARAMS, d, radio_range, alpha) == (
+                        uncached_min_level(PARAMS, d, radio_range, alpha)
+                    )
+            tables[radio_range, alpha] = reaches
+    for (r1, a1), t1 in tables.items():
+        assert level_reaches(PARAMS, r1, a1) is t1
+        for (r2, a2), t2 in tables.items():
+            if (r1 == r2) != (a1 == a2):  # differ only in range or only in alpha
+                assert t1 is not t2 and t1 != t2
 
 
 # -- res tables --------------------------------------------------------------------
@@ -414,6 +453,13 @@ def test_or_matches_exhaustive_search():
                     cost = path_cost(verts)
                     best = cost if best is None else min(best, cost)
         assert got == pytest.approx(best)
+
+
+def test_or_prices_check_the_packet_size():
+    nodes = line_nodes(3, 20.0, 50.0)
+    g = build_unit_disk_digraph(nodes.values())
+    with pytest.raises(ValueError, match="bits must be > 0"):
+        route("or", g, nodes, 0, 2, PARAMS, bits=0.0)
 
 
 def test_or_lower_bounds_other_protocols():

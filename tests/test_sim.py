@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from regionsim.energy import EnergyLedger
+from regionsim import sim
 from regionsim.scenario import ScenarioConfig, deploy
 from regionsim.sim import (
     COVERAGE_SAMPLES,
@@ -320,21 +321,50 @@ def run_bulk_and_scalar(monkeypatch, config, seed=None):
     return bulk
 
 
+# multi-hop mte routes of 4 to 23 hops, so charge counts per node vary
+# widely; the 5 J batteries kill busy relays, by charge and by drain
+SPARSE_MTE = ScenarioConfig(area_width=320.0, area_height=320.0, node_count=280,
+                            radio_range=60.0, battery_j=5.0, sim_duration_s=300.0,
+                            protocol="mte")
+
+
 @pytest.mark.parametrize(
-    "config, seed",
+    "config, seed, block_places",
     [
-        *[(replace(DRAINING, protocol=p), None) for p in ("res", "dt", "mte", "merr", "or")],
-        (replace(DRAINING, protocol="mte", packet_rate_hz=4.0), None),
-        (replace(DRAINING, protocol="dt", packet_rate_hz=10.0), None),
-        (replace(DRAINING, protocol="mte", init_phase_s=0.0), None),
-        (ScenarioConfig(protocol="dt"), 2),
-        (ScenarioConfig(protocol="mte"), 2),
+        *[(replace(DRAINING, protocol=p), None, None)
+          for p in ("res", "dt", "mte", "merr", "or")],
+        (replace(DRAINING, protocol="mte", packet_rate_hz=4.0), None, None),
+        (replace(DRAINING, protocol="dt", packet_rate_hz=10.0), None, None),
+        (replace(DRAINING, protocol="mte", init_phase_s=0.0), None, None),
+        (ScenarioConfig(protocol="dt"), 2, None),
+        (ScenarioConfig(protocol="mte"), 2, None),
+        (SPARSE_MTE, 2, None),
+        # so few places that every group splits and single rows exceed them
+        (replace(DRAINING, protocol="mte"), None, 4),
+        (ScenarioConfig(protocol="mte"), 2, 4),
     ],
     ids=["res", "dt", "mte", "merr", "or", "mte-4hz", "dt-10hz", "mte-no-init",
-         "default-dt", "default-mte"],
+         "default-dt", "default-mte", "sparse-mte", "mte-4-places", "default-mte-4-places"],
 )
-def test_bulk_ticks_match_scalar_ticks(monkeypatch, config, seed):
+def test_bulk_ticks_match_scalar_ticks(monkeypatch, config, seed, block_places):
+    if block_places is None:
+        run_bulk_and_scalar(monkeypatch, config, seed)
+        return
+    applied = []
+    bulk_ticks = _Run._bulk_ticks
+
+    def counting_bulk(self, ticks):
+        applied.append(bulk_ticks(self, ticks))
+        return applied[-1]
+
+    monkeypatch.setattr(_Run, "_bulk_ticks", counting_bulk)
+    run(config, seed)
+    real_cap = applied[:]
+    applied.clear()
+    monkeypatch.setattr(sim, "BLOCK_PLACES", block_places)
     run_bulk_and_scalar(monkeypatch, config, seed)
+    # the same epochs, each applying as many ticks
+    assert applied == real_cap
 
 
 def test_bulk_ticks_match_scalar_ticks_when_sources_die_in_the_first_tick(monkeypatch):
