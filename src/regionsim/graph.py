@@ -4,10 +4,13 @@ Vertices are plain node ids (ints or strings, one type per graph).  Graphs are
 immutable after construction, so concurrent read-only queries are safe.
 Unreachable is always reported as ``None``, never a sentinel number.
 
-Every search is one routine, ``shortest_paths``: the lexicographic
+Every search is one routine, ``shortest_path_tree``: the lexicographic
 shortest-path tree, where equal-weight paths break ties on the smallest
-vertex-id sequence.  Distances, hop counts, connectivity, the boundary dual
-routes and the ``res`` next hops all read that tree.
+source-first vertex-id sequence, as one ``dist`` and one ``parent`` dict.
+Ties are settled on parent pointers, which needs every cost to be positive.
+Distances, connectivity, the ``res`` and ``mte`` next hops and the dual tree
+read the two dicts; ``shortest_path`` and ``shortest_paths`` rebuild vertex
+sequences from the parents for what they return.
 
 The public ``Digraph`` constructor sorts and checks every arc.  The unit-disk
 builder and ``Digraph.induced`` produce adjacency that is already checked and
@@ -15,13 +18,16 @@ in ascending order, and hand it to the private ``Digraph._from_adjacency``,
 which neither sorts nor checks.  The builder lists candidate pairs with
 numpy, but measures each pair's weight with ``math.hypot`` in Python:
 ``np.hypot`` rounds differently on about one random pair in 180, and every
-weight feeds the distances, cells and routes the outputs are built from.
+weight feeds the distances, cells and routes the outputs are built from.  It
+keeps the sorted arc arrays it lays the adjacency out from, which
+``Digraph.arc_arrays`` hands out; other graphs build them once, on demand.
 """
 
 import heapq
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -83,6 +89,7 @@ class Digraph:
                 raise ValueError(f"arc ({u!r}, {v!r}) has non-positive weight {w}")
             self._out[u][v] = w
             self._in[v][u] = w
+        self._arc_arrays = None
 
     @classmethod
     def _from_adjacency(
@@ -90,6 +97,7 @@ class Digraph:
         vertices: tuple[NodeId, ...],
         out: dict[NodeId, dict[NodeId, float]],
         in_: dict[NodeId, dict[NodeId, float]],
+        arc_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> "Digraph":
         """Digraph over adjacency that is already checked and ordered.
 
@@ -97,6 +105,7 @@ class Digraph:
         each in ascending neighbour order, with positive float weights and no
         self-loops, exactly as ``__init__`` would lay them out.  ``in_`` may be
         ``out`` itself when every arc has its reverse with the same weight.
+        ``arc_arrays``, when given, is what ``arc_arrays()`` would return.
         Nothing is sorted or re-checked: only builders that guarantee this
         call it.
         """
@@ -104,6 +113,7 @@ class Digraph:
         g._vertices = vertices
         g._out = out
         g._in = in_
+        g._arc_arrays = arc_arrays
         return g
 
     @property
@@ -125,6 +135,19 @@ class Digraph:
         for u in self._vertices:
             for v, w in self._out[u].items():
                 yield u, v, w
+
+    def arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every arc as ``(tails, heads, weights)`` arrays in ``arcs()`` order,
+        tails and heads as indices into ``vertices``; built once."""
+        if self._arc_arrays is None:
+            rank = {v: k for k, v in enumerate(self._vertices)}
+            adjacency = [self._out[v] for v in self._vertices]
+            tails = np.repeat(np.arange(len(adjacency)), [len(nbrs) for nbrs in adjacency])
+            n = len(tails)
+            heads = np.fromiter(map(rank.__getitem__, chain.from_iterable(adjacency)), np.intp, n)
+            weights = np.fromiter(chain.from_iterable(nbrs.values() for nbrs in adjacency), float, n)
+            self._arc_arrays = (tails, heads, weights)
+        return self._arc_arrays
 
     @property
     def arc_count(self) -> int:
@@ -211,15 +234,22 @@ def _bucket_pairs(bucket_of: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray
     return i[keep], j[keep]
 
 
+def _sorted_arcs(
+    frm: np.ndarray, to: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arc arrays in ascending (frm, to) order."""
+    by = np.lexsort((to, frm))
+    return frm[by], to[by], weights[by]
+
+
 def _adjacency(
     vertices: tuple[NodeId, ...], frm: np.ndarray, to: np.ndarray, weights: np.ndarray
 ) -> dict[NodeId, dict[NodeId, float]]:
     """Per-vertex ``{neighbour: weight}`` dicts in ascending neighbour order,
-    from arc arrays that index ``vertices``."""
-    by = np.lexsort((to, frm))
-    bounds = np.searchsorted(frm[by], np.arange(len(vertices) + 1)).tolist()
-    nbrs = np.array(vertices, dtype=object)[to[by]].tolist()
-    ws = weights[by].tolist()
+    from arc arrays that index ``vertices``, sorted by ``_sorted_arcs``."""
+    bounds = np.searchsorted(frm, np.arange(len(vertices) + 1)).tolist()
+    nbrs = np.array(vertices, dtype=object)[to].tolist()
+    ws = weights.tolist()
     return {v: dict(zip(nbrs[a:b], ws[a:b])) for v, a, b in zip(vertices, bounds, bounds[1:])}
 
 
@@ -297,10 +327,11 @@ def build_unit_disk_digraph(
     heads = rank[np.concatenate((j[fwd], i[bwd]))]
     weights = np.concatenate((w[fwd], w[bwd]))
     del i, j, d, w, fwd, bwd
-    out = _adjacency(vertices, tails, heads, weights)
+    arcs = _sorted_arcs(tails, heads, weights)
+    out = _adjacency(vertices, *arcs)
     # symmetric arcs come in pairs of equal weight, so both directions read alike
-    in_ = out if symmetric else _adjacency(vertices, heads, tails, weights)
-    return Digraph._from_adjacency(vertices, out, in_)
+    in_ = out if symmetric else _adjacency(vertices, *_sorted_arcs(heads, tails, weights))
+    return Digraph._from_adjacency(vertices, out, in_, arcs)
 
 
 def perturb_weights(g: Digraph, seed: int, scale: float = 1e-9) -> Digraph:
@@ -324,6 +355,76 @@ def hop_distance(g: Digraph, u: NodeId, v: NodeId) -> int | None:
     return None if path is None else path.hops
 
 
+def shortest_path_tree(
+    g: Digraph,
+    source: NodeId,
+    target: NodeId | None = None,
+    weight_fn: WeightFn | None = None,
+    unit: bool = False,
+    reverse: bool = False,
+) -> tuple[dict[NodeId, float], dict[NodeId, NodeId | None]]:
+    """The lexicographic shortest-path tree from ``source`` as ``(dist, parent)``.
+
+    ``dist`` maps every settled vertex to its length, in settle order;
+    ``parent[v]`` is the vertex before v on its path (None for ``source``), for
+    every settled v.  A vertex's length is the exact float sum of its path's
+    costs from the source.  Among equal lengths its path is the one with the
+    smallest source-first vertex-id sequence: an equal candidate replaces the
+    parent only when its sequence, head included, is smaller.  Every path of
+    equal length comes from a vertex settled strictly earlier, so the choice
+    is final when v settles; that needs each cost to lengthen a path, so a
+    cost that is not positive raises ``ValueError``.  The search stops once
+    ``target`` settles.
+    ``unit`` prices every arc at 1 (hop metric); ``weight_fn`` substitutes an
+    arbitrary positive per-arc cost.  With ``reverse`` the arcs are followed
+    backwards, so the path of ``v`` runs source, ..., v against the arcs and
+    read backwards is the v->source path: ``parent[v]`` is v's next hop.
+    """
+    g._require(source)
+    if target is not None:
+        g._require(target)
+    adj = g._in if reverse else g._out
+    dist: dict[NodeId, float] = {}
+    best: dict[NodeId, float] = {source: 0.0}
+    parent: dict[NodeId, NodeId | None] = {source: None}
+    heap: list[tuple[float, NodeId]] = [(0.0, source)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in dist:
+            continue
+        dist[v] = d
+        if v == target:
+            break
+        for nb, cost in adj[v].items():
+            if nb in dist:
+                continue
+            if unit:
+                cost = 1.0
+            elif weight_fn is not None:
+                arc = (nb, v) if reverse else (v, nb)
+                cost = weight_fn(*arc, cost)
+                if not cost > 0:
+                    raise ValueError(f"non-positive cost {cost} on arc {arc!r}")
+            nd = d + cost
+            old = best.get(nb)
+            if old is None or nd < old:
+                best[nb] = nd
+                parent[nb] = v
+                heapq.heappush(heap, (nd, nb))
+            elif nd == old and _path(parent, v) + (nb,) < _path(parent, parent[nb]) + (nb,):
+                parent[nb] = v
+    return dist, parent
+
+
+def _path(parent: dict[NodeId, NodeId | None], v: NodeId) -> tuple[NodeId, ...]:
+    """The source-first vertex sequence of ``v`` in a ``parent`` tree."""
+    seq = []
+    while v is not None:
+        seq.append(v)
+        v = parent[v]
+    return tuple(reversed(seq))
+
+
 def shortest_paths(
     g: Digraph,
     source: NodeId,
@@ -332,51 +433,10 @@ def shortest_paths(
     unit: bool = False,
     reverse: bool = False,
 ) -> dict[NodeId, PathResult]:
-    """Lexicographic shortest-path tree from ``source``: one path per settled vertex.
-
-    Heap entries carry the whole candidate path, so equal-length paths pop in
-    lexicographic order: ties break on the exact float sum, then on the
-    smallest vertex-id sequence.  A candidate longer than one already queued
-    for its vertex is never pushed, since it could only pop after that vertex
-    settled.  The search stops once ``target`` settles.
-    ``unit`` prices every arc at 1 (hop metric); ``weight_fn`` substitutes an
-    arbitrary positive per-arc cost.  With ``reverse`` the arcs are followed
-    backwards, so the path of ``v`` runs source, ..., v against the arcs and
-    read backwards is the v->source path.
-    """
-    g._require(source)
-    if target is not None:
-        g._require(target)
-    adj = g._in if reverse else g._out
-    tree: dict[NodeId, PathResult] = {}
-    tentative: dict[NodeId, float] = {source: 0.0}
-    heap: list[tuple[float, tuple[NodeId, ...]]] = [(0.0, (source,))]
-    while heap:
-        d, path = heapq.heappop(heap)
-        v = path[-1]
-        if v in tree:
-            continue
-        tree[v] = PathResult(path, d, len(path) - 1)
-        if v == target:
-            break
-        for nb, w in adj[v].items():
-            if nb in tree:
-                continue
-            if unit:
-                cost = 1.0
-            elif weight_fn is None:
-                cost = w
-            else:
-                arc = (nb, v) if reverse else (v, nb)
-                cost = weight_fn(*arc, w)
-                if cost < 0:
-                    raise ValueError(f"negative cost on arc {arc!r}")
-            nd = d + cost
-            if nd > tentative.get(nb, math.inf):
-                continue
-            tentative[nb] = nd
-            heapq.heappush(heap, (nd, path + (nb,)))
-    return tree
+    """``shortest_path_tree`` with the path of every settled vertex, in settle order."""
+    dist, parent = shortest_path_tree(g, source, target, weight_fn, unit, reverse)
+    paths = {v: _path(parent, v) for v in dist}
+    return {v: PathResult(path, dist[v], len(path) - 1) for v, path in paths.items()}
 
 
 def shortest_path(
@@ -387,7 +447,11 @@ def shortest_path(
     unit: bool = False,
 ) -> PathResult | None:
     """Minimum-weight x->y path of the lexicographic tree, or None when unreachable."""
-    return shortest_paths(g, x, y, weight_fn, unit).get(y)
+    dist, parent = shortest_path_tree(g, x, y, weight_fn, unit)
+    if y not in dist:
+        return None
+    path = _path(parent, y)
+    return PathResult(path, dist[y], len(path) - 1)
 
 
 def single_source_distances(
@@ -401,7 +465,7 @@ def single_source_distances(
     With ``reverse`` the arcs are followed backwards, giving the distance
     *to* ``source`` from every vertex.  Missing keys mean unreachable.
     """
-    return {v: p.length for v, p in shortest_paths(g, source, unit=unit, reverse=reverse).items()}
+    return shortest_path_tree(g, source, unit=unit, reverse=reverse)[0]
 
 
 def set_distance(
@@ -443,7 +507,7 @@ def is_connected(g: Digraph) -> bool:
     """
     if len(g) == 0:
         return False
-    return len(shortest_paths(g, g.vertices[0], unit=True)) == len(g)
+    return len(single_source_distances(g, g.vertices[0], unit=True)) == len(g)
 
 
 def random_connected_unit_disk(

@@ -9,7 +9,6 @@ which bound the stretch of routing through cells.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -198,11 +197,7 @@ def build_boundary_dual_graph(g: Digraph, cells: BoundaryCellMap) -> BoundaryDua
         from_seed[[rank[v] for v in dist]] = list(dist.values())
         dist = single_source_distances(sub, s, reverse=True)
         to_seed[[rank[v] for v in dist]] = list(dist.values())
-    # every arc of g in g.arcs() order, as (tail, head) vertex indices
-    adjacency = [g._out[v] for v in vertices]
-    tails = np.repeat(np.arange(len(vertices)), [len(nbrs) for nbrs in adjacency])
-    heads = np.fromiter(map(rank.__getitem__, chain.from_iterable(adjacency)), np.intp, len(tails))
-    weights = np.fromiter(chain.from_iterable(nbrs.values() for nbrs in adjacency), float, len(tails))
+    tails, heads, weights = g.arc_arrays()
     composed = (from_seed[tails] + weights) + to_seed[heads]
     crossing = np.flatnonzero((cell[tails] != cell[heads]) & ~np.isnan(composed))
     pair = cell[tails[crossing]] * len(subgraphs) + cell[heads[crossing]]

@@ -25,7 +25,7 @@ from .graph import (
     NodePos,
     WeightFn,
     shortest_path,
-    shortest_paths,
+    shortest_path_tree,
 )
 from .regions import BoundaryCellMap, BoundaryDualGraph
 
@@ -121,13 +121,12 @@ def _tree_next_hops(
 ) -> dict[NodeId, NodeId]:
     """Next hop toward ``target`` for every vertex of ``g`` that reaches it.
 
-    Read off the reversed lexicographic tree: the path of ``v`` runs target,
-    ..., next hop, v, so equal-length routes break ties on the sequence that
-    starts at ``target``, as the exit arcs of ``build_res_tables`` do.
-    Vertices that cannot reach ``target`` get no entry.
+    Read off the reversed lexicographic tree, in which a vertex's parent is
+    its next hop, so equal-length routes break ties on the sequence that
+    starts at ``target``.  Vertices that cannot reach ``target`` get no entry.
     """
-    tree = shortest_paths(g, target, weight_fn=weight_fn, reverse=True)
-    return {v: p.vertices[-2] for v, p in tree.items() if v != target}
+    dist, parent = shortest_path_tree(g, target, weight_fn=weight_fn, reverse=True)
+    return {v: parent[v] for v in dist if v != target}
 
 
 def build_res_tables(
@@ -146,11 +145,9 @@ def build_res_tables(
     sink_cell = cells.cell_of[sink]
 
     # shortest dual route from every cell toward the sink cell: the reversed
-    # lexicographic tree, whose path of c runs sink_cell, ..., next cell, c
-    tree = shortest_paths(dual.graph, sink_cell, reverse=True)
-    exit_arc = {
-        c: dual.arcs[(c, path.vertices[-2])] for c, path in tree.items() if c != sink_cell
-    }
+    # lexicographic tree, in which a cell's parent is its next cell
+    next_cell = _tree_next_hops(dual.graph, sink_cell)
+    exit_arc = {c: dual.arcs[(c, nxt)] for c, nxt in next_cell.items()}
 
     next_hop: dict[NodeId, NodeId] = {}
     stranded: list[NodeId] = []

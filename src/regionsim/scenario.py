@@ -261,6 +261,7 @@ def deploy(config: ScenarioConfig, seed: int) -> Deployment:
         if region not in boundary or d < boundary[region][0]:
             boundary[region] = (d, i)
     seeds = tuple(sorted(i for _, i in boundary.values()))
+    seed_set = set(seeds)
 
     nodes: dict[NodeId, NodePos] = {}
     for i, (x, y, region) in positions.items():
@@ -269,7 +270,7 @@ def deploy(config: ScenarioConfig, seed: int) -> Deployment:
             x=x,
             y=y,
             radio_range=config.radio_range,
-            is_boundary_node=i in seeds,
+            is_boundary_node=i in seed_set,
             region_id=region,
         )
     sink_id = count

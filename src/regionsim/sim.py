@@ -50,7 +50,11 @@ Model notes:
   * Coverage.  Set-up indexes the sample points within sensing range of
     each sensor and counts, per point, the sensors covering it; a death
     subtracts the dead sensor's points, so a report's coverage is the share
-    of points whose count is nonzero, as a Python float.
+    of points whose count is nonzero, as a Python float.  The index tests
+    the sensors in x order, a chunk of at most COVER_PLACES tests (or one
+    sensor) at a time, against one window of the x-sorted points; a point
+    outside a sensor's own window fails its test, so each sensor covers the
+    same points as in a test of its own window alone.
   * Ledger layout.  Each sensor's spends are one flat [tx, rx, sense, sleep]
     list in EnergyLedger.rows.  Only the epoch step works on those rows
     directly: it replays EnergyLedger.accrue, charge and remaining, whose
@@ -60,13 +64,10 @@ Model notes:
 """
 
 import csv
-import heapq
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -99,14 +100,18 @@ from .scenario import ScenarioConfig, ScenarioError, deploy, scenario_to_dict
 COVERAGE_SAMPLES = 10_000
 # floats per array of one block of the epoch step (256 KB)
 BLOCK_PLACES = 1 << 15
+# floats per array of one chunk of the coverage index (128 KB); of 2^13 to
+# 2^17, the fastest or within noise of it on the default, dense and sparse fields
+COVER_PLACES = 1 << 14
 
 
 class SimulationError(RuntimeError):
     """A run aborted; the message carries the failing seed."""
 
 
-# Timeline event kinds, doubling as their order within one timestamp.
-INIT, TICK, REPORT = 0, 1, 2
+# Kinds of the timeline events other than ticks, doubling as their order
+# within one timestamp; a tick goes after an init and before a report.
+INIT, REPORT = 0, 1
 
 
 @dataclass(frozen=True)
@@ -280,7 +285,19 @@ class _Run:
 
     def _setup_coverage(self):
         """Index which sample points each sensor covers, and count per point
-        the sensors covering it; a death subtracts its points."""
+        the sensors covering it; a death subtracts its points.
+
+        The points are sorted by x, and each sensor's window is the points
+        within ``pad`` of its x.  The sensors are taken in x order, in chunks
+        whose span of windows times their count stays within COVER_PLACES
+        (one sensor at least), and each chunk is tested against that one
+        span.  A point outside a sensor's own window is more than r from it
+        in x alone (the 1e-9 margin of ``pad`` exceeds the rounding of x +-
+        pad unless r is below about 1e-6 of x), so it fails the test, and the
+        covered sets are those of a test window by window.  Each sensor keeps
+        its window ``(lo, hi)`` and its row of the test there; counts are
+        kept in x order.
+        """
         rng = np.random.default_rng([abs(self.seed), 0x5EED])
         pts = rng.random((COVERAGE_SAMPLES, 2))
         pts[:, 0] *= self.config.area_width
@@ -292,16 +309,33 @@ class _Run:
         by_x = np.argsort(pts[:, 0], kind="stable")
         xs = pts[by_x, 0]
         ys = pts[by_x, 1]
-        self._covers: dict[NodeId, np.ndarray] = {}
+        sx = np.array([self.nodes[v].x for v in self.sensors])
+        sy = np.array([self.nodes[v].y for v in self.sensors])
+        order = np.argsort(sx, kind="stable")
+        sx, sy = sx[order], sy[order]
+        sensors = [self.sensors[k] for k in order.tolist()]
+        # both ascend, since the sensors do
+        lo = np.searchsorted(xs, sx - pad).tolist()
+        hi = np.searchsorted(xs, sx + pad, "right").tolist()
+        self._covers: dict[NodeId, tuple[int, int, np.ndarray]] = {}
         self._cover_count = np.zeros(COVERAGE_SAMPLES, dtype=np.int32)
-        for v in self.sensors:
-            x, y = self.nodes[v].x, self.nodes[v].y
-            lo, hi = np.searchsorted(xs, x - pad), np.searchsorted(xs, x + pad, "right")
-            dx = xs[lo:hi] - x
-            dy = ys[lo:hi] - y
-            covers = by_x[lo:hi][(dx * dx + dy * dy) <= r2]
-            self._covers[v] = covers
-            self._cover_count[covers] += 1
+        i, n = 0, len(sensors)
+        while i < n:
+            j = i + 1
+            while j < n and (j + 1 - i) * (hi[j] - lo[i]) <= COVER_PLACES:
+                j += 1
+            a, b = lo[i], hi[j - 1]
+            dx = xs[a:b] - sx[i:j, None]
+            dy = ys[a:b] - sy[i:j, None]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            covered = dx <= r2
+            del dx, dy
+            self._cover_count[a:b] += covered.sum(axis=0, dtype=np.int32)
+            for v, row, l, h in zip(sensors[i:j], covered, lo[i:j], hi[i:j]):
+                self._covers[v] = (l, h, row[l - a : h - a])
+            i = j
 
     def _setup_protocol(self):
         sink_nb = neighborhoods(self.g, self.sink).all_nodes
@@ -401,28 +435,28 @@ class _Run:
             self._impulse(v, self.mode[v], 0.0)
         self._report()
 
-    def _timeline(self):
-        """Every event but the deaths, as sorted (time, kind) pairs."""
-        t_init = self.config.init_phase_s
-        interval = self.config.report_interval_s
-        reports = []
-        k = 1
-        while k * interval < self.duration - 1e-9:
-            reports.append((k * interval, REPORT))
-            k += 1
-        reports.append((self.duration, REPORT))
-        return heapq.merge([(t_init, INIT)], self._ticks(t_init), reports)
-
-    def _ticks(self, t: float):
+    def _timeline(self) -> tuple[list[float], list[tuple[float, int]]]:
+        """Every event but the deaths: the tick times, and the init and report
+        events as sorted (time, kind) pairs."""
+        t = t_init = self.config.init_phase_s
         # t_init always sends (it lies inside the run); each later instant adds
         # 1 / rate to the previous one, which gives other floats than
         # t_init + k / rate
         step = 1.0 / self.config.packet_rate_hz
+        ticks = []
         while True:
-            yield t, TICK
+            ticks.append(t)
             t += step
             if not t < self.duration - 1e-9:
-                return
+                break
+        interval = self.config.report_interval_s
+        events = [(t_init, INIT)]
+        k = 1
+        while k * interval < self.duration - 1e-9:
+            events.append((k * interval, REPORT))
+            k += 1
+        events.append((self.duration, REPORT))
+        return ticks, sorted(events)
 
     # -- accounting ------------------------------------------------------
     # Callers pass live nodes only.
@@ -452,7 +486,8 @@ class _Run:
         if remaining <= DEATH_EPSILON_J:
             self.alive.discard(v)
             self.deaths.append((now, v))
-            self._cover_count[self._covers[v]] -= 1
+            lo, hi, covered = self._covers[v]
+            self._cover_count[lo:hi] -= covered
             return
         # remaining > DEATH_EPSILON_J, so t >= now
         t = now + remaining / self.drain_w[self.mode[v]]
@@ -466,28 +501,28 @@ class _Run:
     # -- event handlers ----------------------------------------------------
 
     def _loop(self):
-        # Every due time falls at or before the last report, at the run's
-        # end, so _due is empty once the timeline is.
-        for kind, events in groupby(self._timeline(), key=itemgetter(1)):
-            times = [t for t, _ in events]
-            if kind != TICK:
-                handle = self._handle_init if kind == INIT else self._report
-                for t in times:
-                    self._settle_due(t)
-                    self.now = t
-                    handle()
-                continue
-            i = 0
-            while i < len(times):
-                self._settle_due(times[i])
-                ticks = times[i : bisect_left(times, self._next_due, i)]
-                k = self._bulk_ticks(ticks)
+        # Every tick and every due time falls at or before the last report,
+        # at the run's end, so both are spent once the events are.
+        ticks, events = self._timeline()
+        i = 0
+        for t, kind in events:
+            # the ticks before this event: init < tick < report at one time
+            end = (bisect_left if kind == INIT else bisect_right)(ticks, t, i)
+            while i < end:
+                self._settle_due(ticks[i])
+                k = self._bulk_ticks(ticks[i : bisect_left(ticks, self._next_due, i, end)])
                 i += k
-                if k < len(ticks) and ticks[k] < self._next_due:
+                if i < end and ticks[i] < self._next_due:
                     # the tick in which a node dies
-                    self.now = ticks[k]
+                    self.now = ticks[i]
                     self._handle_tick()
                     i += 1
+            self._settle_due(t)
+            self.now = t
+            if kind == INIT:
+                self._handle_init()
+            else:
+                self._report()
 
     def _settle_due(self, t: float):
         """Settle every due time at or before t: smallest time first, then

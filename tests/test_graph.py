@@ -1,6 +1,7 @@
 """Graph core: construction, neighborhoods, and distance queries against
 independent oracles (arc scans, BFS, Floyd-Warshall)."""
 
+import heapq
 import math
 import random
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from regionsim.graph import (
     Digraph,
     NodePos,
+    PathResult,
     build_unit_disk_digraph,
     hop_distance,
     is_connected,
@@ -19,6 +21,7 @@ from regionsim.graph import (
     random_connected_unit_disk,
     set_distance,
     shortest_path,
+    shortest_path_tree,
     shortest_paths,
     single_source_distances,
 )
@@ -181,6 +184,9 @@ def assert_same_adjacency(g, ref):
         assert g.in_neighbors(v) == ref.in_neighbors(v)
         for got, want in ((g._out[v], ref._out[v]), (g._in[v], ref._in[v])):
             assert [w.hex() for w in got.values()] == [w.hex() for w in want.values()]
+    # the builder's arc arrays against those built on demand from the adjacency
+    for got, want in zip(g.arc_arrays(), ref.arc_arrays()):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def relabelled(nodes):
@@ -429,6 +435,118 @@ def test_shortest_paths_reverse_equals_reversed_graph():
             for v in g.vertices:
                 assert tree.get(v) == shortest_path(rg, s, v)
                 assert priced.get(v) == shortest_path(rg, s, v, weight_fn=swapped)
+
+
+def path_tuple_tree(g, source, target=None, weight_fn=None, unit=False, reverse=False):
+    """Reference search: heap entries carry the whole candidate path, so
+    equal-length paths pop in lexicographic order."""
+    adj = g._in if reverse else g._out
+    tree = {}
+    tentative = {source: 0.0}
+    heap = [(0.0, (source,))]
+    while heap:
+        d, path = heapq.heappop(heap)
+        v = path[-1]
+        if v in tree:
+            continue
+        tree[v] = PathResult(path, d, len(path) - 1)
+        if v == target:
+            break
+        for nb, w in adj[v].items():
+            if nb in tree:
+                continue
+            if unit:
+                cost = 1.0
+            elif weight_fn is None:
+                cost = w
+            else:
+                cost = weight_fn(*((nb, v) if reverse else (v, nb)), w)
+            nd = d + cost
+            if nd > tentative.get(nb, math.inf):
+                continue
+            tentative[nb] = nd
+            heapq.heappush(heap, (nd, path + (nb,)))
+    return tree
+
+
+def string_ids(g):
+    """The same digraph on string ids, whose sorted order is not the int order."""
+    return Digraph((f"v{v}" for v in g.vertices), {(f"v{u}", f"v{v}"): w for u, v, w in g.arcs()})
+
+
+def tie_heavy_graphs(seed):
+    rng = random.Random(seed)
+    graphs = [tie_heavy_digraph(rng, rng.randint(2, 25), rng.choice([0.15, 0.3, 0.6]))
+              for _ in range(30)]
+    return graphs + [string_ids(g) for g in graphs[:10]]
+
+
+SQUARED = lambda u, v, w: w * w  # noqa: E731 - integer weights, so ties stay exact
+
+
+@pytest.mark.parametrize("metric", ["weight", "unit", "weight_fn"])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_parent_tree_equals_path_tuple_oracle(metric, reverse):
+    kw = {"unit": metric == "unit", "weight_fn": SQUARED if metric == "weight_fn" else None}
+    for g in tie_heavy_graphs(61):
+        for s in g.vertices:
+            want = path_tuple_tree(g, s, reverse=reverse, **kw)
+            assert shortest_paths(g, s, reverse=reverse, **kw) == want
+            dist, parent = shortest_path_tree(g, s, reverse=reverse, **kw)
+            assert dist == {v: p.length for v, p in want.items()}
+            assert {v: parent[v] for v in dist} == {
+                v: p.vertices[-2] if p.hops else None for v, p in want.items()
+            }
+            if not kw["unit"]:
+                assert single_source_distances(g, s, reverse=reverse) == {
+                    v: p.length for v, p in path_tuple_tree(g, s, reverse=reverse).items()
+                }
+
+
+@pytest.mark.parametrize("metric", ["weight", "unit", "weight_fn"])
+def test_parent_search_stopped_at_a_target_equals_path_tuple_oracle(metric):
+    kw = {"unit": metric == "unit", "weight_fn": SQUARED if metric == "weight_fn" else None}
+    for g in tie_heavy_graphs(67):
+        for s in g.vertices:
+            full = path_tuple_tree(g, s, **kw)
+            for t in g.vertices:
+                got = shortest_paths(g, s, target=t, **kw)
+                assert (t in got) == (t in full)
+                assert all(full[v] == p for v, p in got.items())
+                assert shortest_path(g, s, t, **kw) == full.get(t)
+
+
+def test_next_hops_equal_path_tuple_oracle():
+    from regionsim.routing import _tree_next_hops, build_mte_table
+
+    def oracle_next_hops(g, sink, weight_fn):
+        tree = path_tuple_tree(g, sink, weight_fn=weight_fn, reverse=True)
+        return {v: p.vertices[-2] for v, p in tree.items() if v != sink}
+
+    for g in tie_heavy_graphs(71):
+        for sink in g.vertices:
+            for weight_fn in (None, SQUARED):
+                assert _tree_next_hops(g, sink, weight_fn) == oracle_next_hops(g, sink, weight_fn)
+            mte = oracle_next_hops(g, sink, lambda u, v, w: w**3.0)
+            assert build_mte_table(g, sink, alpha=3.0).next_hop == mte
+
+
+def test_equal_length_tie_compares_the_head_against_a_longer_path():
+    # (0, 5) and (0, 1, 5) both weigh 2; 0 is a prefix of (0, 1), but with the
+    # head the sequences compare 1 < 5, so 5 takes the path through 1
+    g = Digraph(range(6), {(0, 5): 2.0, (0, 1): 1.0, (1, 5): 1.0})
+    assert shortest_paths(g, 0)[5].vertices == (0, 1, 5)
+    assert shortest_path_tree(g, 0)[1][5] == 1
+    # and the direct arc stays when the head is the smaller vertex
+    g = Digraph(range(3), {(1, 0): 2.0, (1, 2): 1.0, (2, 0): 1.0})
+    assert shortest_path(g, 1, 0).vertices == (1, 0)
+
+
+@pytest.mark.parametrize("cost", [0.0, -1.0, math.nan])
+def test_non_positive_cost_raises(cost):
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="non-positive cost"):
+        shortest_path(g, "v0", "v2", weight_fn=lambda u, v, w: cost)
 
 
 def test_shortest_paths_ties_on_exact_float_sums():

@@ -419,16 +419,17 @@ def test_dead_network_has_zero_coverage():
     assert series[-1][1] == 0.0
 
 
-def brute_force_coverage_pct(config, seed, alive):
+def brute_force_coverage_pct(config, seed, alive, nodes=None):
     """Coverage of the alive set from scratch: every alive sensor against
-    every sample point, in blocks of 64 sensors."""
+    every sample point, in blocks of 64 sensors.  ``nodes`` defaults to the
+    seed's deployment."""
     rng = np.random.default_rng([abs(seed), 0x5EED])
     pts = rng.random((COVERAGE_SAMPLES, 2))
     pts[:, 0] *= config.area_width
     pts[:, 1] *= config.area_height
     if not alive:
         return 0.0
-    nodes = deploy(config, seed).nodes
+    nodes = deploy(config, seed).nodes if nodes is None else nodes
     ids = sorted(alive)
     xs = np.array([nodes[v].x for v in ids])
     ys = np.array([nodes[v].y for v in ids])
@@ -444,6 +445,23 @@ SPARSE = ScenarioConfig(area_width=640.0, area_height=640.0, node_count=1120,
                         radio_range=60.0, sim_duration_s=600.0, report_interval_s=300.0)
 
 
+def assert_coverage_equals_brute_force(config, seed, nodes=None):
+    """Every report's coverage equals the brute force over its alive set."""
+    report = run(config, seed)
+    sensors = set(deploy(config, seed).sensor_ids)
+    oracle = {}
+    for row in report.intervals:
+        # deaths settle before a report at the same time
+        alive = frozenset(sensors - {v for t, v in report.deaths if t <= row.t_s})
+        assert len(alive) == row.alive
+        if alive not in oracle:
+            oracle[alive] = brute_force_coverage_pct(config, seed, alive, nodes)
+        assert row.coverage_pct == oracle[alive], row.t_s
+    if report.deaths:
+        # the deaths moved the coverage the test compares
+        assert len({row.coverage_pct for row in report.intervals}) > 1
+
+
 @pytest.mark.parametrize(
     "config, seed",
     [
@@ -453,24 +471,41 @@ SPARSE = ScenarioConfig(area_width=640.0, area_height=640.0, node_count=1120,
         (ScenarioConfig(protocol="mte"), 2),
         (SPARSE, 3),
         (DEAD_NETWORK, None),
+        # a sensing range wider than the 80 m field: every window is every point
+        (replace(DEAD_NETWORK, sensing_range=200.0), None),
+        (ScenarioConfig(node_count=280, sim_duration_s=1200.0), 2),
     ],
-    ids=["draining-res", "draining-dt", "default-mte", "sparse-res", "dead-network"],
+    ids=["draining-res", "draining-dt", "default-mte", "sparse-res", "dead-network",
+         "wide-range", "dense-res"],
 )
 def test_coverage_equals_brute_force_at_every_report(config, seed):
-    seed = config.seed if seed is None else seed
-    report = run(config, seed)
-    sensors = set(deploy(config, seed).sensor_ids)
-    oracle = {}
-    for row in report.intervals:
-        # deaths settle before a report at the same time
-        alive = frozenset(sensors - {v for t, v in report.deaths if t <= row.t_s})
-        assert len(alive) == row.alive
-        if alive not in oracle:
-            oracle[alive] = brute_force_coverage_pct(config, seed, alive)
-        assert row.coverage_pct == oracle[alive], row.t_s
-    if report.deaths:
-        # the deaths moved the coverage the test compares
-        assert len({row.coverage_pct for row in report.intervals}) > 1
+    assert_coverage_equals_brute_force(config, config.seed if seed is None else seed)
+
+
+# one region, a range wider than the field and a battery that dies early
+ONE_REGION = replace(DEAD_NETWORK, area_width=40.0, area_height=40.0, sink_x=20.0, sink_y=20.0,
+                     sessions=1, sensing_range=100.0)
+
+
+@pytest.mark.parametrize("sensors", [1, 2, 3, 4])
+def test_coverage_index_chunks_match_brute_force(monkeypatch, sensors):
+    # every sensor's window is every point, so a chunk holds exactly three
+    # sensors: the counts are one sensor, one below, at and above a chunk
+    monkeypatch.setattr(sim, "COVER_PLACES", 3 * COVERAGE_SAMPLES)
+    config = replace(ONE_REGION, node_count=sensors)
+    assert_coverage_equals_brute_force(config, config.seed)
+
+
+def test_coverage_index_with_sensors_sharing_x(monkeypatch):
+    config = replace(DRAINING, sensing_range=20.0, report_interval_s=30.0)
+    deployment = deploy(config, config.seed)
+    # x on a 20 m grid: at most five columns of 19 nodes on the 80 m field
+    nodes = {v: replace(n, x=round(n.x / 20.0) * 20.0) for v, n in deployment.nodes.items()}
+    assert len({n.x for n in nodes.values()}) <= 5
+    monkeypatch.setattr(sim, "deploy", lambda config, seed: replace(deployment, nodes=nodes))
+    # chunks of several sensors, which split the columns
+    monkeypatch.setattr(sim, "COVER_PLACES", 4 * COVERAGE_SAMPLES // 3)
+    assert_coverage_equals_brute_force(config, config.seed, nodes)
 
 
 def test_run_deterministic():
