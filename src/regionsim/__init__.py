@@ -38,7 +38,6 @@ from .graph import (
     random_connected_unit_disk,
     set_distance,
     shortest_path,
-    shortest_path_tree,
     shortest_paths,
 )
 from .regions import (

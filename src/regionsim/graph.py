@@ -7,7 +7,9 @@ Unreachable is always reported as ``None``, never a sentinel number.
 Every search is one routine, ``shortest_path_tree``: the lexicographic
 shortest-path tree, where equal-weight paths break ties on the smallest
 source-first vertex-id sequence, as one ``dist`` and one ``parent`` dict.
-Ties are settled on parent pointers, which needs every cost to be positive.
+Ties are settled on parent pointers, which needs every arc to lengthen
+the path it extends, as a float sum: a search raises where one that could
+tie a length does not.
 Distances, connectivity, the ``res`` and ``mte`` next hops and the dual tree
 read the two dicts; ``shortest_path`` and ``shortest_paths`` rebuild vertex
 sequences from the parents for what they return.
@@ -138,7 +140,7 @@ class Digraph:
 
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every arc as ``(tails, heads, weights)`` arrays in ``arcs()`` order,
-        tails and heads as indices into ``vertices``; built once."""
+        tails and heads as indices into ``vertices``; built once, read-only."""
         if self._arc_arrays is None:
             rank = {v: k for k, v in enumerate(self._vertices)}
             adjacency = [self._out[v] for v in self._vertices]
@@ -146,7 +148,7 @@ class Digraph:
             n = len(tails)
             heads = np.fromiter(map(rank.__getitem__, chain.from_iterable(adjacency)), np.intp, n)
             weights = np.fromiter(chain.from_iterable(nbrs.values() for nbrs in adjacency), float, n)
-            self._arc_arrays = (tails, heads, weights)
+            self._arc_arrays = _read_only(tails, heads, weights)
         return self._arc_arrays
 
     @property
@@ -331,7 +333,14 @@ def build_unit_disk_digraph(
     out = _adjacency(vertices, *arcs)
     # symmetric arcs come in pairs of equal weight, so both directions read alike
     in_ = out if symmetric else _adjacency(vertices, *_sorted_arcs(heads, tails, weights))
-    return Digraph._from_adjacency(vertices, out, in_, arcs)
+    return Digraph._from_adjacency(vertices, out, in_, _read_only(*arcs))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays`` with writes switched off, so a graph's arc arrays stay its own."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def perturb_weights(g: Digraph, seed: int, scale: float = 1e-9) -> Digraph:
@@ -372,9 +381,13 @@ def shortest_path_tree(
     smallest source-first vertex-id sequence: an equal candidate replaces the
     parent only when its sequence, head included, is smaller.  Every path of
     equal length comes from a vertex settled strictly earlier, so the choice
-    is final when v settles; that needs each cost to lengthen a path, so a
-    cost that is not positive raises ``ValueError``.  The search stops once
-    ``target`` settles.
+    is final when v settles.  That needs every arc to lengthen the path it
+    extends, so a relaxation whose float sum is not greater than the tail's
+    length raises ``ValueError``: a zero, negative or NaN cost, or a positive
+    one lost to rounding.  That is checked on every arc but those into a
+    vertex already settled at a shorter length, which no arc can tie.  With
+    a ``target`` the search stops once every vertex of the target's length
+    has settled, so every arc that could tie that length is checked.
     ``unit`` prices every arc at 1 (hop metric); ``weight_fn`` substitutes an
     arbitrary positive per-arc cost.  With ``reverse`` the arcs are followed
     backwards, so the path of ``v`` runs source, ..., v against the arcs and
@@ -388,24 +401,32 @@ def shortest_path_tree(
     best: dict[NodeId, float] = {source: 0.0}
     parent: dict[NodeId, NodeId | None] = {source: None}
     heap: list[tuple[float, NodeId]] = [(0.0, source)]
+    stop = math.inf
     while heap:
         d, v = heapq.heappop(heap)
         if v in dist:
             continue
+        if d > stop:
+            break
         dist[v] = d
         if v == target:
-            break
+            stop = d
         for nb, cost in adj[v].items():
-            if nb in dist:
+            # a vertex settled shorter keeps its parent in the path-tuple
+            # order too; one settled at d could still take a tie from v
+            settled = dist.get(nb)
+            if settled is not None and settled < d:
                 continue
             if unit:
                 cost = 1.0
             elif weight_fn is not None:
-                arc = (nb, v) if reverse else (v, nb)
-                cost = weight_fn(*arc, cost)
-                if not cost > 0:
-                    raise ValueError(f"non-positive cost {cost} on arc {arc!r}")
+                cost = weight_fn(*((nb, v) if reverse else (v, nb)), cost)
             nd = d + cost
+            if not nd > d:
+                arc = (nb, v) if reverse else (v, nb)
+                raise ValueError(f"cost {cost} on arc {arc!r} does not lengthen length {d}")
+            if settled is not None:
+                continue
             old = best.get(nb)
             if old is None or nd < old:
                 best[nb] = nd

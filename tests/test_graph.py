@@ -187,6 +187,7 @@ def assert_same_adjacency(g, ref):
     # the builder's arc arrays against those built on demand from the adjacency
     for got, want in zip(g.arc_arrays(), ref.arc_arrays()):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable and not want.flags.writeable
 
 
 def relabelled(nodes):
@@ -545,8 +546,20 @@ def test_equal_length_tie_compares_the_head_against_a_longer_path():
 @pytest.mark.parametrize("cost", [0.0, -1.0, math.nan])
 def test_non_positive_cost_raises(cost):
     g = path_graph(3)
-    with pytest.raises(ValueError, match="non-positive cost"):
+    with pytest.raises(ValueError, match="does not lengthen"):
         shortest_path(g, "v0", "v2", weight_fn=lambda u, v, w: cost)
+
+
+def test_positive_cost_lost_to_rounding_raises():
+    # ulp(1e16) is 2, so (1e16 + 2) + 0.5 rounds back to 1e16 + 2: the route
+    # through 2 ties the one through 3 only after 1 has settled through 3.
+    # The path-tuple search settles (0, 2, 1); parents cannot, so it raises.
+    g = Digraph(range(4), {(0, 2): 1e16 + 2, (0, 3): 1e16, (3, 1): 2.0, (2, 1): 0.5})
+    assert path_tuple_tree(g, 0)[1].vertices == (0, 2, 1)
+    with pytest.raises(ValueError, match="does not lengthen"):
+        shortest_path_tree(g, 0)
+    with pytest.raises(ValueError, match="does not lengthen"):
+        shortest_path(g, 0, 1)
 
 
 def test_shortest_paths_ties_on_exact_float_sums():
