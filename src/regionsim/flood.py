@@ -241,13 +241,11 @@ def naive_flood_count(g: Digraph, seeds: Iterable[NodeId]) -> int:
 
     Every node rebroadcasts each seed's flood once, on first receipt, across
     the whole graph; counts are per-link messages.  A seed's count is the
-    out-degree sum of the nodes it reaches.  When every arc has its reverse,
-    that set is the seed's connected component, so one search per component
-    serves every seed in it; otherwise each seed gets its own search.
+    out-degree sum of the nodes it reaches.  On a ``symmetric`` graph that set
+    is the seed's connected component, so one search per component serves
+    every seed in it; otherwise each seed gets its own search.
     """
     seed_tuple = _normalize_seeds(g, seeds)
-    out = g._out
-    symmetric = all(out[v].keys() == g._in[v].keys() for v in g.vertices)
     component_count: dict[NodeId, int] = {}
     total = 0
     for s in seed_tuple:
@@ -256,18 +254,19 @@ def naive_flood_count(g: Digraph, seeds: Iterable[NodeId]) -> int:
             continue
         reached = {s}
         frontier = [s]
-        count = len(out[s])
+        count = 0
         while frontier:
             nxt = []
             for v in frontier:
-                for nb in out[v]:
+                out = g.out_neighbors(v)
+                count += len(out)
+                for nb in out:
                     if nb not in reached:
                         reached.add(nb)
-                        count += len(out[nb])
                         nxt.append(nb)
             frontier = nxt
         total += count
-        if symmetric:
+        if g.symmetric:
             component_count.update(dict.fromkeys(reached, count))
     return total
 

@@ -4,32 +4,25 @@ Vertices are plain node ids (ints or strings, one type per graph).  Graphs are
 immutable after construction, so concurrent read-only queries are safe.
 Unreachable is always reported as ``None``, never a sentinel number.
 
-Every search is one routine, ``shortest_path_tree``: the lexicographic
-shortest-path tree, where equal-weight paths break ties on the smallest
-source-first vertex-id sequence, as one ``dist`` and one ``parent`` dict.
-Ties are settled on parent pointers, which needs every arc to lengthen
-the path it extends, as a float sum: a search raises where one that could
-tie a length does not.
-Distances, connectivity, the ``res`` and ``mte`` next hops and the dual tree
-read the two dicts; ``shortest_path`` and ``shortest_paths`` rebuild vertex
-sequences from the parents for what they return.
+A ``Digraph`` has one layout, sorted CSR: arc arrays in ascending (tail, head)
+order over vertex indices, cut into per-vertex rows.  The public constructor
+sorts and checks every arc; the unit-disk builder and ``Digraph.induced`` hand
+arrays that are already sorted and checked to the private ``_from_arcs``.
+The builder lists candidate pairs with numpy but weighs each pair with
+``math.hypot``: ``np.hypot`` rounds differently on about one pair in 180.
 
-The public ``Digraph`` constructor sorts and checks every arc.  The unit-disk
-builder and ``Digraph.induced`` produce adjacency that is already checked and
-in ascending order, and hand it to the private ``Digraph._from_adjacency``,
-which neither sorts nor checks.  The builder lists candidate pairs with
-numpy, but measures each pair's weight with ``math.hypot`` in Python:
-``np.hypot`` rounds differently on about one random pair in 180, and every
-weight feeds the distances, cells and routes the outputs are built from.  It
-keeps the sorted arc arrays it lays the adjacency out from, which
-``Digraph.arc_arrays`` hands out; other graphs build them once, on demand.
+Every search is one routine, ``shortest_path_tree``, run on vertex indices:
+the lexicographic shortest-path tree, where equal-weight paths break ties on
+the smallest source-first vertex-id sequence.  Ties are settled on parent
+pointers, which needs every arc to lengthen the path it extends, as a float
+sum: a search raises where one that could tie a length does not.
 """
 
 import heapq
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -74,119 +67,131 @@ class PathResult:
 
 
 class Digraph:
-    """Weighted digraph with positive arc weights and no self-loops."""
+    """Weighted digraph with positive arc weights and no self-loops.
+
+    Its arcs are read-only arrays over vertex indices, in ascending (tail,
+    head) order, also cut into per-vertex rows (a list of heads and a view of
+    the weights).  The in-rows are the out-rows when it is ``symmetric``.
+    """
 
     def __init__(self, vertices: Iterable[NodeId], arcs: Mapping[tuple[NodeId, NodeId], float]):
-        self._vertices = tuple(sorted(set(vertices)))
-        vset = set(self._vertices)
-        self._out: dict[NodeId, dict[NodeId, float]] = {v: {} for v in self._vertices}
-        self._in: dict[NodeId, dict[NodeId, float]] = {v: {} for v in self._vertices}
-        for (u, v) in sorted(arcs):
-            w = float(arcs[(u, v)])
-            if u not in vset or v not in vset:
+        vertices = tuple(sorted(set(vertices)))
+        index = {v: k for k, v in enumerate(vertices)}
+        keys = sorted(arcs)
+        weights = [float(arcs[a]) for a in keys]
+        for (u, v), w in zip(keys, weights):
+            if u not in index or v not in index:
                 raise ValueError(f"arc ({u!r}, {v!r}) references unknown vertex")
             if u == v:
                 raise ValueError(f"self-loop on {u!r} not allowed")
-            if w <= 0:
+            if not w > 0:
                 raise ValueError(f"arc ({u!r}, {v!r}) has non-positive weight {w}")
-            self._out[u][v] = w
-            self._in[v][u] = w
-        self._arc_arrays = None
+        tails = np.array([index[u] for u, _ in keys], np.intp)
+        heads = np.array([index[v] for _, v in keys], np.intp)
+        self._lay_out(vertices, tails, heads, np.array(weights, float))
 
     @classmethod
-    def _from_adjacency(
-        cls,
-        vertices: tuple[NodeId, ...],
-        out: dict[NodeId, dict[NodeId, float]],
-        in_: dict[NodeId, dict[NodeId, float]],
-        arc_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    ) -> "Digraph":
-        """Digraph over adjacency that is already checked and ordered.
-
-        ``vertices`` is sorted; ``out[u]`` and ``in_[v]`` hold every vertex,
-        each in ascending neighbour order, with positive float weights and no
-        self-loops, exactly as ``__init__`` would lay them out.  ``in_`` may be
-        ``out`` itself when every arc has its reverse with the same weight.
-        ``arc_arrays``, when given, is what ``arc_arrays()`` would return.
-        Nothing is sorted or re-checked: only builders that guarantee this
-        call it.
-        """
+    def _from_arcs(cls, vertices, tails, heads, weights, symmetric=False) -> "Digraph":
+        """Digraph over arrays sorted and checked as ``__init__`` lays them out;
+        ``symmetric`` promises an equal-weight reverse for every arc."""
         g = cls.__new__(cls)
-        g._vertices = vertices
-        g._out = out
-        g._in = in_
-        g._arc_arrays = arc_arrays
+        g._lay_out(vertices, tails, heads, weights, symmetric)
         return g
+
+    def _lay_out(self, vertices, tails, heads, weights, symmetric=False) -> None:
+        self._vertices = vertices
+        self._index = {v: k for k, v in enumerate(vertices)}
+        # int ids 0..n-1 are their own indices, and their rows hold the ids'
+        # own objects, which dict lookups find by identity
+        plain = all(type(v) is int and v == k for k, v in enumerate(vertices))
+        self._ids = None if plain else vertices
+        names = np.array(vertices, dtype=object) if plain else None
+        self._arcs = tails, heads, weights
+        for a in self._arcs:  # read-only, so the arc arrays stay the graph's own
+            a.setflags(write=False)
+        self._out_rows = _rows(names, len(vertices), tails, heads, weights)
+        if not symmetric:
+            back = _sorted_arcs(heads, tails, weights)
+            symmetric = all(map(np.array_equal, back, self._arcs))
+        self._in_rows = self._out_rows if symmetric else _rows(names, len(vertices), *back)
+
+    def __reduce__(self):
+        return Digraph._from_arcs, (self._vertices, *self._arcs, self.symmetric)
 
     @property
     def vertices(self) -> tuple[NodeId, ...]:
         return self._vertices
 
+    @property
+    def symmetric(self) -> bool:
+        """True when every arc has its reverse with the same weight."""
+        return self._in_rows is self._out_rows
+
     def __contains__(self, v: NodeId) -> bool:
-        return v in self._out
+        return v in self._index
 
     def __len__(self) -> int:
         return len(self._vertices)
 
-    def _require(self, v: NodeId) -> None:
-        if v not in self._out:
+    def _position(self, v: NodeId) -> int:
+        k = self._index.get(v)
+        if k is None:
             raise ValueError(f"unknown vertex {v!r}")
+        return k
 
     def arcs(self) -> Iterator[tuple[NodeId, NodeId, float]]:
         """Every arc as (tail, head, weight), in ascending (tail, head) order."""
-        for u in self._vertices:
-            for v, w in self._out[u].items():
-                yield u, v, w
+        ids = self._vertices
+        _, rows, row_weights = self._out_rows
+        for u, heads, weights in zip(ids, rows, row_weights):
+            for h, w in zip(heads, weights):
+                yield u, ids[h], w
 
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every arc as ``(tails, heads, weights)`` arrays in ``arcs()`` order,
-        tails and heads as indices into ``vertices``; built once, read-only."""
-        if self._arc_arrays is None:
-            rank = {v: k for k, v in enumerate(self._vertices)}
-            adjacency = [self._out[v] for v in self._vertices]
-            tails = np.repeat(np.arange(len(adjacency)), [len(nbrs) for nbrs in adjacency])
-            n = len(tails)
-            heads = np.fromiter(map(rank.__getitem__, chain.from_iterable(adjacency)), np.intp, n)
-            weights = np.fromiter(chain.from_iterable(nbrs.values() for nbrs in adjacency), float, n)
-            self._arc_arrays = _read_only(tails, heads, weights)
-        return self._arc_arrays
+        tails and heads as indices into ``vertices``; read-only."""
+        return self._arcs
 
     @property
     def arc_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self._out.values())
+        return len(self._arcs[0])
 
     def has_arc(self, u: NodeId, v: NodeId) -> bool:
-        return u in self._out and v in self._out[u]
+        return u in self._index and v in self.out_neighbors(u)
 
     def weight(self, u: NodeId, v: NodeId) -> float:
-        self._require(u)
-        if v not in self._out[u]:
+        _, heads, weights = self._out_rows
+        k, j = self._position(u), self._index.get(v, -1)
+        i = bisect_left(heads[k], j)
+        if i == len(heads[k]) or heads[k][i] != j:
             raise ValueError(f"no arc ({u!r}, {v!r})")
-        return self._out[u][v]
+        return weights[k][i]
 
     def out_neighbors(self, v: NodeId) -> tuple[NodeId, ...]:
-        self._require(v)
-        return tuple(self._out[v])
+        row = self._out_rows[1][self._position(v)]
+        return tuple(row if self._ids is None else map(self._ids.__getitem__, row))
 
     def in_neighbors(self, v: NodeId) -> tuple[NodeId, ...]:
-        self._require(v)
-        return tuple(self._in[v])
+        row = self._in_rows[1][self._position(v)]
+        return tuple(row if self._ids is None else map(self._ids.__getitem__, row))
 
     def induced(self, members: Iterable[NodeId]) -> "Digraph":
-        """Subgraph on ``members`` keeping every arc between two members.
-
-        Filters only the members' own adjacency, which keeps its order.
-        """
-        mset = set(members)
-        for v in mset:
-            self._require(v)
-        vertices = tuple(sorted(mset))
-        out = {u: {v: w for v, w in self._out[u].items() if v in mset} for u in vertices}
-        if self._in is self._out:
-            in_ = out
-        else:
-            in_ = {v: {u: w for u, w in self._in[v].items() if u in mset} for v in vertices}
-        return Digraph._from_adjacency(vertices, out, in_)
+        """Subgraph on ``members`` keeping every arc between two members: the
+        members' own rows, in order, masked by the members' new indices."""
+        rows = sorted(map(self._position, set(members)))
+        bounds = self._out_rows[0]
+        starts = np.array([bounds[k] for k in rows], np.intp)
+        sizes = np.array([bounds[k + 1] for k in rows], np.intp) - starts
+        # each member arc's position: its row's start plus its offset in the row
+        at = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        new = np.full(len(self._vertices), -1, np.intp)
+        new[rows] = range(len(rows))
+        _, heads, weights = self._arcs
+        head = new[heads[at]]
+        keep = head >= 0
+        tails = np.repeat(np.arange(len(rows)), sizes)[keep]
+        vertices = tuple(map(self._vertices.__getitem__, rows))
+        return Digraph._from_arcs(vertices, tails, head[keep], weights[at[keep]], self.symmetric)
 
 
 @dataclass(frozen=True)
@@ -211,7 +216,6 @@ class Neighborhood:
 
 def neighborhoods(g: Digraph, v: NodeId) -> Neighborhood:
     """Incoming, outgoing and combined 1-hop neighbor sets of ``v``."""
-    g._require(v)
     return Neighborhood(frozenset(g.in_neighbors(v)), frozenset(g.out_neighbors(v)))
 
 
@@ -244,15 +248,15 @@ def _sorted_arcs(
     return frm[by], to[by], weights[by]
 
 
-def _adjacency(
-    vertices: tuple[NodeId, ...], frm: np.ndarray, to: np.ndarray, weights: np.ndarray
-) -> dict[NodeId, dict[NodeId, float]]:
-    """Per-vertex ``{neighbour: weight}`` dicts in ascending neighbour order,
-    from arc arrays that index ``vertices``, sorted by ``_sorted_arcs``."""
-    bounds = np.searchsorted(frm, np.arange(len(vertices) + 1)).tolist()
-    nbrs = np.array(vertices, dtype=object)[to].tolist()
-    ws = weights.tolist()
-    return {v: dict(zip(nbrs[a:b], ws[a:b])) for v, a, b in zip(vertices, bounds, bounds[1:])}
+def _rows(names, n: int, tails: np.ndarray, heads: np.ndarray, weights: np.ndarray) -> tuple:
+    """Arc arrays sorted by ``tails`` as CSR rows: each vertex index's first
+    arc (``indptr``), then per vertex index a list of its heads, as
+    ``names[head]`` when ``names`` is given, and a view of its weights."""
+    bounds = np.searchsorted(tails, np.arange(n + 1)).tolist()
+    heads = (heads if names is None else names[heads]).tolist()
+    weights = memoryview(weights).toreadonly()
+    spans = list(zip(bounds, bounds[1:]))
+    return bounds, [heads[a:b] for a, b in spans], [weights[a:b] for a, b in spans]
 
 
 def build_unit_disk_digraph(
@@ -329,18 +333,8 @@ def build_unit_disk_digraph(
     heads = rank[np.concatenate((j[fwd], i[bwd]))]
     weights = np.concatenate((w[fwd], w[bwd]))
     del i, j, d, w, fwd, bwd
-    arcs = _sorted_arcs(tails, heads, weights)
-    out = _adjacency(vertices, *arcs)
     # symmetric arcs come in pairs of equal weight, so both directions read alike
-    in_ = out if symmetric else _adjacency(vertices, *_sorted_arcs(heads, tails, weights))
-    return Digraph._from_adjacency(vertices, out, in_, _read_only(*arcs))
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``arrays`` with writes switched off, so a graph's arc arrays stay its own."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    return Digraph._from_arcs(vertices, *_sorted_arcs(tails, heads, weights), symmetric)
 
 
 def perturb_weights(g: Digraph, seed: int, scale: float = 1e-9) -> Digraph:
@@ -393,52 +387,58 @@ def shortest_path_tree(
     backwards, so the path of ``v`` runs source, ..., v against the arcs and
     read backwards is the v->source path: ``parent[v]`` is v's next hop.
     """
-    g._require(source)
-    if target is not None:
-        g._require(target)
-    adj = g._in if reverse else g._out
-    dist: dict[NodeId, float] = {}
-    best: dict[NodeId, float] = {source: 0.0}
-    parent: dict[NodeId, NodeId | None] = {source: None}
-    heap: list[tuple[float, NodeId]] = [(0.0, source)]
+    s = g._position(source)
+    t = None if target is None else g._position(target)
+    _, heads, costs = g._in_rows if reverse else g._out_rows
+    ids = g.vertices
+    # per vertex index: settled length, tentative length, parent index
+    dist: list[float | None] = [None] * len(ids)
+    best: list[float | None] = [None] * len(ids)
+    parent: list[int | None] = [None] * len(ids)
+    best[s] = 0.0
+    order: list[int] = []
+    heap: list[tuple[float, int]] = [(0.0, s)]
     stop = math.inf
     while heap:
         d, v = heapq.heappop(heap)
-        if v in dist:
+        if dist[v] is not None:
             continue
         if d > stop:
             break
         dist[v] = d
-        if v == target:
+        order.append(v)
+        if v == t:
             stop = d
-        for nb, cost in adj[v].items():
+        for nb, cost in zip(heads[v], costs[v]):
             # a vertex settled shorter keeps its parent in the path-tuple
             # order too; one settled at d could still take a tie from v
-            settled = dist.get(nb)
+            settled = dist[nb]
             if settled is not None and settled < d:
                 continue
             if unit:
                 cost = 1.0
             elif weight_fn is not None:
-                cost = weight_fn(*((nb, v) if reverse else (v, nb)), cost)
+                cost = weight_fn(*((ids[nb], ids[v]) if reverse else (ids[v], ids[nb])), cost)
             nd = d + cost
             if not nd > d:
-                arc = (nb, v) if reverse else (v, nb)
+                arc = (ids[nb], ids[v]) if reverse else (ids[v], ids[nb])
                 raise ValueError(f"cost {cost} on arc {arc!r} does not lengthen length {d}")
             if settled is not None:
                 continue
-            old = best.get(nb)
+            old = best[nb]
             if old is None or nd < old:
                 best[nb] = nd
                 parent[nb] = v
                 heapq.heappush(heap, (nd, nb))
             elif nd == old and _path(parent, v) + (nb,) < _path(parent, parent[nb]) + (nb,):
                 parent[nb] = v
-    return dist, parent
+    parents = {ids[v]: None if parent[v] is None else ids[parent[v]] for v in order}
+    return {ids[v]: dist[v] for v in order}, parents
 
 
-def _path(parent: dict[NodeId, NodeId | None], v: NodeId) -> tuple[NodeId, ...]:
-    """The source-first vertex sequence of ``v`` in a ``parent`` tree."""
+def _path(parent, v):
+    """The source-first vertex sequence of ``v`` in a ``parent`` tree, a dict
+    of ids or a list of indices."""
     seq = []
     while v is not None:
         seq.append(v)
@@ -503,14 +503,13 @@ def set_distance(
     if not targets:
         raise ValueError("empty target set")
     for t in targets:
-        g._require(t)
+        g._position(t)
     sources = [x] if isinstance(x, (int, str)) else sorted(set(x))
     if not sources:
         raise ValueError("empty source set")
     target_lookup = set(targets)
     best: float | None = None
     for s in sources:
-        g._require(s)
         if s in target_lookup:
             return 0.0
         dist = single_source_distances(g, s)

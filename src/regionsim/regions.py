@@ -195,7 +195,8 @@ def build_boundary_dual_graph(g: Digraph, cells: BoundaryCellMap) -> BoundaryDua
         cell[[rank[v] for v in sub.vertices]] = c
         dist = single_source_distances(sub, s)
         from_seed[[rank[v] for v in dist]] = list(dist.values())
-        dist = single_source_distances(sub, s, reverse=True)
+        if not sub.symmetric:  # else the reverse search repeats the same sums
+            dist = single_source_distances(sub, s, reverse=True)
         to_seed[[rank[v] for v in dist]] = list(dist.values())
     tails, heads, weights = g.arc_arrays()
     composed = (from_seed[tails] + weights) + to_seed[heads]

@@ -240,8 +240,8 @@ def route(
         raise ValueError(f"unknown protocol {protocol!r}")
     if source == sink:
         raise ValueError("source equals sink")
-    g._require(source)
-    g._require(sink)
+    if source not in g or sink not in g:
+        raise ValueError(f"unknown vertex {source if source not in g else sink!r}")
 
     if protocol == "res":
         if tables is None or tables.protocol != "res":

@@ -130,8 +130,9 @@ def test_unit_weight_mode():
 def test_digraph_rejects_self_loops_and_bad_weights():
     with pytest.raises(ValueError, match="self-loop"):
         Digraph([0, 1], {(0, 0): 1.0})
-    with pytest.raises(ValueError, match="non-positive"):
-        Digraph([0, 1], {(0, 1): 0.0})
+    for w in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="non-positive"):
+            Digraph([0, 1], {(0, 1): w})
     with pytest.raises(ValueError, match="unknown vertex"):
         Digraph([0, 1], {(0, 2): 1.0})
 
@@ -177,17 +178,28 @@ def test_bucketed_build_equals_all_pairs(symmetric, unit_weight):
 
 def assert_same_adjacency(g, ref):
     """Same vertices, and per vertex the same out- and in-neighbours in the
-    same order, with bit-equal weights on both sides."""
+    same order, with bit-equal weights on both sides, and the same read-only
+    arc arrays."""
     assert g.vertices == ref.vertices
+    assert g.symmetric == ref.symmetric
     for v in ref.vertices:
         assert g.out_neighbors(v) == ref.out_neighbors(v)
         assert g.in_neighbors(v) == ref.in_neighbors(v)
-        for got, want in ((g._out[v], ref._out[v]), (g._in[v], ref._in[v])):
-            assert [w.hex() for w in got.values()] == [w.hex() for w in want.values()]
-    # the builder's arc arrays against those built on demand from the adjacency
+        for nb in ref.out_neighbors(v):
+            assert g.weight(v, nb).hex() == ref.weight(v, nb).hex()
+        for nb in ref.in_neighbors(v):
+            assert g.weight(nb, v).hex() == ref.weight(nb, v).hex()
     for got, want in zip(g.arc_arrays(), ref.arc_arrays()):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert not got.flags.writeable and not want.flags.writeable
+
+
+def test_digraph_pickles_to_the_same_layout():
+    import pickle
+
+    nodes = random_layout(random.Random(3), 30)
+    for g in (build_unit_disk_digraph(nodes), build_unit_disk_digraph(relabelled(nodes), False)):
+        assert_same_adjacency(pickle.loads(pickle.dumps(g)), g)
 
 
 def relabelled(nodes):
@@ -441,7 +453,6 @@ def test_shortest_paths_reverse_equals_reversed_graph():
 def path_tuple_tree(g, source, target=None, weight_fn=None, unit=False, reverse=False):
     """Reference search: heap entries carry the whole candidate path, so
     equal-length paths pop in lexicographic order."""
-    adj = g._in if reverse else g._out
     tree = {}
     tentative = {source: 0.0}
     heap = [(0.0, (source,))]
@@ -453,9 +464,10 @@ def path_tuple_tree(g, source, target=None, weight_fn=None, unit=False, reverse=
         tree[v] = PathResult(path, d, len(path) - 1)
         if v == target:
             break
-        for nb, w in adj[v].items():
+        for nb in g.in_neighbors(v) if reverse else g.out_neighbors(v):
             if nb in tree:
                 continue
+            w = g.weight(nb, v) if reverse else g.weight(v, nb)
             if unit:
                 cost = 1.0
             elif weight_fn is None:
@@ -479,7 +491,10 @@ def tie_heavy_graphs(seed):
     rng = random.Random(seed)
     graphs = [tie_heavy_digraph(rng, rng.randint(2, 25), rng.choice([0.15, 0.3, 0.6]))
               for _ in range(30)]
-    return graphs + [string_ids(g) for g in graphs[:10]]
+    # float ids 0.0, 1.0, ... equal their indices without being ints
+    floats = [Digraph(map(float, g.vertices), {(float(u), float(v)): w for u, v, w in g.arcs()})
+              for g in graphs[:3]]
+    return graphs + [string_ids(g) for g in graphs[:10]] + floats
 
 
 SQUARED = lambda u, v, w: w * w  # noqa: E731 - integer weights, so ties stay exact
@@ -588,6 +603,61 @@ def test_induced_equals_full_arc_scan():
             sub = g.induced(members)
             assert list(sub.arcs()) == list(scan.arcs())
             assert_same_adjacency(sub, scan)
+
+
+def asymmetric_graphs(seed):
+    """Digraphs whose in-rows are laid out apart from their out-rows: random
+    arcs, and unit-disk builds with mixed radio ranges, on int and string ids."""
+    rng = random.Random(seed)
+    graphs = [random_digraph(rng, rng.randint(2, 25), rng.choice([0.1, 0.3])) for _ in range(10)]
+    for _ in range(10):
+        nodes = random_layout(rng, rng.randint(2, 40))
+        graphs.append(build_unit_disk_digraph(nodes, symmetric=False))
+    return graphs + [string_ids(g) for g in graphs]
+
+
+def test_induced_equals_full_arc_scan_on_asymmetric_digraphs():
+    rng = random.Random(53)
+    graphs = asymmetric_graphs(59)
+    assert sum(not g.symmetric for g in graphs) >= 30
+    assert any(isinstance(g.vertices[0], str) and not g.symmetric for g in graphs)
+    for g in graphs:
+        subsets = [(), g.vertices, (g.vertices[-1],)]
+        subsets += [rng.sample(g.vertices, rng.randint(1, len(g))) for _ in range(4)]
+        for members in subsets:
+            mset = set(members)
+            scan = Digraph(
+                members, {(u, v): w for u, v, w in g.arcs() if u in mset and v in mset}
+            )
+            sub = g.induced(members)
+            assert list(sub.arcs()) == list(scan.arcs())
+            assert_same_adjacency(sub, scan)
+            for s in sub.vertices:
+                assert shortest_paths(sub, s, reverse=True) == shortest_paths(scan, s, reverse=True)
+
+
+def test_symmetric_needs_every_reverse_at_the_same_weight():
+    assert path_graph(3).symmetric
+    assert Digraph(range(3), {}).symmetric
+    assert not Digraph(range(2), {(0, 1): 1.0}).symmetric
+    assert not Digraph(range(2), {(0, 1): 1.0, (1, 0): 2.0}).symmetric
+    g = build_unit_disk_digraph([NodePos(0, 0, 0, 20), NodePos(1, 10, 0, 5)], symmetric=False)
+    assert not g.symmetric and g.in_neighbors(0) == () and g.out_neighbors(0) == (1,)
+
+
+def test_vertex_reached_only_at_infinite_cost_settles_at_inf():
+    # 2 is reached only over arcs priced at inf: it settles at inf, and of its
+    # two inf routes keeps the one with the smaller sequence, (0, 1, 2)
+    g = Digraph(range(3), {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0, (2, 0): 1.0})
+    for ids in (lambda v: v, lambda v: f"v{v}"):
+        h = g if ids(0) == 0 else string_ids(g)
+        priced = lambda u, v, w: math.inf if v == ids(2) else w  # noqa: E731
+        dist, parent = shortest_path_tree(h, ids(0), weight_fn=priced)
+        assert dist == {ids(0): 0.0, ids(1): 1.0, ids(2): math.inf}
+        assert parent == {ids(0): None, ids(1): ids(0), ids(2): ids(1)}
+        want = PathResult((ids(0), ids(1), ids(2)), math.inf, 2)
+        assert shortest_path(h, ids(0), ids(2), weight_fn=priced) == want
+        assert path_tuple_tree(h, ids(0), weight_fn=priced)[ids(2)] == want
 
 
 def test_induced_rejects_unknown_vertex():
