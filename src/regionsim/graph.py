@@ -6,16 +6,17 @@ Unreachable is always reported as ``None``, never a sentinel number.
 
 A ``Digraph`` has one layout, sorted CSR: arc arrays in ascending (tail, head)
 order over vertex indices, cut into per-vertex rows.  The public constructor
-sorts and checks every arc; the unit-disk builder and ``Digraph.induced`` hand
-arrays that are already sorted and checked to the private ``_from_arcs``.
+sorts and checks every arc; the unit-disk builder and ``Digraph.within_parts``
+hand arrays that are already sorted and checked to the private ``_from_arcs``.
 The builder lists candidate pairs with numpy but weighs each pair with
 ``math.hypot``: ``np.hypot`` rounds differently on about one pair in 180.
 
 Every search is one routine, ``shortest_path_tree``, run on vertex indices:
-the lexicographic shortest-path tree, where equal-weight paths break ties on
-the smallest source-first vertex-id sequence.  Ties are settled on parent
-pointers, which needs every arc to lengthen the path it extends, as a float
-sum: a search raises where one that could tie a length does not.
+the lexicographic shortest-path tree from one source or a tuple of them,
+where equal-weight paths break ties on the smallest source-first vertex-id
+sequence.  Ties are settled on parent pointers, which needs every arc to
+lengthen the path it extends, as a float sum: a search raises where one that
+could tie a length does not.
 """
 
 import heapq
@@ -23,7 +24,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -175,23 +176,22 @@ class Digraph:
         row = self._in_rows[1][self._position(v)]
         return tuple(row if self._ids is None else map(self._ids.__getitem__, row))
 
-    def induced(self, members: Iterable[NodeId]) -> "Digraph":
-        """Subgraph on ``members`` keeping every arc between two members: the
-        members' own rows, in order, masked by the members' new indices."""
-        rows = sorted(map(self._position, set(members)))
-        bounds = self._out_rows[0]
-        starts = np.array([bounds[k] for k in rows], np.intp)
-        sizes = np.array([bounds[k + 1] for k in rows], np.intp) - starts
-        # each member arc's position: its row's start plus its offset in the row
-        at = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
-        new = np.full(len(self._vertices), -1, np.intp)
-        new[rows] = range(len(rows))
-        _, heads, weights = self._arcs
-        head = new[heads[at]]
-        keep = head >= 0
-        tails = np.repeat(np.arange(len(rows)), sizes)[keep]
-        vertices = tuple(map(self._vertices.__getitem__, rows))
-        return Digraph._from_arcs(vertices, tails, head[keep], weights[at[keep]], self.symmetric)
+    def within_parts(self, part: Mapping[NodeId, Hashable]) -> "Digraph":
+        """Spanning subgraph keeping every arc whose two ends lie in the same
+        part, ``part`` mapping vertices to their parts; a vertex it leaves
+        out keeps no arcs.  One mask over the arc arrays, so each part's rows
+        are its induced subgraph's rows, in the same order."""
+        rows = np.array([self._position(v) for v in part], np.intp)
+        codes: dict = {}
+        label = np.full(len(self._vertices), -1, np.intp)
+        label[rows] = [codes.setdefault(p, len(codes)) for p in part.values()]
+        tails, heads, weights = self._arcs
+        keep = label[tails] == label[heads]
+        keep &= label[tails] >= 0
+        # a part holds the reverse of each of its arcs when the graph does
+        return Digraph._from_arcs(
+            self._vertices, tails[keep], heads[keep], weights[keep], self.symmetric
+        )
 
 
 @dataclass(frozen=True)
@@ -360,7 +360,7 @@ def hop_distance(g: Digraph, u: NodeId, v: NodeId) -> int | None:
 
 def shortest_path_tree(
     g: Digraph,
-    source: NodeId,
+    source: NodeId | tuple[NodeId, ...],
     target: NodeId | None = None,
     weight_fn: WeightFn | None = None,
     unit: bool = False,
@@ -368,26 +368,31 @@ def shortest_path_tree(
 ) -> tuple[dict[NodeId, float], dict[NodeId, NodeId | None]]:
     """The lexicographic shortest-path tree from ``source`` as ``(dist, parent)``.
 
-    ``dist`` maps every settled vertex to its length, in settle order;
-    ``parent[v]`` is the vertex before v on its path (None for ``source``), for
-    every settled v.  A vertex's length is the exact float sum of its path's
-    costs from the source.  Among equal lengths its path is the one with the
-    smallest source-first vertex-id sequence: an equal candidate replaces the
-    parent only when its sequence, head included, is smaller.  Every path of
-    equal length comes from a vertex settled strictly earlier, so the choice
-    is final when v settles.  That needs every arc to lengthen the path it
-    extends, so a relaxation whose float sum is not greater than the tail's
-    length raises ``ValueError``: a zero, negative or NaN cost, or a positive
-    one lost to rounding.  That is checked on every arc but those into a
-    vertex already settled at a shorter length, which no arc can tie.  With
-    a ``target`` the search stops once every vertex of the target's length
-    has settled, so every arc that could tie that length is checked.
-    ``unit`` prices every arc at 1 (hop metric); ``weight_fn`` substitutes an
-    arbitrary positive per-arc cost.  With ``reverse`` the arcs are followed
-    backwards, so the path of ``v`` runs source, ..., v against the arcs and
-    read backwards is the v->source path: ``parent[v]`` is v's next hop.
+    ``source`` is one vertex or a tuple of them, each at length 0 with no
+    parent; over vertex-disjoint components, one source each, the result is
+    each component's own tree.  ``dist`` maps every settled vertex to its
+    length, in settle order; ``parent[v]`` is the vertex before v on its path
+    (None for a source), for every settled v.  A vertex's length is the exact
+    float sum of its path's costs from its source.  Among equal lengths its
+    path is the one with the smallest source-first vertex-id sequence: an
+    equal candidate replaces the parent only when its sequence, head
+    included, is smaller.  Every path of equal length comes from a vertex
+    settled strictly earlier, so the choice is final when v settles.  That
+    needs every arc to lengthen the path it extends, so a relaxation whose
+    float sum is not greater than the tail's length raises ``ValueError``: a
+    zero, negative or NaN cost, or a positive one lost to rounding.  That is
+    checked on every arc but those into a vertex already settled at a
+    shorter length, which no arc can tie, and those from a vertex settled at
+    ``inf`` at a positive cost, whose every extension is ``inf`` again, so
+    that no finite length can tie there.  With a ``target`` the search stops
+    once every vertex of the target's length has settled, so every arc that
+    could tie that length is checked.  ``unit`` prices every arc at 1 (hop
+    metric); ``weight_fn`` substitutes an arbitrary positive per-arc cost.
+    With ``reverse`` the arcs are followed backwards, so the path of ``v``
+    runs source, ..., v against the arcs and read backwards is the
+    v->source path: ``parent[v]`` is v's next hop.
     """
-    s = g._position(source)
+    sources = [g._position(s) for s in (source if isinstance(source, tuple) else (source,))]
     t = None if target is None else g._position(target)
     _, heads, costs = g._in_rows if reverse else g._out_rows
     ids = g.vertices
@@ -395,9 +400,10 @@ def shortest_path_tree(
     dist: list[float | None] = [None] * len(ids)
     best: list[float | None] = [None] * len(ids)
     parent: list[int | None] = [None] * len(ids)
-    best[s] = 0.0
+    for s in sources:
+        best[s] = 0.0
     order: list[int] = []
-    heap: list[tuple[float, int]] = [(0.0, s)]
+    heap: list[tuple[float, int]] = sorted((0.0, s) for s in sources)
     stop = math.inf
     while heap:
         d, v = heapq.heappop(heap)
@@ -420,7 +426,7 @@ def shortest_path_tree(
             elif weight_fn is not None:
                 cost = weight_fn(*((ids[nb], ids[v]) if reverse else (ids[v], ids[nb])), cost)
             nd = d + cost
-            if not nd > d:
+            if not nd > d and not (d == math.inf and cost > 0):
                 arc = (ids[nb], ids[v]) if reverse else (ids[v], ids[nb])
                 raise ValueError(f"cost {cost} on arc {arc!r} does not lengthen length {d}")
             if settled is not None:
@@ -477,11 +483,12 @@ def shortest_path(
 
 def single_source_distances(
     g: Digraph,
-    source: NodeId,
+    source: NodeId | tuple[NodeId, ...],
     unit: bool = False,
     reverse: bool = False,
 ) -> dict[NodeId, float]:
-    """Distances from ``source`` to every reachable vertex.
+    """Distances from ``source`` (one vertex or a tuple of them, as in
+    ``shortest_path_tree``) to every reachable vertex.
 
     With ``reverse`` the arcs are followed backwards, giving the distance
     *to* ``source`` from every vertex.  Missing keys mean unreachable.

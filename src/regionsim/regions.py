@@ -7,8 +7,7 @@ The dual graph has one vertex per cell and carries composed crossing weights,
 which bound the stretch of routing through cells.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -155,18 +154,21 @@ class DualArc:
 class BoundaryDualGraph:
     """One vertex per boundary cell; arcs where communication arcs cross cells.
 
-    ``subgraphs`` holds each cell's canonical subgraph, keyed by seed in seed
-    order; the res tables and boundary routes search these.
+    ``cell_graph`` spans the communication graph's vertices with only the
+    arcs whose two ends share a canonical cell, so each cell's rows are its
+    canonical subgraph's; the res tables and boundary routes search it.
+    ``graph`` holds the cells and dual arcs as a weighted ``Digraph``, built
+    with the dual graph, so the tables and routes build no graph.
     """
 
     cells: tuple[NodeId, ...]
     arcs: dict[tuple[NodeId, NodeId], DualArc]
-    subgraphs: dict[NodeId, Digraph]
+    cell_graph: Digraph
+    graph: Digraph = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def graph(self) -> Digraph:
-        """The cells and dual arcs as a weighted ``Digraph``, built once."""
-        return Digraph(self.cells, {key: arc.weight for key, arc in self.arcs.items()})
+    def __post_init__(self):
+        weights = {key: arc.weight for key, arc in self.arcs.items()}
+        object.__setattr__(self, "graph", Digraph(self.cells, weights))
 
 
 def build_boundary_dual_graph(g: Digraph, cells: BoundaryCellMap) -> BoundaryDualGraph:
@@ -175,33 +177,38 @@ def build_boundary_dual_graph(g: Digraph, cells: BoundaryCellMap) -> BoundaryDua
     The weight of a dual arc is the minimum, over communication arcs (u, v)
     crossing the two cells, of
         d(seed_src -> u) + w(u, v) + d(v -> seed_dst)
-    with both d terms measured inside the canonical cell subgraphs, which the
-    result keeps.  Crossing arcs whose endpoints are unreachable inside their
-    subgraph are skipped.  Ties pick the lexicographically smallest (u, v) pair.
-    The dual arcs come in the order of their first crossing arc in ``g.arcs()``.
+    with both d terms measured inside the canonical cells, on the cell graph
+    that the result keeps.  Crossing arcs whose endpoints are unreachable
+    inside their cell are skipped.  Ties pick the lexicographically smallest
+    (u, v) pair.  The dual arcs come in the order of their first crossing arc
+    in ``g.arcs()``.
 
-    The minimum is taken over arc arrays: every term is the same float and the
-    sum the same left-to-right IEEE expression as a loop over ``g.arcs()``.
+    The cells are vertex-disjoint components of the cell graph, each holding
+    its seed, so one search from all seeds yields every cell's own distances,
+    and one reversed search the distances to the seeds (the same search when
+    the cell graph is symmetric).  The minimum is taken over arc arrays: every
+    term is the same float and the sum the same left-to-right IEEE expression
+    as a loop over ``g.arcs()``.
     """
-    subgraphs = {s: g.induced(cells.canonical_members(s)) for s in cells.seeds}
+    cell_graph = g.within_parts(cells.cell_of)
+    seeds = cells.seeds
     vertices = g.vertices
     rank = {v: k for k, v in enumerate(vertices)}
     # per vertex: its cell's index, and its distances from and to its seed
     # inside the cell (NaN when it has no cell or the search misses it)
-    cell = np.full(len(vertices), -1)
+    cell_index = {s: c for c, s in enumerate(seeds)}
+    cell = np.array([cell_index.get(cells.cell_of.get(v), -1) for v in vertices])
     from_seed = np.full(len(vertices), np.nan)
     to_seed = np.full(len(vertices), np.nan)
-    for c, (s, sub) in enumerate(subgraphs.items()):
-        cell[[rank[v] for v in sub.vertices]] = c
-        dist = single_source_distances(sub, s)
-        from_seed[[rank[v] for v in dist]] = list(dist.values())
-        if not sub.symmetric:  # else the reverse search repeats the same sums
-            dist = single_source_distances(sub, s, reverse=True)
-        to_seed[[rank[v] for v in dist]] = list(dist.values())
+    dist = single_source_distances(cell_graph, seeds)
+    from_seed[[rank[v] for v in dist]] = list(dist.values())
+    if not cell_graph.symmetric:  # else the reverse search repeats the same sums
+        dist = single_source_distances(cell_graph, seeds, reverse=True)
+    to_seed[[rank[v] for v in dist]] = list(dist.values())
     tails, heads, weights = g.arc_arrays()
     composed = (from_seed[tails] + weights) + to_seed[heads]
     crossing = np.flatnonzero((cell[tails] != cell[heads]) & ~np.isnan(composed))
-    pair = cell[tails[crossing]] * len(subgraphs) + cell[heads[crossing]]
+    pair = cell[tails[crossing]] * len(seeds) + cell[heads[crossing]]
     weight = composed[crossing]
     # per cell pair: the smallest weight, ties to the earliest crossing arc,
     # which is the smallest (u, v); then the pairs in first-crossing order
@@ -210,14 +217,13 @@ def build_boundary_dual_graph(g: Digraph, cells: BoundaryCellMap) -> BoundaryDua
     _, first = np.unique(pair, return_index=True)
     best = best[np.argsort(first)]
     u, v = tails[crossing[best]], heads[crossing[best]]
-    seeds = cells.seeds
     arcs: dict[tuple[NodeId, NodeId], DualArc] = {}
     for cu, cv, w, a, b in zip(
         cell[u].tolist(), cell[v].tolist(), weight[best].tolist(), u.tolist(), v.tolist()
     ):
         su, sv = seeds[cu], seeds[cv]
         arcs[(su, sv)] = DualArc(su, sv, w, (vertices[a], vertices[b]))
-    return BoundaryDualGraph(cells=cells.seeds, arcs=arcs, subgraphs=subgraphs)
+    return BoundaryDualGraph(cells=seeds, arcs=arcs, cell_graph=cell_graph)
 
 
 def dual_route(
@@ -248,7 +254,7 @@ class BoundaryRouteResult:
 
 
 def _intra_cell_path(dual: BoundaryDualGraph, cell: NodeId, frm: NodeId, to: NodeId) -> PathResult:
-    path = shortest_path(dual.subgraphs[cell], frm, to)
+    path = shortest_path(dual.cell_graph, frm, to)
     if path is None:
         raise ValueError(f"no intra-cell path {frm!r}->{to!r} in cell {cell!r}")
     return path
@@ -266,7 +272,7 @@ def boundary_route(
     Both endpoints must be seeds.  The boundary path enters each traversed
     cell, detours through its seed, and leaves by the dual route's chosen
     crossing arc, so its length equals the dual-graph distance.  The legs
-    inside a cell search the cell subgraphs that ``dual`` holds.  The ratio is
+    inside a cell search the cell graph that ``dual`` holds.  The ratio is
     checked against the direct path's arc count; cells must have been computed
     in the same metric as the graph weights for the bound to apply.
     """

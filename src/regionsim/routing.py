@@ -117,16 +117,18 @@ class RoutingTable:
 
 
 def _tree_next_hops(
-    g: Digraph, target: NodeId, weight_fn: WeightFn | None = None
+    g: Digraph, target: NodeId | tuple[NodeId, ...], weight_fn: WeightFn | None = None
 ) -> dict[NodeId, NodeId]:
-    """Next hop toward ``target`` for every vertex of ``g`` that reaches it.
+    """Next hop toward ``target`` (one vertex, or a tuple of them in
+    vertex-disjoint components) for every vertex of ``g`` that reaches it.
 
     Read off the reversed lexicographic tree, in which a vertex's parent is
     its next hop, so equal-length routes break ties on the sequence that
-    starts at ``target``.  Vertices that cannot reach ``target`` get no entry.
+    starts at its target.  Targets and the vertices that cannot reach one
+    get no entry.
     """
-    dist, parent = shortest_path_tree(g, target, weight_fn=weight_fn, reverse=True)
-    return {v: parent[v] for v in dist if v != target}
+    _, parent = shortest_path_tree(g, target, weight_fn=weight_fn, reverse=True)
+    return {v: nxt for v, nxt in parent.items() if nxt is not None}
 
 
 def build_res_tables(
@@ -136,36 +138,21 @@ def build_res_tables(
 
     Each non-sink cell forwards along its intra-cell tree to the tail of the
     crossing arc its dual route chose, then across; the sink's cell forwards
-    straight to the sink.  The intra-cell trees are searched on the cell
-    subgraphs that ``dual`` holds.  Nodes that cannot reach their cell's exit
-    (or whose cell has no dual route) are reported stranded.
+    straight to the sink.  The cells are vertex-disjoint components of the
+    cell graph that ``dual`` holds, so one reversed search from the sink and
+    every exit tail yields every cell's tree.  Nodes that cannot reach their
+    cell's exit (or whose cell has no dual route) are reported stranded.
     """
     if sink not in cells.cell_of:
         raise ValueError(f"sink {sink!r} has no cell assignment")
-    sink_cell = cells.cell_of[sink]
 
     # shortest dual route from every cell toward the sink cell: the reversed
     # lexicographic tree, in which a cell's parent is its next cell
-    next_cell = _tree_next_hops(dual.graph, sink_cell)
-    exit_arc = {c: dual.arcs[(c, nxt)] for c, nxt in next_cell.items()}
-
-    next_hop: dict[NodeId, NodeId] = {}
-    stranded: list[NodeId] = []
-    for cell, sub in dual.subgraphs.items():
-        if cell == sink_cell:
-            target, crossing = sink, {}
-        elif cell in exit_arc:
-            tail, head = exit_arc[cell].crossing
-            target, crossing = tail, {tail: head}
-        else:
-            stranded.extend(sub.vertices)
-            continue
-        hops = _tree_next_hops(sub, target) | crossing
-        for v in sub.vertices:
-            if v in hops:
-                next_hop[v] = hops[v]
-            elif v != sink:
-                stranded.append(v)
+    next_cell = _tree_next_hops(dual.graph, cells.cell_of[sink])
+    # each routed cell's exit arc, tail to head; the tails are the targets
+    crossing = dict(dual.arcs[(c, nxt)].crossing for c, nxt in next_cell.items())
+    next_hop = _tree_next_hops(dual.cell_graph, (sink, *crossing)) | crossing
+    stranded = (v for v in cells.cell_of if v != sink and v not in next_hop)
     return RoutingTable(sink=sink, next_hop=next_hop, stranded=tuple(sorted(stranded)))
 
 

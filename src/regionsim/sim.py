@@ -25,8 +25,12 @@ after which a due time written in the epoch falls at or before the next
 tick.  The step works on blocks of nodes that take the same number of
 charges per tick in the same duty mode, each read in one pass of 2-D numpy
 arrays, of at most BLOCK_PLACES floats unless a single node needs more.  The
-tick in which a node dies is replayed through the scalar _handle_tick, as
-are init, due settles and t = 0.
+dead test reads each balance at every tick's end.  Only a node whose floor,
+the first tick's time plus its lowest balance before the stop over its
+drain rate, lies below its due time less 1 s and within the duration gets
+the per-charge projections of its drain death: no other node can write a
+due time in the epoch.  The tick in which a node dies is replayed through
+the scalar _handle_tick, as are init, due settles and t = 0.
 
 Model notes:
   * The sink is a mains-powered base station: it relays and receives but has
@@ -699,30 +703,38 @@ class _Run:
         np.add.accumulate(drain, axis=1, out=drain)
         cells[m] = drain[:, 1:, None]
         ends[m] = drain
-        remaining = self.budget - (
-            ((cells[TX] + cells[RX]) + cells[SENSE]) + cells[SLEEP]
-        )
-        del cells
-        # balances only fall, so a tick's last charge leaves its lowest
-        dead = remaining[:, :, -1] <= DEATH_EPSILON_J
+
+        def balance(cells):
+            return self.budget - (((cells[TX] + cells[RX]) + cells[SENSE]) + cells[SLEEP])
+
+        # each balance at the end of each tick, after the tick's last charge,
+        # which leaves its lowest, as balances only fall
+        ticks_end = balance([ends[s][:, 1:] if s in ends else x[:, 0] for s, x in enumerate(cells)])
+        dead = ticks_end <= DEATH_EPSILON_J
         hit = dead.any(axis=1)
         if hit.any():
             limit = int(dead.argmax(axis=1)[hit].min())
         writes = []
         if limit:
-            proj = T[:limit, None] + remaining[:, :limit] / w
-            del remaining
+            thresholds = np.array([self._due.get(v, math.inf) for v, _, _ in block]) - 1.0
+            # No projection of a row lies below T[0] plus its balance at the
+            # end of the last tick before the limit over w, as T ascends,
+            # balances fall and rounding is monotone: a row whose floor is not
+            # below its threshold, or lies past the duration, writes nothing.
+            floor = T[0] + ticks_end[:, limit - 1] / w
+            rows = np.flatnonzero((floor < thresholds) & (floor <= self.duration))
+            proj = T[:limit, None] + balance([x[rows, :limit] for x in cells]) / w
             proj[proj > self.duration] = math.inf
             # The first projection below a threshold is where their running
             # minimum first falls below it, and that minimum never rises.  A
             # write is such a place, so it equals the minimum there.
-            low = proj.reshape(r, limit * c)
+            low = proj.reshape(len(rows), limit * c)
             np.minimum.accumulate(low, axis=1, out=low)
-            thresholds = np.array([self._due.get(v, math.inf) for v, _, _ in block]) - 1.0
-            for i in np.flatnonzero(low[:, -1] < thresholds).tolist():
-                at = _due_writes(low[i, : limit * c], thresholds[i])
+            for k in np.flatnonzero(low[:, -1] < thresholds[rows]).tolist():
+                i = int(rows[k])
+                at = _due_writes(low[k, : limit * c], thresholds[i])
                 if len(at):
-                    wt, wv = at // c, low[i, at]
+                    wt, wv = at // c, low[k, at]
                     # the loop settles a due time before the first tick at or after it
                     limit = min(limit, int(np.maximum(np.searchsorted(T, wv), wt + 1).min()))
                     writes.append((block[i][0], wt, wv))
@@ -936,19 +948,14 @@ def emit_outputs(report: "RunReport | BatchReport", out_dir: str | Path) -> list
     )
     written.append(path)
 
+    # the bytes csv.writer and _fmt would write, one %-format per row: int
+    # node ids and fixed-point floats need no quoting
     path = out / "energy.csv"
-    rows = []
-    for t, snapshot in report.ledger_snapshots:
-        for node_id, txj, rxj, sense, sleep, remaining in snapshot:
-            rows.append(
-                [f"{t:.3f}", node_id, _fmt(txj), _fmt(rxj), _fmt(sense),
-                 _fmt(sleep), _fmt(remaining)]
-            )
-    _write_csv(
-        path,
-        ["t_s", "node_id", "tx_j", "rx_j", "sense_j", "sleep_j", "remaining_j"],
-        rows,
-    )
+    with open(path, "w", newline="") as f:
+        f.write("t_s,node_id,tx_j,rx_j,sense_j,sleep_j,remaining_j\r\n")
+        for t, snapshot in report.ledger_snapshots:
+            when = "%.3f" % t
+            f.write("".join(when + ",%s,%.9f,%.9f,%.9f,%.9f,%.9f\r\n" % row for row in snapshot))
     written.append(path)
 
     if report.flood_trace_rows:

@@ -558,6 +558,68 @@ def test_equal_length_tie_compares_the_head_against_a_longer_path():
     assert shortest_path(g, 1, 0).vertices == (1, 0)
 
 
+def disjoint_union(rng, symmetric):
+    """Two to four tie-heavy digraphs on interleaved int ids, as one graph
+    and as its components, each through the public constructor."""
+    comps = []
+    for _ in range(rng.randint(2, 4)):
+        g = tie_heavy_digraph(rng, rng.randint(1, 10), rng.choice([0.2, 0.4]))
+        if symmetric:
+            g = Digraph(g.vertices, {a: w for u, v, w in g.arcs() for a in ((u, v), (v, u))})
+        comps.append(g)
+    ids = list(range(sum(map(len, comps))))
+    rng.shuffle(ids)
+    relabelled = []
+    for g in comps:
+        name = dict(zip(g.vertices, ids))
+        del ids[: len(g)]
+        relabelled.append(Digraph(name.values(), {(name[u], name[v]): w for u, v, w in g.arcs()}))
+    union = Digraph(
+        (v for g in relabelled for v in g.vertices),
+        {(u, v): w for g in relabelled for u, v, w in g.arcs()},
+    )
+    return union, relabelled
+
+
+@pytest.mark.parametrize("metric", ["weight", "unit", "weight_fn"])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_multi_source_tree_is_each_components_own_tree(metric, reverse, symmetric):
+    kw = {"unit": metric == "unit", "weight_fn": SQUARED if metric == "weight_fn" else None}
+    rng = random.Random(83)
+    for _ in range(60):
+        union, comps = disjoint_union(rng, symmetric)
+        assert union.symmetric or not symmetric
+        # at most one source per component, in any order; some have none
+        sources = [rng.choice(g.vertices) for g in comps if rng.random() < 0.8]
+        rng.shuffle(sources)
+        dist, parent = shortest_path_tree(union, tuple(sources), reverse=reverse, **kw)
+        want_dist, want_parent = {}, {}
+        for g in comps:
+            for s in (s for s in sources if s in g):
+                d, p = shortest_path_tree(g, s, reverse=reverse, **kw)
+                want_dist |= d
+                want_parent |= p
+        assert dist == want_dist
+        assert parent == want_parent
+        if metric == "weight":
+            assert single_source_distances(union, tuple(sources), reverse=reverse) == want_dist
+
+
+def test_arc_from_a_vertex_at_inf_settles_its_head_at_inf():
+    g = Digraph(range(3), {(0, 1): 1.0, (1, 2): 1.0})
+    priced = lambda u, v, w: math.inf if u == 0 else w  # noqa: E731
+    assert shortest_path(g, 0, 2, weight_fn=priced) == PathResult((0, 1, 2), math.inf, 2)
+    assert shortest_path_tree(g, 0, weight_fn=priced) == (
+        {0: 0.0, 1: math.inf, 2: math.inf}, {0: None, 1: 0, 2: 1}
+    )
+    # a cost that is not positive still raises there
+    for cost in (0.0, -1.0, math.nan):
+        bad = lambda u, v, w: math.inf if u == 0 else cost  # noqa: E731
+        with pytest.raises(ValueError, match="does not lengthen"):
+            shortest_path(g, 0, 2, weight_fn=bad)
+
+
 @pytest.mark.parametrize("cost", [0.0, -1.0, math.nan])
 def test_non_positive_cost_raises(cost):
     g = path_graph(3)
@@ -584,7 +646,32 @@ def test_shortest_paths_ties_on_exact_float_sums():
     assert shortest_paths(g, 0)[3].vertices == (0, 3)
 
 
-def test_induced_equals_full_arc_scan():
+def same_part_scan(g, part):
+    """The oracle of ``within_parts``: every arc of ``g`` whose two ends lie in
+    the same part, through the public constructor."""
+    return Digraph(g.vertices, {
+        (u, v): w for u, v, w in g.arcs() if u in part and v in part and part[u] == part[v]
+    })
+
+
+def assert_parts_hold_induced_rows(g, part, within):
+    """Each part's rows in ``within`` are those of its subgraph built through
+    the public constructor, and searches on the two agree."""
+    for p in set(part.values()):
+        members = {v for v, q in part.items() if q == p}
+        sub = Digraph(members, {(u, v): w for u, v, w in g.arcs() if u in members and v in members})
+        for v in sub.vertices:
+            assert within.out_neighbors(v) == sub.out_neighbors(v)
+            assert within.in_neighbors(v) == sub.in_neighbors(v)
+            for nb in sub.out_neighbors(v):
+                assert within.weight(v, nb).hex() == sub.weight(v, nb).hex()
+            for reverse in (False, True):
+                assert shortest_paths(within, v, reverse=reverse) == shortest_paths(
+                    sub, v, reverse=reverse
+                )
+
+
+def test_within_parts_equals_full_arc_scan():
     from regionsim.checks import random_suite
     from regionsim.regions import compute_boundary_cells
 
@@ -592,17 +679,20 @@ def test_induced_equals_full_arc_scan():
     for item in random_suite(30, seed=5):
         g = item.g
         cells = compute_boundary_cells(g, item.seeds)
-        subsets = [cells.canonical_members(s) for s in item.seeds]
-        subsets.append(tuple(rng.sample(g.vertices, len(g) // 2)))
-        subsets.append(g.vertices)
-        for members in subsets:
-            mset = set(members)
-            scan = Digraph(
-                members, {(u, v): w for u, v, w in g.arcs() if u in mset and v in mset}
-            )
-            sub = g.induced(members)
-            assert list(sub.arcs()) == list(scan.arcs())
-            assert_same_adjacency(sub, scan)
+        half = rng.sample(g.vertices, len(g) // 2)
+        parts = [
+            cells.cell_of,
+            {v: rng.randrange(3) for v in half},  # the other half in no part
+            dict.fromkeys(g.vertices, "all"),
+            {v: v for v in g.vertices},
+            {},
+        ]
+        for part in parts:
+            within = g.within_parts(part)
+            scan = same_part_scan(g, part)
+            assert list(within.arcs()) == list(scan.arcs())
+            assert_same_adjacency(within, scan)
+        assert_parts_hold_induced_rows(g, cells.cell_of, g.within_parts(cells.cell_of))
 
 
 def asymmetric_graphs(seed):
@@ -616,24 +706,22 @@ def asymmetric_graphs(seed):
     return graphs + [string_ids(g) for g in graphs]
 
 
-def test_induced_equals_full_arc_scan_on_asymmetric_digraphs():
+def test_within_parts_equals_full_arc_scan_on_asymmetric_digraphs():
     rng = random.Random(53)
     graphs = asymmetric_graphs(59)
     assert sum(not g.symmetric for g in graphs) >= 30
     assert any(isinstance(g.vertices[0], str) and not g.symmetric for g in graphs)
     for g in graphs:
-        subsets = [(), g.vertices, (g.vertices[-1],)]
-        subsets += [rng.sample(g.vertices, rng.randint(1, len(g))) for _ in range(4)]
-        for members in subsets:
-            mset = set(members)
-            scan = Digraph(
-                members, {(u, v): w for u, v, w in g.arcs() if u in mset and v in mset}
-            )
-            sub = g.induced(members)
-            assert list(sub.arcs()) == list(scan.arcs())
-            assert_same_adjacency(sub, scan)
-            for s in sub.vertices:
-                assert shortest_paths(sub, s, reverse=True) == shortest_paths(scan, s, reverse=True)
+        parts = [{}, dict.fromkeys(g.vertices, 0), {g.vertices[-1]: 0}]
+        for _ in range(4):
+            members = rng.sample(g.vertices, rng.randint(1, len(g)))
+            parts.append({v: rng.randrange(rng.randint(1, 4)) for v in members})
+        for part in parts:
+            within = g.within_parts(part)
+            scan = same_part_scan(g, part)
+            assert list(within.arcs()) == list(scan.arcs())
+            assert_same_adjacency(within, scan)
+            assert_parts_hold_induced_rows(g, part, within)
 
 
 def test_symmetric_needs_every_reverse_at_the_same_weight():
@@ -660,9 +748,9 @@ def test_vertex_reached_only_at_infinite_cost_settles_at_inf():
         assert path_tuple_tree(h, ids(0), weight_fn=priced)[ids(2)] == want
 
 
-def test_induced_rejects_unknown_vertex():
+def test_within_parts_rejects_unknown_vertex():
     with pytest.raises(ValueError, match="unknown vertex"):
-        path_graph(3).induced(["v0", "x"])
+        path_graph(3).within_parts({"v0": 0, "x": 0})
 
 
 def test_arcs_come_in_tail_head_order():
@@ -677,7 +765,8 @@ def test_arcs_come_in_tail_head_order():
         graphs.append(Digraph(range(n), {p: rng.uniform(0.1, 5.0) for p in pairs}))
     graphs += [item.g for item in random_suite(20, seed=9)]
     for g in graphs:
-        for sub in (g, g.induced(rng.sample(g.vertices, len(g) // 2))):
+        part = {v: rng.randrange(2) for v in rng.sample(g.vertices, len(g) // 2)}
+        for sub in (g, g.within_parts(part)):
             keys = [(u, v) for u, v, _ in sub.arcs()]
             assert keys == sorted(keys)
             assert len(keys) == sub.arc_count

@@ -224,9 +224,11 @@ def test_res_walk_segments_are_reversed_intra_cell_tree_paths():
             verts = walk_table(tables, src, sink)
             for cell, run in itertools.groupby(verts, key=cells.cell_of.get):
                 segment = tuple(run)
-                tree = shortest_paths(
-                    g.induced(cells.canonical_members(cell)), segment[-1], reverse=True
+                members = set(cells.canonical_members(cell))
+                sub = Digraph(
+                    members, {(u, v): w for u, v, w in g.arcs() if u in members and v in members}
                 )
+                tree = shortest_paths(sub, segment[-1], reverse=True)
                 assert segment == tree[segment[0]].vertices[::-1]
 
 
@@ -247,19 +249,10 @@ def test_res_walk_terminates_within_vertex_count():
             assert len(verts) <= n
 
 
-def test_cells_are_induced_once_and_held_by_the_dual_graph(monkeypatch):
+def test_cell_graph_holds_the_same_cell_arcs_and_tables_build_no_graph(monkeypatch):
     from regionsim.checks import random_suite
     from regionsim.regions import boundary_route
     from regionsim.scenario import ScenarioConfig, deploy
-
-    calls = []
-    induced = Digraph.induced
-
-    def counting_induced(self, members):
-        calls.append(members)
-        return induced(self, members)
-
-    monkeypatch.setattr(Digraph, "induced", counting_induced)
 
     cases = []  # (graph, cells, sink, seed pairs to route between)
     for item in random_suite(20, seed=13):
@@ -273,20 +266,40 @@ def test_cells_are_induced_once_and_held_by_the_dual_graph(monkeypatch):
     cells = cells_from_flood(g, deployment.seeds, flood.states)
     cases.append((g, cells, deployment.sink_id, []))
 
+    built = []  # every Digraph laid out, through either constructor
+    lay_out = Digraph._lay_out
+
+    def counting_lay_out(self, *args):
+        built.append(args[0])
+        lay_out(self, *args)
+
+    monkeypatch.setattr(Digraph, "_lay_out", counting_lay_out)
     for g, cells, sink, pairs in cases:
-        calls.clear()
+        built.clear()
         dual = build_boundary_dual_graph(g, cells)
-        assert len(calls) == len(cells.seeds)
-        assert list(dual.subgraphs) == list(cells.seeds)
-        calls.clear()
+        # the cell graph and the dual Digraph, nothing per cell
+        assert built == [g.vertices, cells.seeds]
+        cell_of = cells.cell_of
+        scan = [(u, v, w) for u, v, w in g.arcs()
+                if u in cell_of and v in cell_of and cell_of[u] == cell_of[v]]
+        assert dual.cell_graph.vertices == g.vertices
+        assert list(dual.cell_graph.arcs()) == scan
+        assert dual.cell_graph.symmetric or not g.symmetric
+        built.clear()
         build_res_tables(cells, dual, sink)
         for s, t in pairs:
             boundary_route(g, cells, dual, s, t)
-        assert calls == []
-        for c, sub in dual.subgraphs.items():
-            expected = induced(g, cells.canonical_members(c))
-            assert sub.vertices == expected.vertices
-            assert list(sub.arcs()) == list(expected.arcs())
+        assert built == []
+
+
+def test_or_raises_route_not_found_when_an_arc_outruns_its_tail_range():
+    # 0 -> 1 is 50 m but 0 reaches 30 m: no level prices it, so the only
+    # route costs inf and its first hop exceeds the range
+    nodes = {0: NodePos(0, 0.0, 0.0, 30.0), 1: NodePos(1, 50.0, 0.0, 60.0),
+             2: NodePos(2, 100.0, 0.0, 60.0)}
+    g = Digraph(nodes, {(0, 1): 50.0, (1, 2): 50.0})
+    with pytest.raises(RouteNotFound, match="exceeds max range"):
+        route("or", g, nodes, 0, 2, PARAMS)
 
 
 def test_walk_single_hop():

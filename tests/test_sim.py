@@ -339,12 +339,15 @@ SPARSE_MTE = ScenarioConfig(area_width=320.0, area_height=320.0, node_count=280,
         (ScenarioConfig(protocol="dt"), 2, None),
         (ScenarioConfig(protocol="mte"), 2, None),
         (SPARSE_MTE, 2, None),
+        # no balance falls near a due time in 300 s, so no row can write one
+        (replace(SPARSE_MTE, battery_j=100.0), 2, None),
         # so few places that every group splits and single rows exceed them
         (replace(DRAINING, protocol="mte"), None, 4),
         (ScenarioConfig(protocol="mte"), 2, 4),
     ],
     ids=["res", "dt", "mte", "merr", "or", "mte-4hz", "dt-10hz", "mte-no-init",
-         "default-dt", "default-mte", "sparse-mte", "mte-4-places", "default-mte-4-places"],
+         "default-dt", "default-mte", "sparse-mte", "sparse-mte-100j", "mte-4-places",
+         "default-mte-4-places"],
 )
 def test_bulk_ticks_match_scalar_ticks(monkeypatch, config, seed, block_places):
     if block_places is None:
