@@ -506,25 +506,16 @@ def set_distance(
     Point-to-set takes the min over targets; set-to-set additionally takes
     the min over sources.  None when no target is reachable.
     """
-    targets = sorted(set(target_set))
+    targets = set(target_set)
     if not targets:
         raise ValueError("empty target set")
     for t in targets:
         g._position(t)
-    sources = [x] if isinstance(x, (int, str)) else sorted(set(x))
+    sources = (x,) if isinstance(x, (int, str)) else tuple(sorted(set(x)))
     if not sources:
         raise ValueError("empty source set")
-    target_lookup = set(targets)
-    best: float | None = None
-    for s in sources:
-        if s in target_lookup:
-            return 0.0
-        dist = single_source_distances(g, s)
-        for t in targets:
-            d = dist.get(t)
-            if d is not None and (best is None or d < best):
-                best = d
-    return best
+    dist = single_source_distances(g, sources)
+    return min((dist[t] for t in targets if t in dist), default=None)
 
 
 def is_connected(g: Digraph) -> bool:

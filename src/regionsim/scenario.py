@@ -112,7 +112,6 @@ class ScenarioConfig:
             fail("run_count must be >= 1")
 
 
-# scenario-file key -> (dataclass field, converter)
 def _bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -122,47 +121,26 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_SECTIONS: dict[str, dict[str, tuple]] = {
-    "area": {
-        "width": ("area_width", float),
-        "height": ("area_height", float),
-        "region_size": ("region_size", float),
-    },
-    "nodes": {
-        "count": ("node_count", int),
-        "radio_range": ("radio_range", float),
-        "sensing_range": ("sensing_range", float),
-        "sink_x": ("sink_x", float),
-        "sink_y": ("sink_y", float),
-        "battery_j": ("battery_j", float),
-    },
-    "energy": {
-        "p_comm_max_mw": ("p_comm_max_mw", float),
-        "p_sense_mw": ("p_sense_mw", float),
-        "p_sleep_mw": ("p_sleep_mw", float),
-        "p_rx_mw": ("p_rx_mw", float),
-        "draw_floor_mw": ("draw_floor_mw", float),
-        "bandwidth_bps": ("bandwidth_bps", float),
-        "level_min_dbm": ("level_min_dbm", float),
-        "level_max_dbm": ("level_max_dbm", float),
-        "level_count": ("level_count", int),
-        "path_loss_exponent": ("path_loss_exponent", float),
-    },
-    "traffic": {
-        "sessions": ("sessions", int),
-        "packet_bits": ("packet_bits", int),
-        "packet_rate_hz": ("packet_rate_hz", float),
-        "sim_duration_s": ("sim_duration_s", float),
-        "init_phase_s": ("init_phase_s", float),
-        "report_interval_s": ("report_interval_s", float),
-        "protocol": ("protocol", str),
-        "seed": ("seed", int),
-        "run_count": ("run_count", int),
-        "flood_trace": ("flood_trace", _bool),
-    },
+# scenario-file key -> dataclass field; every other key names its own field
+_RENAMED = {"width": "area_width", "height": "area_height", "count": "node_count"}
+_SECTIONS: dict[str, dict[str, str]] = {
+    section: {key: _RENAMED.get(key, key) for key in keys.split()}
+    for section, keys in {
+        "area": "width height region_size",
+        "nodes": "count radio_range sensing_range sink_x sink_y battery_j",
+        "energy": "p_comm_max_mw p_sense_mw p_sleep_mw p_rx_mw draw_floor_mw "
+        "bandwidth_bps level_min_dbm level_max_dbm level_count path_loss_exponent",
+        "traffic": "sessions packet_bits packet_rate_hz sim_duration_s init_phase_s "
+        "report_interval_s protocol seed run_count flood_trace",
+    }.items()
 }
 
 _ENERGY_FIELDS = {f.name for f in fields(EnergyParams)}
+# a value parses by its field's type
+_PARSERS = {
+    f.name: _bool if f.type is bool else f.type
+    for f in (*fields(ScenarioConfig), *fields(EnergyParams))
+}
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -183,12 +161,11 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         if section not in _SECTIONS:
             raise ScenarioError(f"unknown section [{section}] in {path}")
         for key, raw in parser.items(section):
-            entry = _SECTIONS[section].get(key)
-            if entry is None:
+            name = _SECTIONS[section].get(key)
+            if name is None:
                 raise ScenarioError(f"unknown field '{key}' in section [{section}]")
-            name, conv = entry
             try:
-                value = conv(raw)
+                value = _PARSERS[name](raw)
             except (TypeError, ValueError) as exc:
                 raise ScenarioError(
                     f"field '{key}' in [{section}]: cannot parse {raw!r}"

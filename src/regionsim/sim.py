@@ -67,7 +67,6 @@ Model notes:
     sensor order.
 """
 
-import csv
 import math
 import random
 from bisect import bisect_left, bisect_right
@@ -858,15 +857,12 @@ def coverage_series(report: RunReport) -> list[tuple[float, float]]:
 # -- output files --------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9f}"
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_table(path: Path, header: str, lines) -> Path:
+    """Write the header, then each line, with csv's CRLF endings; ids and
+    fixed-point numbers need no quoting.  Returns ``path``."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
+        f.write("\r\n".join([header, *lines, ""]))
+    return path
 
 
 def _report_text(report: RunReport) -> str:
@@ -880,8 +876,8 @@ def _report_text(report: RunReport) -> str:
         f"packets: {report.generated} generated, {report.delivered} delivered "
         f"(delivery ratio {report.delivery_ratio:.4f})",
         "energy_j: "
-        + " ".join(f"{m}={_fmt(report.totals_by_mode[m])}" for m in ("tx", "rx", "sense", "sleep"))
-        + f" total={_fmt(report.total_energy_j)}",
+        + " ".join(f"{m}={report.totals_by_mode[m]:.9f}" for m in ("tx", "rx", "sense", "sleep"))
+        + f" total={report.total_energy_j:.9f}",
         f"lifetime_s: {report.lifetime_s:.3f}",
         f"deaths: {len(report.deaths)}",
     ]
@@ -904,68 +900,62 @@ def _report_text(report: RunReport) -> str:
 
 
 def emit_outputs(report: "RunReport | BatchReport", out_dir: str | Path) -> list[Path]:
-    """Write the report's CSV and text files; returns the paths written."""
+    """Write the report's CSV and text files; returns the paths written.
+
+    Every CSV goes through one line writer, each row in one %-format.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
     if isinstance(report, BatchReport):
-        path = out / "batch_summary.csv"
-        rows = [
-            [name, _fmt(mean), _fmt(std)]
+        written.append(_write_table(out / "batch_summary.csv", "metric,mean,std", (
+            "%s,%.9f,%.9f" % (name, mean, std)
             for name, (mean, std) in sorted(report.metrics.items())
-        ]
-        _write_csv(path, ["metric", "mean", "std"], rows)
-        written.append(path)
+        )))
         for r in report.runs:
             written.extend(emit_outputs(r, out / f"run_{r.seed}"))
         return written
 
-    path = out / "summary.csv"
-    _write_csv(
-        path,
-        ["t_s", "coverage_pct", "alive", "generated", "delivered",
-         "delivery_ratio", "tx_j", "rx_j", "sense_j", "sleep_j", "total_j"],
-        [
-            [f"{row.t_s:.3f}", f"{row.coverage_pct:.4f}", row.alive, row.generated,
-             row.delivered, f"{row.delivery_ratio:.6f}", _fmt(row.tx_j),
-             _fmt(row.rx_j), _fmt(row.sense_j), _fmt(row.sleep_j), _fmt(row.total_j)]
+    written.append(_write_table(
+        out / "summary.csv",
+        "t_s,coverage_pct,alive,generated,delivered,"
+        "delivery_ratio,tx_j,rx_j,sense_j,sleep_j,total_j",
+        (
+            "%.3f,%.4f,%s,%s,%s,%.6f,%.9f,%.9f,%.9f,%.9f,%.9f" % (
+                row.t_s, row.coverage_pct, row.alive, row.generated, row.delivered,
+                row.delivery_ratio, row.tx_j, row.rx_j, row.sense_j, row.sleep_j,
+                row.total_j)
             for row in report.intervals
-        ],
-    )
-    written.append(path)
-
-    path = out / "sessions.csv"
-    _write_csv(
-        path,
-        ["session_id", "source", "sink", "protocol", "status", "hops",
-         "packet_energy_j", "generated", "delivered", "energy_j"],
-        [
-            [s.session_id, s.source, s.sink, s.protocol, s.status, s.hops,
-             _fmt(s.packet_energy_j), s.generated, s.delivered, _fmt(s.energy_j)]
+        ),
+    ))
+    written.append(_write_table(
+        out / "sessions.csv",
+        "session_id,source,sink,protocol,status,hops,"
+        "packet_energy_j,generated,delivered,energy_j",
+        (
+            "%s,%s,%s,%s,%s,%s,%.9f,%s,%s,%.9f" % (
+                s.session_id, s.source, s.sink, s.protocol, s.status, s.hops,
+                s.packet_energy_j, s.generated, s.delivered, s.energy_j)
             for s in report.sessions
-        ],
-    )
-    written.append(path)
-
-    # the bytes csv.writer and _fmt would write, one %-format per row: int
-    # node ids and fixed-point floats need no quoting
-    path = out / "energy.csv"
-    with open(path, "w", newline="") as f:
-        f.write("t_s,node_id,tx_j,rx_j,sense_j,sleep_j,remaining_j\r\n")
-        for t, snapshot in report.ledger_snapshots:
-            when = "%.3f" % t
-            f.write("".join(when + ",%s,%.9f,%.9f,%.9f,%.9f,%.9f\r\n" % row for row in snapshot))
-    written.append(path)
-
+        ),
+    ))
+    # the time is formatted once per snapshot, not once per row
+    written.append(_write_table(
+        out / "energy.csv",
+        "t_s,node_id,tx_j,rx_j,sense_j,sleep_j,remaining_j",
+        (
+            when + "%s,%.9f,%.9f,%.9f,%.9f,%.9f" % row
+            for when, snapshot in (("%.3f," % t, rows) for t, rows in report.ledger_snapshots)
+            for row in snapshot
+        ),
+    ))
     if report.flood_trace_rows:
-        path = out / "flood_trace.csv"
-        _write_csv(
-            path,
-            ["round", "sender", "receiver", "region", "hop", "action"],
-            [list(r) for r in report.flood_trace_rows],
-        )
-        written.append(path)
+        written.append(_write_table(
+            out / "flood_trace.csv",
+            "round,sender,receiver,region,hop,action",
+            ("%s,%s,%s,%s,%s,%s" % r for r in report.flood_trace_rows),
+        ))
 
     path = out / "report.txt"
     path.write_text(_report_text(report))

@@ -4,7 +4,9 @@ import filecmp
 
 import pytest
 
+from regionsim import cli
 from regionsim.cli import main
+from regionsim.routing import RoutingError
 
 TINY = """
 [area]
@@ -166,3 +168,36 @@ def test_percent_in_scenario_value_is_a_scenario_error(tmp_path, capsys):
     code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "scenario error: protocol must be one of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code", [
+    (RoutingError("no route"), 3),
+    (RuntimeError("internal"), 1),
+])
+def test_run_failure_exit_codes(tmp_path, capsys, monkeypatch, error, code):
+    def fail(config):
+        raise error
+
+    monkeypatch.setattr(cli, "run", fail)
+    assert main(["run", "--scenario", scenario(tmp_path), "--out", str(tmp_path / "o")]) == code
+    assert str(error) in capsys.readouterr().err
+
+
+def test_out_naming_an_existing_file_is_an_io_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["run", "--scenario", scenario(tmp_path), "--out", str(out)]) == 4
+    assert "i/o error" in capsys.readouterr().err
+
+
+def test_compare_with_runs_writes_a_batch_summary_per_protocol(tmp_path, capsys):
+    out = tmp_path / "c"
+    code = main(
+        ["compare", "--scenario", scenario(tmp_path), "--out", str(out),
+         "--protocols", "res,dt", "--runs", "2"]
+    )
+    assert code == 0
+    for tag in ("res", "dt"):
+        lines = (out / tag / "batch_summary.csv").read_text().splitlines()
+        assert lines[0] == "metric,mean,std"
+        assert (out / tag / "run_5").is_dir() and (out / tag / "run_6").is_dir()

@@ -826,6 +826,20 @@ def test_set_distance_matches_exhaustive_min():
             assert got == pytest.approx(want)
 
 
+def test_set_distance_equals_min_of_per_source_searches():
+    # integer weights tie often; the one multi-source search must still give
+    # each vertex the very float of its nearest source's own search
+    rng = random.Random(47)
+    for _ in range(200):
+        n = rng.randint(1, 16)
+        g = tie_heavy_digraph(rng, n, rng.choice([0.15, 0.3, 0.6]))
+        sources = rng.sample(range(n), rng.randint(1, n))
+        targets = rng.sample(range(n), rng.randint(1, n))
+        per_source = [single_source_distances(g, s) for s in sources]
+        want = min((d[t] for d in per_source for t in targets if t in d), default=None)
+        assert set_distance(g, sources, targets) == want
+
+
 def test_set_distance_empty_target_rejected():
     g = path_graph(3)
     with pytest.raises(ValueError, match="empty target set"):

@@ -1,10 +1,12 @@
 """Scenario parsing/validation and seeded deployment."""
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from regionsim.scenario import (
+    _SECTIONS,
     ScenarioConfig,
     ScenarioError,
     deploy,
@@ -70,6 +72,33 @@ def test_unknown_section_rejected(tmp_path):
 def test_unparseable_value_names_field(tmp_path):
     with pytest.raises(ScenarioError, match="'count'"):
         load_scenario(write(tmp_path, "[nodes]\ncount = many\n"))
+
+
+@pytest.mark.parametrize("text, value", [
+    *((t, True) for t in ("1", "true", "YES", "On")),
+    *((t, False) for t in ("0", "False", "no", "OFF")),
+])
+def test_flag_spellings(tmp_path, text, value):
+    config = load_scenario(write(tmp_path, f"[traffic]\nflood_trace = {text}\n"))
+    assert config.flood_trace is value
+
+
+def test_unparseable_flag_names_field(tmp_path):
+    with pytest.raises(ScenarioError, match="'flood_trace'"):
+        load_scenario(write(tmp_path, "[traffic]\nflood_trace = maybe\n"))
+
+
+def test_readme_scenario_example_is_the_default(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Scenario files"):]
+    block = section[section.index("```ini\n") + 7:section.index("```\n", 7)]
+    keys = [line.split(" = ")[0] for line in block.splitlines() if " = " in line and line[0] != ";"]
+    assert sorted(keys) == sorted(k for section in _SECTIONS.values() for k in section)
+    config = load_scenario(write(tmp_path, block))
+    assert config == ScenarioConfig()
+    # each value parsed to its field's own type, not just an equal number
+    loaded, default = scenario_to_dict(config), scenario_to_dict(ScenarioConfig())
+    assert {k: type(v) for k, v in loaded.items()} == {k: type(v) for k, v in default.items()}
 
 
 def test_missing_file_rejected(tmp_path):

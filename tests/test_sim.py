@@ -636,3 +636,29 @@ def test_emit_batch_outputs(tmp_path):
     lines = (tmp_path / "out" / "batch_summary.csv").read_text().splitlines()
     assert lines[0] == "metric,mean,std"
     assert any(line.startswith("total_energy_j,") for line in lines)
+
+
+def test_unrouted_sessions_are_written_with_no_hops_or_packets(tmp_path):
+    config = ScenarioConfig(protocol="dt", radio_range=60.0, seed=2, sim_duration_s=300.0)
+    report = run(config)
+    assert (report.sessions_requested, report.sessions_established) == (15, 6)
+    emit_outputs(report, tmp_path)
+    rows = [line.split(",") for line in (tmp_path / "sessions.csv").read_text().splitlines()]
+    unrouted = [dict(zip(rows[0], row)) for row in rows[1:] if row[4] == "no_route"]
+    assert len(unrouted) == 9
+    assert all(r["hops"] == "0" and r["generated"] == "0" for r in unrouted)
+
+
+def test_merr_report_carries_characteristic_distance(tmp_path):
+    emit_outputs(run(ScenarioConfig(protocol="merr")), tmp_path)
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert "merr_characteristic_distance_m: 180.000000" in lines
+
+
+def test_run_failure_is_a_simulation_error_naming_the_seed(monkeypatch):
+    def fail(config, seed):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(sim, "_Run", fail)
+    with pytest.raises(sim.SimulationError, match=r"seed=9\b.*boom"):
+        run(SMALL, 9)
