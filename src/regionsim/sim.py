@@ -23,14 +23,23 @@ whichever comes first: the next non-tick event, the next due time, the tick
 before the first one in which a balance reaches DEATH_EPSILON_J, or the tick
 after which a due time written in the epoch falls at or before the next
 tick.  The step works on blocks of nodes that take the same number of
-charges per tick in the same duty mode, each read in one pass of 2-D numpy
-arrays, of at most BLOCK_PLACES floats unless a single node needs more.  The
-dead test reads each balance at every tick's end.  Only a node whose floor,
-the first tick's time plus its lowest balance before the stop over its
-drain rate, lies below its due time less 1 s and within the duration gets
-the per-charge projections of its drain death: no other node can write a
-due time in the epoch.  The tick in which a node dies is replayed through
-the scalar _handle_tick, as are init, due settles and t = 0.
+charges per tick in the same duty mode, in two passes over 2-D numpy arrays
+of at most BLOCK_PLACES floats unless a single node needs more.  Pass one
+runs on every block: it accumulates each cell the block touches after every
+charge, reads each balance at every tick's end and ends the epoch before
+the first dead tick.  It keeps the block's cells at every tick's end, and
+its cells after every charge only if some node's floor, the first tick's
+time plus its lowest balance before that end over its drain rate, lies
+below its due time less 1 s and within the duration: no other node can
+write a due time in the epoch.  Pass two runs on the kept blocks only, over
+the ticks before pass one's end: it replays the per-charge projections of
+each such node's drain death and the due times the 1 s rule writes, which
+may end the epoch earlier.  Once the kept blocks hold KEPT_PLACES floats,
+pass two runs on them at once, over the ticks before the end known then.
+Each array either pass computes is a prefix of the one a block would
+compute over the whole run of ticks, so every value before the epoch's end
+is the scalar one.  The tick in which a node dies is replayed through the
+scalar _handle_tick, as are init, due settles and t = 0.
 
 Model notes:
   * The sink is a mains-powered base station: it relays and receives but has
@@ -91,6 +100,7 @@ from .graph import NodeId, build_unit_disk_digraph, neighborhoods
 from .regions import build_boundary_dual_graph
 from .routing import (
     RouteNotFound,
+    RoutingError,
     build_mte_table,
     build_res_tables,
     characteristic_distance,
@@ -103,6 +113,10 @@ from .scenario import ScenarioConfig, ScenarioError, deploy, scenario_to_dict
 COVERAGE_SAMPLES = 10_000
 # floats per array of one block of the epoch step (256 KB)
 BLOCK_PLACES = 1 << 15
+# floats that the epoch step's kept blocks hold before pass two runs on them:
+# two blocks' worth, so that an epoch needs about the memory of one block's
+# pass over all its cells
+KEPT_PLACES = 2 * BLOCK_PLACES
 # floats per array of one chunk of the coverage index (128 KB); of 2^13 to
 # 2^17, the fastest or within noise of it on the default, dense and sparse fields
 COVER_PLACES = 1 << 14
@@ -602,30 +616,43 @@ class _Run:
         a node dies every tick charges the same cells with the same joules.
         This replays ``_impulse`` on them in the scalar order, over blocks of
         the nodes that take the same number of charges a tick in the same
-        duty mode (``_bulk_block``).  It stops before the first tick in which
-        a balance reaches DEATH_EPSILON_J, which the loop replays through
-        ``_handle_tick``, and after the first tick following which a written
-        due time falls at or before the next tick.  Each block keeps only its
-        cells at every tick's end and its due-time writes; once the stop K is
-        known, each cell takes its value after tick K from them.
+        duty mode.  It stops before the first tick in which a balance reaches
+        DEATH_EPSILON_J, which the loop replays through ``_handle_tick``, and
+        after the first tick following which a written due time falls at or
+        before the next tick.  It finds that stop K in two passes.
+
+        Pass one (``_bulk_block``) runs on every block.  It accumulates the
+        block's cells after every charge, reads each balance at every tick's
+        end and lowers the limit to the first dead tick.  It keeps the cells
+        at every tick's end, and the cells after every charge only for a
+        block in which some row can write a due time.  Pass two
+        (``_bulk_writes``) runs on those blocks only, over the ticks before
+        the limit pass one left: it replays the per-charge projections and
+        their due-time writes, and lowers the limit to K.  It also runs as
+        soon as the kept blocks hold KEPT_PLACES floats, over the limit
+        known then, which bounds the epoch's memory.  Once K is known, each
+        cell takes its value after tick K from its tick-end array.
 
         Why the bits hold.  A prefix of ``np.add.accumulate`` (and of
         ``np.minimum.accumulate``) equals the accumulate of that prefix, and
         everything else is elementwise.  So a block computed over the limit
         known when it starts, longer than K or not, holds at and before K the
-        values the scalar path computes.  K is the minimum over rows of the
-        first dead tick and the due-write stops, each of which is read off
-        such a prefix (a row's chain walked over a prefix is the prefix of
-        its chain), so K is the same in whatever order the blocks run and
-        however the rows are split into blocks.  ``_due`` may take its
-        entries in another insertion order than tick by tick, which is
-        harmless: ``_settle_due`` reads only minima.
+        values the scalar path computes, and pass two's arrays are prefixes
+        of pass one's, however long.  K is the minimum over rows of the first dead tick and
+        the due-write stops, each of which is read off such a prefix (a
+        row's chain walked over a prefix is the prefix of its chain), so K is
+        the same in whatever order the blocks run, however the rows are split
+        into blocks and whichever rows pass two skips as unable to write
+        before the limit.  ``_due`` may take its entries in another insertion
+        order than tick by tick, which is harmless: ``_settle_due`` reads
+        only minima.
         """
         groups, sessions = self._charge_plan()
         T = np.array(ticks)
         limit = len(ticks)
         wdT = {m: w * np.diff(T) for m, w in self.drain_w.items()}
-        blocks = []
+        blocks, kept_blocks, writes = [], [], []
+        kept_places = 0
         for (c, m), members in groups.items():
             # split rows, never ticks: each block's arrays hold about
             # BLOCK_PLACES floats, or one row if that is longer
@@ -634,26 +661,32 @@ class _Run:
                 size = max(1, BLOCK_PLACES // (limit * c + 1))
                 block = members[i : i + size]
                 i += size
-                limit, ends, writes = self._bulk_block(block, c, m, T, wdT, limit)
-                blocks.append((block, ends, writes))
-        K = limit
-        if not K:
+                limit, ends, kept = self._bulk_block(block, c, m, T, wdT, limit)
+                blocks.append((block, ends))
+                if kept:
+                    kept_blocks.append((block, c, m, *kept))
+                    kept_places += kept[2].size
+                    if kept_places > KEPT_PLACES:
+                        limit = self._bulk_writes(kept_blocks, T, limit, writes)
+                        kept_places = 0
+        if not limit:
             return 0
+        K = self._bulk_writes(kept_blocks, T, limit, writes)
         last = ticks[K - 1]
         rows, mode_since, due = self.rows, self.mode_since, self._due
-        for block, ends, writes in blocks:
+        for block, ends in blocks:
             for slot, end in ends.items():
                 for (v, _, _), x in zip(block, end[:, K].tolist()):
                     rows[v][slot] = x
             for v, _, _ in block:
                 mode_since[v] = last
-            for v, wt, wv in writes:
-                n = int(np.searchsorted(wt, K))
-                if n:
-                    t = float(wv[n - 1])
-                    due[v] = t
-                    if t < self._next_due:
-                        self._next_due = t
+        for v, wt, wv in writes:
+            n = int(np.searchsorted(wt, K))
+            if n:
+                t = float(wv[n - 1])
+                due[v] = t
+                if t < self._next_due:
+                    self._next_due = t
         for rec, joules, delivered in sessions:
             rec.generated += K
             if len(joules):
@@ -665,14 +698,17 @@ class _Run:
         return K
 
     def _bulk_block(self, block: list, c: int, m: int, T: np.ndarray, wdT: dict,
-                    limit: int) -> tuple[int, dict, list]:
-        """One block of ``_bulk_ticks``: the nodes of ``block``, each taking
-        c charges a tick in duty mode m, over the first ``limit`` ticks of T.
+                    limit: int) -> tuple[int, dict, tuple]:
+        """Pass one of ``_bulk_ticks`` on one block: the nodes of ``block``,
+        each taking c charges a tick in duty mode m, over the first ``limit``
+        ticks of T.
 
-        Returns the lowered limit; per cell the block touches, its value
-        before the first tick and at the end of each tick up to that limit,
-        as a (rows, limit + 1) array; and ``(v, tick indices, due times)``
-        for each node that writes due times before the limit.
+        Returns the limit lowered to the block's first dead tick; per cell
+        the block touches, its value before the first tick and at the end of
+        each tick up to that limit, as a (rows, limit + 1) array; and, if
+        some row can write a due time before the limit, ``(rows that can,
+        their due times less 1 s, tx + rx, sense, sleep)`` after every
+        charge, for ``_bulk_writes``, else ``()``.
         """
         K = limit
         r = len(block)
@@ -703,17 +739,15 @@ class _Run:
         cells[m] = drain[:, 1:, None]
         ends[m] = drain
 
-        def balance(cells):
-            return self.budget - (((cells[TX] + cells[RX]) + cells[SENSE]) + cells[SLEEP])
-
         # each balance at the end of each tick, after the tick's last charge,
         # which leaves its lowest, as balances only fall
-        ticks_end = balance([ends[s][:, 1:] if s in ends else x[:, 0] for s, x in enumerate(cells)])
+        at_end = [ends[s][:, 1:] if s in ends else x[:, 0] for s, x in enumerate(cells)]
+        ticks_end = self.budget - (((at_end[TX] + at_end[RX]) + at_end[SENSE]) + at_end[SLEEP])
         dead = ticks_end <= DEATH_EPSILON_J
         hit = dead.any(axis=1)
         if hit.any():
             limit = int(dead.argmax(axis=1)[hit].min())
-        writes = []
+        kept = ()
         if limit:
             thresholds = np.array([self._due.get(v, math.inf) for v, _, _ in block]) - 1.0
             # No projection of a row lies below T[0] plus its balance at the
@@ -721,24 +755,55 @@ class _Run:
             # balances fall and rounding is monotone: a row whose floor is not
             # below its threshold, or lies past the duration, writes nothing.
             floor = T[0] + ticks_end[:, limit - 1] / w
-            rows = np.flatnonzero((floor < thresholds) & (floor <= self.duration))
-            proj = T[:limit, None] + balance([x[rows, :limit] for x in cells]) / w
+            writers = np.flatnonzero((floor < thresholds) & (floor <= self.duration))
+            if len(writers):
+                # the projection's first sum, taken here so that one array
+                # per block waits for pass two instead of one per slot
+                kept = (writers, thresholds[writers], cells[TX] + cells[RX],
+                        cells[SENSE], cells[SLEEP])
+        # a view would keep each whole accumulation alive until the epoch ends
+        return limit, {s: end[:, : limit + 1].copy() for s, end in ends.items()}, kept
+
+    def _bulk_writes(self, kept_blocks: list, T: np.ndarray, limit: int,
+                     writes: list) -> int:
+        """Pass two of ``_bulk_ticks`` on the blocks pass one kept, each as
+        ``(block, c, m, rows that can write, their due times less 1 s, tx +
+        rx, sense, sleep)``: the due-time writes of those rows over the first
+        ``limit`` ticks, appended to ``writes`` as ``(v, tick indices, due
+        times)``.  Empties ``kept_blocks`` and returns the limit lowered to
+        the first write stop.
+
+        Each projection is ``_impulse``'s, T + balance / w, in its operation
+        order, computed in one buffer in place.
+        """
+        for block, c, m, writers, thresholds, tx_rx, sense, sleep in kept_blocks:
+            K = limit
+            n = len(writers)
+            # a gather copies, so the rows are gathered only if some do not project
+            sel = slice(None) if n == len(block) else writers
+            proj = tx_rx[sel, :K] + sense[sel, :K]
+            proj += sleep[sel, :K]
+            np.subtract(self.budget, proj, out=proj)
+            proj /= self.drain_w[m]
+            proj += T[:K, None]
             proj[proj > self.duration] = math.inf
             # The first projection below a threshold is where their running
             # minimum first falls below it, and that minimum never rises.  A
             # write is such a place, so it equals the minimum there.
-            low = proj.reshape(len(rows), limit * c)
+            low = proj.reshape(n, K * c)
             np.minimum.accumulate(low, axis=1, out=low)
-            for k in np.flatnonzero(low[:, -1] < thresholds[rows]).tolist():
-                i = int(rows[k])
-                at = _due_writes(low[k, : limit * c], thresholds[i])
+            for k in np.flatnonzero(low[:, -1] < thresholds).tolist():
+                at = _due_writes(low[k, : limit * c], thresholds[k])
                 if len(at):
                     wt, wv = at // c, low[k, at]
-                    # the loop settles a due time before the first tick at or after it
-                    limit = min(limit, int(np.maximum(np.searchsorted(T, wv), wt + 1).min()))
-                    writes.append((block[i][0], wt, wv))
-        # a view would keep each whole accumulation alive until the epoch ends
-        return limit, {s: end[:, : limit + 1].copy() for s, end in ends.items()}, writes
+                    # the loop settles a due time before the first tick at or
+                    # after it; the writes fall along the chain, so none does
+                    # before the limit unless the last one does
+                    if wv[-1] <= T[limit - 1]:
+                        limit = min(limit, int(np.maximum(np.searchsorted(T, wv), wt + 1).min()))
+                    writes.append((block[int(writers[k])][0], wt, wv))
+        kept_blocks.clear()
+        return limit
 
     def _report(self):
         """Accrue the alive nodes, then snapshot the ledger and sum its row."""
@@ -804,12 +869,20 @@ class _Run:
 
 
 def run(config: ScenarioConfig, seed: int | None = None) -> RunReport:
-    """Execute one deterministic run of the configured scenario."""
+    """Execute one deterministic run of the configured scenario.
+
+    A failure other than a ``ScenarioError`` names the seed: a
+    ``RoutingError`` keeps its class, anything else becomes a
+    ``SimulationError``.
+    """
     s = config.seed if seed is None else seed
     try:
         return _Run(config, s).report
     except ScenarioError:
         raise
+    except RoutingError as exc:
+        # keeps its class, so the CLI still reports it as a routing error
+        raise type(exc)(f"run aborted (seed={s}): {exc}") from exc
     except Exception as exc:
         raise SimulationError(f"run aborted (seed={s}): {exc}") from exc
 

@@ -6,7 +6,8 @@ import pytest
 
 from regionsim import cli
 from regionsim.cli import main
-from regionsim.routing import RoutingError
+from regionsim.routing import CycleError, RoutingError
+from regionsim.sim import _Run
 
 TINY = """
 [area]
@@ -181,6 +182,15 @@ def test_run_failure_exit_codes(tmp_path, capsys, monkeypatch, error, code):
     monkeypatch.setattr(cli, "run", fail)
     assert main(["run", "--scenario", scenario(tmp_path), "--out", str(tmp_path / "o")]) == code
     assert str(error) in capsys.readouterr().err
+
+
+def test_routing_error_inside_a_run_exits_3_naming_the_seed(tmp_path, capsys, monkeypatch):
+    def corrupt_tables(self):
+        raise CycleError("loop")
+
+    monkeypatch.setattr(_Run, "_setup_protocol", corrupt_tables)
+    assert main(["run", "--scenario", scenario(tmp_path), "--out", str(tmp_path / "o")]) == 3
+    assert "routing error: run aborted (seed=5): loop" in capsys.readouterr().err
 
 
 def test_out_naming_an_existing_file_is_an_io_error(tmp_path, capsys):

@@ -1,13 +1,17 @@
 """Simulation harness: runs, duty cycling, deaths, batches and output files."""
 
 import filecmp
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regionsim.energy import EnergyLedger
 from regionsim import sim
+from regionsim.routing import CycleError
 from regionsim.scenario import ScenarioConfig, deploy
 from regionsim.sim import (
     COVERAGE_SAMPLES,
@@ -370,6 +374,32 @@ def test_bulk_ticks_match_scalar_ticks(monkeypatch, config, seed, block_places):
     assert applied == real_cap
 
 
+@pytest.mark.parametrize(
+    "config, seed",
+    [(replace(DRAINING, protocol="mte"), None), (ScenarioConfig(protocol="mte"), 2),
+     (SPARSE_MTE, 2)],
+    ids=["mte", "default-mte", "sparse-mte"],
+)
+def test_bulk_ticks_match_scalar_ticks_with_pass_two_after_every_kept_block(
+        monkeypatch, config, seed):
+    # pass two then runs over the limit known when each block is kept, often
+    # longer than the epoch turns out to be
+    applied = []
+    bulk_ticks = _Run._bulk_ticks
+
+    def counting_bulk(self, ticks):
+        applied.append(bulk_ticks(self, ticks))
+        return applied[-1]
+
+    monkeypatch.setattr(_Run, "_bulk_ticks", counting_bulk)
+    run(config, seed)
+    held = applied[:]
+    applied.clear()
+    monkeypatch.setattr(sim, "KEPT_PLACES", 0)
+    run_bulk_and_scalar(monkeypatch, config, seed)
+    assert applied == held
+
+
 def test_bulk_ticks_match_scalar_ticks_when_sources_die_in_the_first_tick(monkeypatch):
     # 30 s of sensing leave 0.5 mJ, less than one transmission
     config = replace(SMALL, protocol="dt", battery_j=0.3605, sessions=4)
@@ -388,6 +418,74 @@ def test_bulk_ticks_match_scalar_ticks_when_a_relay_dies_mid_tick(monkeypatch):
     assert report.deaths[0] == (144.0, 5)
     assert all(s.generated == senders[0].generated for s in senders)
     assert senders[0].delivered < senders[2].delivered
+
+
+def due_writes_by_loop(low, threshold):
+    """_impulse's rule, place by place: write at the first place below the
+    threshold, then at each place more than 1 s below the last write."""
+    places, bar = [], threshold
+    for i, t in enumerate(low.tolist()):
+        if t < bar:
+            places.append(i)
+            bar = t - 1.0
+    return places
+
+
+@st.composite
+def falling_minima(draw):
+    """A non-increasing array, as a running minimum of projections is: a run
+    of inf (past the duration) and then falls of 0, exactly 1 s or any
+    length; and a threshold, inf or near the values."""
+    top = draw(st.one_of(st.integers(-20, 400).map(float),
+                         st.floats(-20.0, 400.0, allow_nan=False)))
+    falls = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                    st.floats(0.0, 3.0, allow_nan=False)),
+                          max_size=60))
+    values = [top]
+    for fall in falls:
+        values.append(values[-1] - fall)
+    low = np.array([math.inf] * draw(st.integers(0, 3)) + values)
+    near = draw(st.sampled_from(values))
+    threshold = draw(st.sampled_from(
+        [math.inf, near, near + 1.0, near - 1.0, near + 0.25]))
+    return low, threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(falling_minima())
+def test_due_writes_follow_the_impulse_rule(case):
+    low, threshold = case
+    assert sim._due_writes(low, threshold).tolist() == due_writes_by_loop(low, threshold)
+
+
+def test_due_write_replay_stops_at_the_first_dead_tick(monkeypatch):
+    # a dt source takes one charge a tick, so a row handed to _due_writes
+    # holds one place per tick; one row a block puts blocks of writing rows
+    # before that of a source that dies
+    config = replace(DRAINING, protocol="dt", seed=1, sessions=8, battery_j=6.0)
+    monkeypatch.setattr(sim, "BLOCK_PLACES", 1)
+    epochs = []
+    bulk_ticks, due_writes = _Run._bulk_ticks, sim._due_writes
+
+    def recording_bulk(self, ticks):
+        # (ticks offered, lengths of the rows handed to _due_writes, ticks applied)
+        epochs.append([ticks, [], None])
+        epochs[-1][2] = bulk_ticks(self, ticks)
+        return epochs[-1][2]
+
+    def recording_writes(low, threshold):
+        epochs[-1][1].append(len(low))
+        return due_writes(low, threshold)
+
+    monkeypatch.setattr(_Run, "_bulk_ticks", recording_bulk)
+    monkeypatch.setattr(sim, "_due_writes", recording_writes)
+    report = run(config)
+    # three sources die by charge at the tick of 429 s, 128 ticks into an
+    # epoch offered 152
+    assert report.deaths[:3] == [(429.0, 4), (429.0, 12), (429.0, 14)]
+    ticks, rows, applied = next(e for e in epochs if e[0][:1] == [301.0])
+    assert (len(ticks), applied, ticks[applied]) == (152, 128, 429.0)
+    assert rows and max(rows) <= applied
 
 
 def test_report_times_and_counts_are_python_numbers():
@@ -661,4 +759,13 @@ def test_run_failure_is_a_simulation_error_naming_the_seed(monkeypatch):
 
     monkeypatch.setattr(sim, "_Run", fail)
     with pytest.raises(sim.SimulationError, match=r"seed=9\b.*boom"):
+        run(SMALL, 9)
+
+
+def test_routing_error_keeps_its_class_and_names_the_seed(monkeypatch):
+    def fail(config, seed):
+        raise CycleError("loop")
+
+    monkeypatch.setattr(sim, "_Run", fail)
+    with pytest.raises(CycleError, match=r"seed=9\b.*loop"):
         run(SMALL, 9)
