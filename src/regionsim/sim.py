@@ -19,27 +19,25 @@ Epochs.  Between two other events, and until a node dies, every tick charges
 the same ledger cells with the same joules, so the loop applies each such
 run of ticks, an epoch, in one bulk step that replays the scalar settle
 arithmetic with numpy, bit for bit.  An epoch starts at a tick and ends at
-whichever comes first: the next non-tick event, the next due time, the tick
-before the first one in which a balance reaches DEATH_EPSILON_J, or the tick
-after which a due time written in the epoch falls at or before the next
-tick.  The step works on blocks of nodes that take the same number of
-charges per tick in the same duty mode, in two passes over 2-D numpy arrays
-of at most BLOCK_PLACES floats unless a single node needs more.  Pass one
-runs on every block: it accumulates each cell the block touches after every
-charge, reads each balance at every tick's end and ends the epoch before
-the first dead tick.  It keeps the block's cells at every tick's end, and
-its cells after every charge only if some node's floor, the first tick's
-time plus its lowest balance before that end over its drain rate, lies
-below its due time less 1 s and within the duration: no other node can
-write a due time in the epoch.  Pass two runs on the kept blocks only, over
-the ticks before pass one's end: it replays the per-charge projections of
-each such node's drain death and the due times the 1 s rule writes, which
-may end the epoch earlier.  Once the kept blocks hold KEPT_PLACES floats,
-pass two runs on them at once, over the ticks before the end known then.
-Each array either pass computes is a prefix of the one a block would
-compute over the whole run of ticks, so every value before the epoch's end
-is the scalar one.  The tick in which a node dies is replayed through the
-scalar _handle_tick, as are init, due settles and t = 0.
+whichever comes first: the next non-tick event, the next due time, or the
+tick before the first one in which a balance reaches DEATH_EPSILON_J.  Each
+charged balance falls linearly over the epoch, so the step first estimates
+that stop from every node's balance and its spend per tick.  It then works
+on blocks of nodes that take the same number of charges per tick in the
+same duty mode, in one pass per block over the estimated stop, on 2-D numpy
+arrays of at most BLOCK_PLACES floats unless a single node needs more.  The
+pass accumulates each cell the block touches after every charge, reads each
+balance at every tick's end and ends the epoch before the first dead tick,
+which settles a late estimate exactly.  If some node's floor, the first
+tick's time plus its lowest balance before that end over its drain rate,
+lies below its due time less 1 s and within the duration, it also replays
+the per-charge projections of such nodes' drain deaths and the due times
+the 1 s rule writes: no other node can write one in the epoch.  The block
+keeps only its cells at every tick's end.  Each array a block computes is a
+prefix of the one it would compute over the whole run of ticks, so every
+value before the epoch's end is the scalar one.  The tick in which a node
+dies is replayed through the scalar _handle_tick, as are init, due settles,
+t = 0 and the tick after an epoch that an early estimate ended.
 
 Model notes:
   * The sink is a mains-powered base station: it relays and receives but has
@@ -113,10 +111,6 @@ from .scenario import ScenarioConfig, ScenarioError, deploy, scenario_to_dict
 COVERAGE_SAMPLES = 10_000
 # floats per array of one block of the epoch step (256 KB)
 BLOCK_PLACES = 1 << 15
-# floats that the epoch step's kept blocks hold before pass two runs on them:
-# two blocks' worth, so that an epoch needs about the memory of one block's
-# pass over all its cells
-KEPT_PLACES = 2 * BLOCK_PLACES
 # floats per array of one chunk of the coverage index (128 KB); of 2^13 to
 # 2^17, the fastest or within noise of it on the default, dense and sparse fields
 COVER_PLACES = 1 << 14
@@ -211,6 +205,16 @@ def _tiled_sums(start: float, adds: np.ndarray, k: int) -> np.ndarray:
     acc[0] = start
     acc[1:].reshape(k, len(adds))[:] = adds
     return np.add.accumulate(acc, out=acc)
+
+
+def _ticks_before_death(balance: np.ndarray, spend: np.ndarray, drain: float,
+                        ticks: int) -> int:
+    """How many of ``ticks`` ticks pass before the first in which one of the
+    balances reaches DEATH_EPSILON_J, up to rounding: each balance, taken
+    before the first tick's charges, falls by its ``spend`` of charges in
+    every tick and by ``drain`` from one tick to the next."""
+    first = np.ceil((balance - spend - DEATH_EPSILON_J) / (spend + drain)).min()
+    return int(min(max(first, 0), ticks))
 
 
 def _due_writes(low: np.ndarray, threshold: float) -> np.ndarray:
@@ -617,63 +621,65 @@ class _Run:
         This replays ``_impulse`` on them in the scalar order, over blocks of
         the nodes that take the same number of charges a tick in the same
         duty mode.  It stops before the first tick in which a balance reaches
-        DEATH_EPSILON_J, which the loop replays through ``_handle_tick``, and
-        after the first tick following which a written due time falls at or
-        before the next tick.  It finds that stop K in two passes.
+        DEATH_EPSILON_J, which the loop replays through ``_handle_tick``.
 
-        Pass one (``_bulk_block``) runs on every block.  It accumulates the
-        block's cells after every charge, reads each balance at every tick's
-        end and lowers the limit to the first dead tick.  It keeps the cells
-        at every tick's end, and the cells after every charge only for a
-        block in which some row can write a due time.  Pass two
-        (``_bulk_writes``) runs on those blocks only, over the ticks before
-        the limit pass one left: it replays the per-charge projections and
-        their due-time writes, and lowers the limit to K.  It also runs as
-        soon as the kept blocks hold KEPT_PLACES floats, over the limit
-        known then, which bounds the epoch's memory.  Once K is known, each
-        cell takes its value after tick K from its tick-end array.
+        Each charged balance falls linearly, so ``_ticks_before_death``
+        estimates that stop K for every group before any block runs, and the
+        estimate is the limit offered to the blocks.  Each block
+        (``_bulk_block``) then runs over the limit it is offered in one pass:
+        it accumulates its cells, lowers the limit to its first dead tick,
+        which settles a late estimate exactly, and replays its per-charge
+        projections and due-time writes before that limit.  An early
+        estimate ends the epoch early; the loop replays the next tick through
+        ``_handle_tick``, in which no node dies.  Once K is known, each cell
+        takes its value after tick K from its tick-end array, and each node
+        its last due-time write before K.
 
         Why the bits hold.  A prefix of ``np.add.accumulate`` (and of
         ``np.minimum.accumulate``) equals the accumulate of that prefix, and
-        everything else is elementwise.  So a block computed over the limit
-        known when it starts, longer than K or not, holds at and before K the
-        values the scalar path computes, and pass two's arrays are prefixes
-        of pass one's, however long.  K is the minimum over rows of the first dead tick and
-        the due-write stops, each of which is read off such a prefix (a
-        row's chain walked over a prefix is the prefix of its chain), so K is
-        the same in whatever order the blocks run, however the rows are split
-        into blocks and whichever rows pass two skips as unable to write
-        before the limit.  ``_due`` may take its entries in another insertion
-        order than tick by tick, which is harmless: ``_settle_due`` reads
-        only minima.
+        everything else is elementwise; a row's write chain walked over a
+        prefix is the prefix of its chain.  So a block computed over the
+        limit offered to it, longer than K or not, holds at and before K the
+        values the scalar path computes.  K is the minimum over rows of the
+        first dead tick, each read off such a prefix, so it is the same in
+        whatever order the blocks run and however the rows are split into
+        blocks.  ``_due`` may take its entries in another insertion order
+        than tick by tick, which is harmless: ``_settle_due`` reads only
+        minima.
         """
         groups, sessions = self._charge_plan()
         T = np.array(ticks)
         limit = len(ticks)
-        wdT = {m: w * np.diff(T) for m, w in self.drain_w.items()}
-        blocks, kept_blocks, writes = [], [], []
-        kept_places = 0
+        rows, mode_since, due = self.rows, self.mode_since, self._due
+        plans = []
         for (c, m), members in groups.items():
+            w = self.drain_w[m]
+            start = np.array([rows[v] for v, _, _ in members])
+            # the drain at each node's first charge, w * (t - mode_since)
+            first_drain = w * (T[0] - np.array([mode_since[v] for v, _, _ in members]))
+            slots = np.array([s for _, s, _ in members])
+            joules = np.array([j for _, _, j in members])
+            balance = self.budget - start.sum(axis=1) - first_drain
+            limit = min(limit, _ticks_before_death(
+                balance, joules.sum(axis=1), w / self.config.packet_rate_hz, limit))
+            plans.append((c, m, members, start, first_drain, slots, joules))
+        wdT = {m: w * np.diff(T) for m, w in self.drain_w.items()}
+        blocks, writes = [], []
+        for c, m, members, *arrays in plans:
             # split rows, never ticks: each block's arrays hold about
             # BLOCK_PLACES floats, or one row if that is longer
             i = 0
             while i < len(members) and limit:
                 size = max(1, BLOCK_PLACES // (limit * c + 1))
                 block = members[i : i + size]
-                i += size
-                limit, ends, kept = self._bulk_block(block, c, m, T, wdT, limit)
+                limit, ends = self._bulk_block(
+                    block, c, m, *(a[i : i + size] for a in arrays), T, wdT, limit, writes)
                 blocks.append((block, ends))
-                if kept:
-                    kept_blocks.append((block, c, m, *kept))
-                    kept_places += kept[2].size
-                    if kept_places > KEPT_PLACES:
-                        limit = self._bulk_writes(kept_blocks, T, limit, writes)
-                        kept_places = 0
+                i += size
         if not limit:
             return 0
-        K = self._bulk_writes(kept_blocks, T, limit, writes)
+        K = limit
         last = ticks[K - 1]
-        rows, mode_since, due = self.rows, self.mode_since, self._due
         for block, ends in blocks:
             for slot, end in ends.items():
                 for (v, _, _), x in zip(block, end[:, K].tolist()):
@@ -697,29 +703,27 @@ class _Run:
         self.generated += K * len(sessions)
         return K
 
-    def _bulk_block(self, block: list, c: int, m: int, T: np.ndarray, wdT: dict,
-                    limit: int) -> tuple[int, dict, tuple]:
-        """Pass one of ``_bulk_ticks`` on one block: the nodes of ``block``,
-        each taking c charges a tick in duty mode m, over the first ``limit``
-        ticks of T.
+    def _bulk_block(self, block: list, c: int, m: int, start: np.ndarray,
+                    first_drain: np.ndarray, slots: np.ndarray, joules: np.ndarray,
+                    T: np.ndarray, wdT: dict, limit: int, writes: list) -> tuple[int, dict]:
+        """One block of ``_bulk_ticks``: the nodes of ``block``, each taking c
+        charges a tick in duty mode m, over the first ``limit`` ticks of T;
+        ``start`` holds their ledger rows, ``first_drain`` the drain at their
+        first charge, ``slots`` and ``joules`` their charges.
 
-        Returns the limit lowered to the block's first dead tick; per cell
-        the block touches, its value before the first tick and at the end of
-        each tick up to that limit, as a (rows, limit + 1) array; and, if
-        some row can write a due time before the limit, ``(rows that can,
-        their due times less 1 s, tx + rx, sense, sleep)`` after every
-        charge, for ``_bulk_writes``, else ``()``.
+        Returns the limit lowered to the block's first dead tick, and per
+        cell the block touches, its value before the first tick and at the
+        end of each tick up to that limit, as a (rows, limit + 1) array.
+        Appends the due-time writes of its rows before that limit to
+        ``writes``, each as ``(v, tick indices, due times)``.
         """
         K = limit
         r = len(block)
         w = self.drain_w[m]
-        start = np.array([self.rows[v] for v, _, _ in block])
         # each cell after every charge as (rows, ticks, charges), broadcast
         # where it holds one value per row or per tick
         cells = [start[:, s, None, None] for s in range(len(LEDGER_MODES))]
         ends = {}
-        slots = np.array([s for _, s, _ in block])
-        joules = np.array([j for _, _, j in block])
         for s in np.unique(slots).tolist():
             # the cell, then each charge in sender order: its joules, or 0.0
             # where it goes to the other slot, which changes no bit
@@ -729,11 +733,11 @@ class _Run:
             np.add.accumulate(acc, axis=1, out=acc)
             cells[s] = acc[:, 1:].reshape(r, K, c)
             ends[s] = acc[:, ::c]
-        # the drain at each tick's first charge: w * (t - mode_since), then
+        # the drain at each tick's first charge: first_drain, then
         # w * (t_i - t_{i-1}); a 0.0 changes no bit
         drain = np.empty((r, K + 1))
         drain[:, 0] = start[:, m]
-        drain[:, 1] = w * (T[0] - np.array([self.mode_since[v] for v, _, _ in block]))
+        drain[:, 1] = first_drain
         drain[:, 2:] = wdT[m][: K - 1]
         np.add.accumulate(drain, axis=1, out=drain)
         cells[m] = drain[:, 1:, None]
@@ -747,7 +751,6 @@ class _Run:
         hit = dead.any(axis=1)
         if hit.any():
             limit = int(dead.argmax(axis=1)[hit].min())
-        kept = ()
         if limit:
             thresholds = np.array([self._due.get(v, math.inf) for v, _, _ in block]) - 1.0
             # No projection of a row lies below T[0] plus its balance at the
@@ -756,54 +759,33 @@ class _Run:
             # below its threshold, or lies past the duration, writes nothing.
             floor = T[0] + ticks_end[:, limit - 1] / w
             writers = np.flatnonzero((floor < thresholds) & (floor <= self.duration))
-            if len(writers):
-                # the projection's first sum, taken here so that one array
-                # per block waits for pass two instead of one per slot
-                kept = (writers, thresholds[writers], cells[TX] + cells[RX],
-                        cells[SENSE], cells[SLEEP])
-        # a view would keep each whole accumulation alive until the epoch ends
-        return limit, {s: end[:, : limit + 1].copy() for s, end in ends.items()}, kept
-
-    def _bulk_writes(self, kept_blocks: list, T: np.ndarray, limit: int,
-                     writes: list) -> int:
-        """Pass two of ``_bulk_ticks`` on the blocks pass one kept, each as
-        ``(block, c, m, rows that can write, their due times less 1 s, tx +
-        rx, sense, sleep)``: the due-time writes of those rows over the first
-        ``limit`` ticks, appended to ``writes`` as ``(v, tick indices, due
-        times)``.  Empties ``kept_blocks`` and returns the limit lowered to
-        the first write stop.
-
-        Each projection is ``_impulse``'s, T + balance / w, in its operation
-        order, computed in one buffer in place.
-        """
-        for block, c, m, writers, thresholds, tx_rx, sense, sleep in kept_blocks:
-            K = limit
             n = len(writers)
-            # a gather copies, so the rows are gathered only if some do not project
-            sel = slice(None) if n == len(block) else writers
-            proj = tx_rx[sel, :K] + sense[sel, :K]
-            proj += sleep[sel, :K]
-            np.subtract(self.budget, proj, out=proj)
-            proj /= self.drain_w[m]
-            proj += T[:K, None]
-            proj[proj > self.duration] = math.inf
-            # The first projection below a threshold is where their running
-            # minimum first falls below it, and that minimum never rises.  A
-            # write is such a place, so it equals the minimum there.
-            low = proj.reshape(n, K * c)
-            np.minimum.accumulate(low, axis=1, out=low)
-            for k in np.flatnonzero(low[:, -1] < thresholds).tolist():
-                at = _due_writes(low[k, : limit * c], thresholds[k])
-                if len(at):
-                    wt, wv = at // c, low[k, at]
-                    # the loop settles a due time before the first tick at or
-                    # after it; the writes fall along the chain, so none does
-                    # before the limit unless the last one does
-                    if wv[-1] <= T[limit - 1]:
-                        limit = min(limit, int(np.maximum(np.searchsorted(T, wv), wt + 1).min()))
-                    writes.append((block[int(writers[k])][0], wt, wv))
-        kept_blocks.clear()
-        return limit
+            if n:
+                # each projection is _impulse's, T + balance / w, in its
+                # operation order, computed in one buffer in place; a gather
+                # copies, so the rows are gathered only if some do not project
+                sel = slice(None) if n == r else writers
+                proj = cells[TX][sel, :limit] + cells[RX][sel, :limit]
+                proj += cells[SENSE][sel, :limit]
+                proj += cells[SLEEP][sel, :limit]
+                np.subtract(self.budget, proj, out=proj)
+                proj /= w
+                proj += T[:limit, None]
+                proj[proj > self.duration] = math.inf
+                # The first projection below a threshold is where their running
+                # minimum first falls below it, and that minimum never rises.  A
+                # write is such a place, so it equals the minimum there.
+                low = proj.reshape(n, limit * c)
+                np.minimum.accumulate(low, axis=1, out=low)
+                thresholds = thresholds[writers]
+                # No write stops the epoch: a due time written at or before the
+                # next tick means the drain alone empties that battery by that
+                # tick, so the dead test stops the epoch there first.
+                for k in np.flatnonzero(low[:, -1] < thresholds).tolist():
+                    at = _due_writes(low[k], thresholds[k])
+                    writes.append((block[int(writers[k])][0], at // c, low[k, at]))
+        # a view would keep each whole accumulation alive until the epoch ends
+        return limit, {s: end[:, : limit + 1].copy() for s, end in ends.items()}
 
     def _report(self):
         """Accrue the alive nodes, then snapshot the ledger and sum its row."""

@@ -301,25 +301,39 @@ def test_scalar_settles_bill_through_the_ledger(monkeypatch):
 def run_bulk_and_scalar(monkeypatch, config, seed=None):
     """Run once as is and once with every tick through _handle_tick, which
     settles through the EnergyLedger's own methods; the two must report the
-    same state to the last bit.  Returns the first report."""
+    same state to the last bit, and hold the same due times whenever both
+    settle them at the same time after the same packets.  Returns the first
+    report."""
 
     def state(report):
         sessions = [(s.generated, s.delivered, s.energy_j) for s in report.sessions]
         return repr((report.deaths, report.ledger_snapshots, sessions, report.intervals))
 
     scalar_ticks = [0]
-    handle_tick = _Run._handle_tick
+    # per run, the due times on entering each settle, keyed by (time, packets
+    # generated): at a report time the bulk run settles once, after the tick
+    # there, and the scalar run before and after it
+    dues = [{}]
+    handle_tick, settle_due = _Run._handle_tick, _Run._settle_due
 
     def counting_tick(self):
         scalar_ticks[-1] += 1
         handle_tick(self)
 
+    def recording_settle(self, t):
+        dues[-1][t, self.generated] = sorted(self._due.items())
+        settle_due(self, t)
+
     monkeypatch.setattr(_Run, "_handle_tick", counting_tick)
+    monkeypatch.setattr(_Run, "_settle_due", recording_settle)
     bulk = run(config, seed)
     scalar_ticks.append(0)
+    dues.append({})
     monkeypatch.setattr(_Run, "_bulk_ticks", lambda self, ticks: 0)
     scalar = run(config, seed)
     assert state(bulk) == state(scalar)
+    assert dues[0].keys() <= dues[1].keys()
+    assert [key for key, due in dues[0].items() if due != dues[1][key]] == []
     # the first run took most ticks in bulk
     assert scalar_ticks[0] < scalar_ticks[1] / 2
     return bulk
@@ -374,30 +388,27 @@ def test_bulk_ticks_match_scalar_ticks(monkeypatch, config, seed, block_places):
     assert applied == real_cap
 
 
+@pytest.mark.parametrize("offer", ["every-tick", "one-tick-early"])
 @pytest.mark.parametrize(
     "config, seed",
-    [(replace(DRAINING, protocol="mte"), None), (ScenarioConfig(protocol="mte"), 2),
-     (SPARSE_MTE, 2)],
-    ids=["mte", "default-mte", "sparse-mte"],
+    [(replace(DRAINING, protocol="mte"), None), (replace(DRAINING, protocol="dt"), None),
+     (ScenarioConfig(protocol="mte"), 2), (SPARSE_MTE, 2)],
+    ids=["mte", "dt", "default-mte", "sparse-mte"],
 )
-def test_bulk_ticks_match_scalar_ticks_with_pass_two_after_every_kept_block(
-        monkeypatch, config, seed):
-    # pass two then runs over the limit known when each block is kept, often
-    # longer than the epoch turns out to be
-    applied = []
-    bulk_ticks = _Run._bulk_ticks
-
-    def counting_bulk(self, ticks):
-        applied.append(bulk_ticks(self, ticks))
-        return applied[-1]
-
-    monkeypatch.setattr(_Run, "_bulk_ticks", counting_bulk)
-    run(config, seed)
-    held = applied[:]
-    applied.clear()
-    monkeypatch.setattr(sim, "KEPT_PLACES", 0)
-    run_bulk_and_scalar(monkeypatch, config, seed)
-    assert applied == held
+def test_bulk_ticks_match_scalar_ticks_whatever_the_stop_estimate(
+        monkeypatch, config, seed, offer):
+    # Offering every tick leaves each stop to the dead test; offering one tick
+    # fewer than estimated ends epochs early, and the loop replays the next
+    # tick through _handle_tick.  The estimate is exact on these runs, so
+    # only this test reaches those two paths.
+    estimate = sim._ticks_before_death
+    if offer == "every-tick":
+        fake = lambda balance, spend, drain, ticks: ticks
+    else:
+        fake = lambda *args: max(0, estimate(*args) - 1)
+    monkeypatch.setattr(sim, "_ticks_before_death", fake)
+    report = run_bulk_and_scalar(monkeypatch, config, seed)
+    assert report.deaths
 
 
 def test_bulk_ticks_match_scalar_ticks_when_sources_die_in_the_first_tick(monkeypatch):
