@@ -14,9 +14,11 @@ The builder lists candidate pairs with numpy but weighs each pair with
 Every search is one routine, ``shortest_path_tree``, run on vertex indices:
 the lexicographic shortest-path tree from one source or a tuple of them,
 where equal-weight paths break ties on the smallest source-first vertex-id
-sequence.  Ties are settled on parent pointers, which needs every arc to
-lengthen the path it extends, as a float sum: a search raises where one that
-could tie a length does not.
+sequence.  It reads one cost per arc, the arc's weight or 1 for hops; any
+other metric is a graph of its own, the same arcs priced by
+``Digraph.with_weights``.  Ties are settled on parent pointers, which needs
+every arc to lengthen the path it extends, as a float sum: a search raises
+where one that could tie a length does not.
 """
 
 import heapq
@@ -24,14 +26,11 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 NodeId = int | str
-
-# weight override for shortest_path: (tail, head, arc_weight) -> cost
-WeightFn = Callable[[NodeId, NodeId, float], float]
 
 
 @dataclass(frozen=True)
@@ -152,6 +151,21 @@ class Digraph:
         """Every arc as ``(tails, heads, weights)`` arrays in ``arcs()`` order,
         tails and heads as indices into ``vertices``; read-only."""
         return self._arcs
+
+    def with_weights(self, weights: Iterable[float]) -> "Digraph":
+        """The same arcs with new weights, one per arc in ``arc_arrays()``
+        order, each checked as the constructor checks it: ``> 0``, so NaN
+        is rejected and ``inf`` allowed.  Whether it is ``symmetric`` is
+        worked out from the new weights."""
+        tails, heads, _ = self._arcs
+        weights = np.array(weights, dtype=float)
+        if weights.shape != tails.shape:
+            raise ValueError(f"{weights.size} weights for {len(tails)} arcs")
+        if not (positive := weights > 0).all():
+            k = int(np.argmin(positive))
+            arc = self._vertices[tails[k]], self._vertices[heads[k]]
+            raise ValueError(f"arc {arc!r} has non-positive weight {weights[k]}")
+        return Digraph._from_arcs(self._vertices, tails, heads, weights)
 
     @property
     def arc_count(self) -> int:
@@ -346,10 +360,7 @@ def perturb_weights(g: Digraph, seed: int, scale: float = 1e-9) -> Digraph:
     if scale <= 0:
         raise ValueError("scale must be > 0")
     rng = random.Random(seed)
-    arcs = {}
-    for u, v, w in g.arcs():
-        arcs[(u, v)] = w + rng.random() * scale
-    return Digraph(g.vertices, arcs)
+    return g.with_weights([w + rng.random() * scale for w in g.arc_arrays()[2].tolist()])
 
 
 def hop_distance(g: Digraph, u: NodeId, v: NodeId) -> int | None:
@@ -362,7 +373,6 @@ def shortest_path_tree(
     g: Digraph,
     source: NodeId | tuple[NodeId, ...],
     target: NodeId | None = None,
-    weight_fn: WeightFn | None = None,
     unit: bool = False,
     reverse: bool = False,
 ) -> tuple[dict[NodeId, float], dict[NodeId, NodeId | None]]:
@@ -380,14 +390,15 @@ def shortest_path_tree(
     settled strictly earlier, so the choice is final when v settles.  That
     needs every arc to lengthen the path it extends, so a relaxation whose
     float sum is not greater than the tail's length raises ``ValueError``: a
-    zero, negative or NaN cost, or a positive one lost to rounding.  That is
+    positive cost lost to rounding, or one that is not positive, which only
+    a graph built past the constructors' checks holds.  That is
     checked on every arc but those into a vertex already settled at a
     shorter length, which no arc can tie, and those from a vertex settled at
     ``inf`` at a positive cost, whose every extension is ``inf`` again, so
     that no finite length can tie there.  With a ``target`` the search stops
     once every vertex of the target's length has settled, so every arc that
-    could tie that length is checked.  ``unit`` prices every arc at 1 (hop
-    metric); ``weight_fn`` substitutes an arbitrary positive per-arc cost.
+    could tie that length is checked.  Each arc costs its weight, or 1 with
+    ``unit`` (hop metric); another metric is searched on ``g.with_weights``.
     With ``reverse`` the arcs are followed backwards, so the path of ``v``
     runs source, ..., v against the arcs and read backwards is the
     v->source path: ``parent[v]`` is v's next hop.
@@ -423,8 +434,6 @@ def shortest_path_tree(
                 continue
             if unit:
                 cost = 1.0
-            elif weight_fn is not None:
-                cost = weight_fn(*((ids[nb], ids[v]) if reverse else (ids[v], ids[nb])), cost)
             nd = d + cost
             if not nd > d and not (d == math.inf and cost > 0):
                 arc = (ids[nb], ids[v]) if reverse else (ids[v], ids[nb])
@@ -456,12 +465,11 @@ def shortest_paths(
     g: Digraph,
     source: NodeId,
     target: NodeId | None = None,
-    weight_fn: WeightFn | None = None,
     unit: bool = False,
     reverse: bool = False,
 ) -> dict[NodeId, PathResult]:
     """``shortest_path_tree`` with the path of every settled vertex, in settle order."""
-    dist, parent = shortest_path_tree(g, source, target, weight_fn, unit, reverse)
+    dist, parent = shortest_path_tree(g, source, target, unit, reverse)
     paths = {v: _path(parent, v) for v in dist}
     return {v: PathResult(path, dist[v], len(path) - 1) for v, path in paths.items()}
 
@@ -470,11 +478,10 @@ def shortest_path(
     g: Digraph,
     x: NodeId,
     y: NodeId,
-    weight_fn: WeightFn | None = None,
     unit: bool = False,
 ) -> PathResult | None:
     """Minimum-weight x->y path of the lexicographic tree, or None when unreachable."""
-    dist, parent = shortest_path_tree(g, x, y, weight_fn, unit)
+    dist, parent = shortest_path_tree(g, x, y, unit)
     if y not in dist:
         return None
     path = _path(parent, y)

@@ -8,25 +8,26 @@ All protocols route on the same digraph and energy model:
   dt   - one direct transmission to the sink at the lowest covering level.
   mte  - table walk on one minimum-energy sink tree per run: every node
          forwards along its path minimizing the sum of hop distances^alpha
-         to the sink.
+         to the sink, one reversed search over the arcs priced at their
+         length^alpha.
   merr - greedy relay toward the sink through hops closest to the
          characteristic distance of the radio.
   or   - offline optimum of total per-packet energy; lower-bound baseline.
+         The arcs are priced once per run at the sensor energy of one hop
+         over them, and each session is one search on that priced graph.
 """
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Mapping
 
+import numpy as np
+
 from .energy import EnergyParams, rx_energy, tx_energy
-from .graph import (
-    Digraph,
-    NodeId,
-    NodePos,
-    WeightFn,
-    shortest_path,
-    shortest_path_tree,
-)
+from .graph import Digraph, NodeId, NodePos, shortest_path, shortest_path_tree
 from .regions import BoundaryCellMap, BoundaryDualGraph
 
 PROTOCOLS = ("res", "dt", "mte", "merr", "or")
@@ -81,12 +82,14 @@ def level_reaches(
 def min_level_for_distance(
     params: EnergyParams, distance: float, radio_range: float, alpha: float
 ) -> int | None:
-    """Lowest level whose reach covers the distance; None if out of max range."""
-    need = distance - 1e-9
-    for level, reach in enumerate(level_reaches(params, radio_range, alpha)):
-        if reach >= need:
-            return level
-    return None
+    """Lowest level whose reach covers the distance; None if out of max range.
+
+    A reach covers ``distance`` when it is at least ``distance - 1e-9``, the
+    comparison ``_or_priced_graph`` makes for every arc at once.
+    """
+    reaches = level_reaches(params, radio_range, alpha)
+    level = bisect_left(reaches, distance - 1e-9)
+    return level if level < len(reaches) else None
 
 
 def characteristic_distance(
@@ -116,9 +119,7 @@ class RoutingTable:
     protocol: str = "res"
 
 
-def _tree_next_hops(
-    g: Digraph, target: NodeId | tuple[NodeId, ...], weight_fn: WeightFn | None = None
-) -> dict[NodeId, NodeId]:
+def _tree_next_hops(g: Digraph, target: NodeId | tuple[NodeId, ...]) -> dict[NodeId, NodeId]:
     """Next hop toward ``target`` (one vertex, or a tuple of them in
     vertex-disjoint components) for every vertex of ``g`` that reaches it.
 
@@ -127,7 +128,7 @@ def _tree_next_hops(
     starts at its target.  Targets and the vertices that cannot reach one
     get no entry.
     """
-    _, parent = shortest_path_tree(g, target, weight_fn=weight_fn, reverse=True)
+    _, parent = shortest_path_tree(g, target, reverse=True)
     return {v: nxt for v, nxt in parent.items() if nxt is not None}
 
 
@@ -161,11 +162,36 @@ def build_mte_table(g: Digraph, sink: NodeId, alpha: float = 2.0) -> RoutingTabl
 
     A node's mte route is its path minimizing the sum of hop distances^alpha,
     which does not depend on the session, so one reversed tree from the sink
-    serves every source; ties break on the sink-first sequence.
+    serves every source; ties break on the sink-first sequence.  Each arc is
+    priced with Python's ``pow``: ``np.power`` rounds differently on a few.
     """
-    next_hop = _tree_next_hops(g, sink, weight_fn=lambda u, v, w: w**alpha)
+    lengths = g.arc_arrays()[2].tolist()
+    next_hop = _tree_next_hops(g.with_weights(list(map(math.pow, lengths, repeat(alpha)))), sink)
     stranded = tuple(v for v in g.vertices if v != sink and v not in next_hop)
     return RoutingTable(sink=sink, next_hop=next_hop, stranded=stranded, protocol="mte")
+
+
+def _or_priced_graph(
+    g: Digraph, nodes: Mapping[NodeId, NodePos], sink: NodeId, params: EnergyParams,
+    alpha: float, bits: float,
+) -> Digraph:
+    """``g`` with each arc priced at the sensor energy of one packet over it:
+    the transmission at the level ``min_level_for_distance`` picks for its
+    length and its tail's range, plus a reception unless the head is the
+    sink, or ``inf`` where no level reaches."""
+    tails, heads, lengths = g.arc_arrays()
+    tail_range = np.array([nodes[v].radio_range for v in g.vertices])[tails]
+    levels = np.empty(len(lengths), np.intp)  # level_count where none reaches
+    for radio_range in np.unique(tail_range).tolist():
+        at = tail_range == radio_range
+        reaches = level_reaches(params, radio_range, alpha)
+        levels[at] = np.searchsorted(reaches, lengths[at] - 1e-9, "left")
+    prices = np.array([
+        [_hop_joules(params, bits, level, relayed) for relayed in (False, True)]
+        for level in range(params.level_count)
+    ] + [[math.inf, math.inf]])
+    relayed = heads != g.vertices.index(sink)
+    return g.with_weights(prices[levels, relayed.astype(np.intp)])
 
 
 def walk_table(tables: RoutingTable, source: NodeId, sink: NodeId) -> tuple[NodeId, ...]:
@@ -214,14 +240,16 @@ def route(
     sink: NodeId,
     params: EnergyParams,
     alpha: float = 2.0,
-    tables: RoutingTable | None = None,
+    tables: RoutingTable | Digraph | None = None,
     bits: float = 1024.0,
 ) -> SessionRoute:
     """Route one session under the named protocol; raises RouteNotFound.
 
     ``res`` walks ``tables``, which must be res tables.  ``mte`` walks them
     when they are an mte table (``build_mte_table`` for this sink and alpha),
-    and otherwise builds one for this call.
+    and otherwise builds one for this call.  ``or`` searches them when they
+    are a priced graph (``_or_priced_graph`` for this graph, nodes, sink,
+    alpha and bits), and otherwise prices one for this call.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -230,30 +258,21 @@ def route(
     if source not in g or sink not in g:
         raise ValueError(f"unknown vertex {source if source not in g else sink!r}")
 
+    kind = tables.protocol if isinstance(tables, RoutingTable) else None
     if protocol == "res":
-        if tables is None or tables.protocol != "res":
+        if kind != "res":
             raise ValueError("res routing needs prebuilt res tables")
         verts = walk_table(tables, source, sink)
     elif protocol == "dt":
         verts = (source, sink)
     elif protocol == "mte":
-        if tables is None or tables.protocol != "mte":
+        if kind != "mte":
             tables = build_mte_table(g, sink, alpha)
         verts = walk_table(tables, source, sink)
     elif protocol == "or":
-        # each (level, relayed) pair is priced once, when an arc first needs it
-        prices: dict[tuple[int, bool], float] = {}
-
-        def hop_energy(u, v, w):
-            lvl = min_level_for_distance(params, w, nodes[u].radio_range, alpha)
-            if lvl is None:
-                return float("inf")
-            key = (lvl, v != sink)
-            if key not in prices:
-                prices[key] = _hop_joules(params, bits, *key)
-            return prices[key]
-
-        path = shortest_path(g, source, sink, weight_fn=hop_energy)
+        if not isinstance(tables, Digraph):
+            tables = _or_priced_graph(g, nodes, sink, params, alpha, bits)
+        path = shortest_path(tables, source, sink)
         if path is None:
             raise RouteNotFound(f"or: {sink!r} unreachable from {source!r}")
         verts = path.vertices

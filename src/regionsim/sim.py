@@ -4,7 +4,8 @@ One run = deploy nodes, build the communication graph, set up the selected
 protocol, then walk one fixed timeline of events, settling the battery deaths
 that fall between them.  Identical (config, seed) pairs produce identical
 reports and byte-identical CSV files.  Routing tables are built once per run
-(res: cell tables; mte: one minimum-energy tree toward the sink).
+(res: cell tables; mte: one minimum-energy tree toward the sink), and so are
+or's arc prices.
 
 Event loop.  The traffic is fixed, so everything but the deaths is known
 before the run starts: the init event at init_phase_s (flood charges, then
@@ -99,6 +100,7 @@ from .regions import build_boundary_dual_graph
 from .routing import (
     RouteNotFound,
     RoutingError,
+    _or_priced_graph,
     build_mte_table,
     build_res_tables,
     characteristic_distance,
@@ -369,6 +371,10 @@ class _Run:
 
         if self.config.protocol == "mte":
             self.tables = build_mte_table(self.g, self.sink, self.alpha)
+        elif self.config.protocol == "or":
+            self.tables = _or_priced_graph(
+                self.g, self.nodes, self.sink, self.params, self.alpha, self.bits
+            )
         elif self.config.protocol == "res":
             trace: list | None = [] if self.config.flood_trace else None
             result = run_flood(self.g, self.deployment.seeds, trace=trace)

@@ -5,6 +5,7 @@ import heapq
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -436,23 +437,30 @@ def test_shortest_paths_stops_once_target_settles():
         assert all(full[v] == p and p.length <= full[t].length for v, p in part.items())
 
 
+def priced(g, price):
+    """``g`` with each arc (u, v, w) weighing ``price(u, v, w)`` instead."""
+    return g.with_weights([price(u, v, w) for u, v, w in g.arcs()])
+
+
 def test_shortest_paths_reverse_equals_reversed_graph():
     rng = random.Random(43)
     squared = lambda u, v, w: w * w + u / 100.0  # noqa: E731 - depends on the tail
     for g in (tie_heavy_digraph(rng, 12), random_digraph(rng, 12)):
         rg = reversed_digraph(g)
         swapped = lambda u, v, w: squared(v, u, w)  # noqa: E731
+        pg, prg = priced(g, squared), priced(rg, swapped)
         for s in g.vertices:
             tree = shortest_paths(g, s, reverse=True)
-            priced = shortest_paths(g, s, weight_fn=squared, reverse=True)
+            priced_tree = shortest_paths(pg, s, reverse=True)
             for v in g.vertices:
                 assert tree.get(v) == shortest_path(rg, s, v)
-                assert priced.get(v) == shortest_path(rg, s, v, weight_fn=swapped)
+                assert priced_tree.get(v) == shortest_path(prg, s, v)
 
 
-def path_tuple_tree(g, source, target=None, weight_fn=None, unit=False, reverse=False):
+def path_tuple_tree(g, source, target=None, price=None, unit=False, reverse=False):
     """Reference search: heap entries carry the whole candidate path, so
-    equal-length paths pop in lexicographic order."""
+    equal-length paths pop in lexicographic order.  ``price(u, v, w)``, if
+    given, is each arc's cost in place of its weight w."""
     tree = {}
     tentative = {source: 0.0}
     heap = [(0.0, (source,))]
@@ -470,10 +478,10 @@ def path_tuple_tree(g, source, target=None, weight_fn=None, unit=False, reverse=
             w = g.weight(nb, v) if reverse else g.weight(v, nb)
             if unit:
                 cost = 1.0
-            elif weight_fn is None:
+            elif price is None:
                 cost = w
             else:
-                cost = weight_fn(*((nb, v) if reverse else (v, nb)), w)
+                cost = price(*((nb, v) if reverse else (v, nb)), w)
             nd = d + cost
             if nd > tentative.get(nb, math.inf):
                 continue
@@ -498,51 +506,63 @@ def tie_heavy_graphs(seed):
 
 
 SQUARED = lambda u, v, w: w * w  # noqa: E731 - integer weights, so ties stay exact
+# "weight_fn" is a function of each arc, SQUARED, priced into the arcs up front
+METRICS = ["weight", "unit", "weight_fn"]
 
 
-@pytest.mark.parametrize("metric", ["weight", "unit", "weight_fn"])
+def metric_search(g, metric):
+    """The graph and keywords that search ``g`` under ``metric``, and the
+    path-tuple oracle's keywords for the same metric on ``g`` itself."""
+    if metric == "weight_fn":
+        return priced(g, SQUARED), {}, {"price": SQUARED}
+    unit = {"unit": metric == "unit"}
+    return g, unit, unit
+
+
+@pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("reverse", [False, True])
 def test_parent_tree_equals_path_tuple_oracle(metric, reverse):
-    kw = {"unit": metric == "unit", "weight_fn": SQUARED if metric == "weight_fn" else None}
     for g in tie_heavy_graphs(61):
+        h, kw, oracle = metric_search(g, metric)
         for s in g.vertices:
-            want = path_tuple_tree(g, s, reverse=reverse, **kw)
-            assert shortest_paths(g, s, reverse=reverse, **kw) == want
-            dist, parent = shortest_path_tree(g, s, reverse=reverse, **kw)
+            want = path_tuple_tree(g, s, reverse=reverse, **oracle)
+            assert shortest_paths(h, s, reverse=reverse, **kw) == want
+            dist, parent = shortest_path_tree(h, s, reverse=reverse, **kw)
             assert dist == {v: p.length for v, p in want.items()}
             assert {v: parent[v] for v in dist} == {
                 v: p.vertices[-2] if p.hops else None for v, p in want.items()
             }
-            if not kw["unit"]:
-                assert single_source_distances(g, s, reverse=reverse) == {
-                    v: p.length for v, p in path_tuple_tree(g, s, reverse=reverse).items()
+            if metric != "unit":
+                assert single_source_distances(h, s, reverse=reverse) == {
+                    v: p.length for v, p in want.items()
                 }
 
 
-@pytest.mark.parametrize("metric", ["weight", "unit", "weight_fn"])
+@pytest.mark.parametrize("metric", METRICS)
 def test_parent_search_stopped_at_a_target_equals_path_tuple_oracle(metric):
-    kw = {"unit": metric == "unit", "weight_fn": SQUARED if metric == "weight_fn" else None}
     for g in tie_heavy_graphs(67):
+        h, kw, oracle = metric_search(g, metric)
         for s in g.vertices:
-            full = path_tuple_tree(g, s, **kw)
+            full = path_tuple_tree(g, s, **oracle)
             for t in g.vertices:
-                got = shortest_paths(g, s, target=t, **kw)
+                got = shortest_paths(h, s, target=t, **kw)
                 assert (t in got) == (t in full)
                 assert all(full[v] == p for v, p in got.items())
-                assert shortest_path(g, s, t, **kw) == full.get(t)
+                assert shortest_path(h, s, t, **kw) == full.get(t)
 
 
 def test_next_hops_equal_path_tuple_oracle():
     from regionsim.routing import _tree_next_hops, build_mte_table
 
-    def oracle_next_hops(g, sink, weight_fn):
-        tree = path_tuple_tree(g, sink, weight_fn=weight_fn, reverse=True)
+    def oracle_next_hops(g, sink, price):
+        tree = path_tuple_tree(g, sink, price=price, reverse=True)
         return {v: p.vertices[-2] for v, p in tree.items() if v != sink}
 
     for g in tie_heavy_graphs(71):
+        squared = priced(g, SQUARED)
         for sink in g.vertices:
-            for weight_fn in (None, SQUARED):
-                assert _tree_next_hops(g, sink, weight_fn) == oracle_next_hops(g, sink, weight_fn)
+            assert _tree_next_hops(g, sink) == oracle_next_hops(g, sink, None)
+            assert _tree_next_hops(squared, sink) == oracle_next_hops(g, sink, SQUARED)
             mte = oracle_next_hops(g, sink, lambda u, v, w: w**3.0)
             assert build_mte_table(g, sink, alpha=3.0).next_hop == mte
 
@@ -581,14 +601,15 @@ def disjoint_union(rng, symmetric):
     return union, relabelled
 
 
-@pytest.mark.parametrize("metric", ["weight", "unit", "weight_fn"])
+@pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_multi_source_tree_is_each_components_own_tree(metric, reverse, symmetric):
-    kw = {"unit": metric == "unit", "weight_fn": SQUARED if metric == "weight_fn" else None}
     rng = random.Random(83)
     for _ in range(60):
         union, comps = disjoint_union(rng, symmetric)
+        union, kw, _ = metric_search(union, metric)
+        comps = [metric_search(g, metric)[0] for g in comps]
         assert union.symmetric or not symmetric
         # at most one source per component, in any order; some have none
         sources = [rng.choice(g.vertices) for g in comps if rng.random() < 0.8]
@@ -606,25 +627,34 @@ def test_multi_source_tree_is_each_components_own_tree(metric, reverse, symmetri
             assert single_source_distances(union, tuple(sources), reverse=reverse) == want_dist
 
 
+def unchecked(g, weights):
+    """``g`` with ``weights`` laid out past the constructors' checks, so that
+    a search meets costs that only its own check stops."""
+    tails, heads, _ = g.arc_arrays()
+    return Digraph._from_arcs(g.vertices, tails, heads, np.array(weights, float))
+
+
 def test_arc_from_a_vertex_at_inf_settles_its_head_at_inf():
-    g = Digraph(range(3), {(0, 1): 1.0, (1, 2): 1.0})
-    priced = lambda u, v, w: math.inf if u == 0 else w  # noqa: E731
-    assert shortest_path(g, 0, 2, weight_fn=priced) == PathResult((0, 1, 2), math.inf, 2)
-    assert shortest_path_tree(g, 0, weight_fn=priced) == (
+    g = Digraph(range(3), {(0, 1): math.inf, (1, 2): 1.0})
+    assert shortest_path(g, 0, 2) == PathResult((0, 1, 2), math.inf, 2)
+    assert shortest_path_tree(g, 0) == (
         {0: 0.0, 1: math.inf, 2: math.inf}, {0: None, 1: 0, 2: 1}
     )
     # a cost that is not positive still raises there
     for cost in (0.0, -1.0, math.nan):
-        bad = lambda u, v, w: math.inf if u == 0 else cost  # noqa: E731
+        with pytest.raises(ValueError, match="non-positive weight"):
+            g.with_weights([math.inf, cost])
         with pytest.raises(ValueError, match="does not lengthen"):
-            shortest_path(g, 0, 2, weight_fn=bad)
+            shortest_path(unchecked(g, [math.inf, cost]), 0, 2)
 
 
 @pytest.mark.parametrize("cost", [0.0, -1.0, math.nan])
 def test_non_positive_cost_raises(cost):
     g = path_graph(3)
+    with pytest.raises(ValueError, match="non-positive weight"):
+        g.with_weights([cost] * g.arc_count)
     with pytest.raises(ValueError, match="does not lengthen"):
-        shortest_path(g, "v0", "v2", weight_fn=lambda u, v, w: cost)
+        shortest_path(unchecked(g, [cost] * g.arc_count), "v0", "v2")
 
 
 def test_positive_cost_lost_to_rounding_raises():
@@ -733,19 +763,72 @@ def test_symmetric_needs_every_reverse_at_the_same_weight():
     assert not g.symmetric and g.in_neighbors(0) == () and g.out_neighbors(0) == (1,)
 
 
+def test_with_weights_equals_a_rebuild_through_the_constructor():
+    rng = random.Random(89)
+    graphs = asymmetric_graphs(97) + [tie_heavy_digraph(rng, 10) for _ in range(5)]
+    graphs += [build_unit_disk_digraph(random_layout(rng, 30)), path_graph(4), Digraph(range(3), {})]
+    for g in graphs:
+        before = [(u, v, w.hex()) for u, v, w in g.arcs()]
+        pricings = [
+            lambda u, v, w: w * w,
+            lambda u, v, w: rng.choice([0.5, 1.0, math.inf]),
+            lambda u, v, w: rng.uniform(0.1, 3.0),
+        ]
+        for price in pricings:
+            weights = [price(u, v, w) for u, v, w in g.arcs()]
+            got = g.with_weights(weights)
+            want = Digraph(g.vertices, {(u, v): w for (u, v, _), w in zip(g.arcs(), weights)})
+            assert_same_adjacency(got, want)
+            assert [(u, v, w.hex()) for u, v, w in g.arcs()] == before
+            for s in g.vertices:
+                for reverse in (False, True):  # the in-rows carry the new weights too
+                    assert shortest_paths(got, s, reverse=reverse) == shortest_paths(
+                        want, s, reverse=reverse
+                    )
+
+
+def test_with_weights_works_out_symmetric():
+    g = path_graph(4)
+    assert g.symmetric
+    assert g.with_weights([w * w for w in g.arc_arrays()[2].tolist()]).symmetric
+    assert not g.with_weights(range(1, g.arc_count + 1)).symmetric
+    lopsided = Digraph(range(2), {(0, 1): 1.0, (1, 0): 2.0})
+    assert not lopsided.symmetric
+    assert lopsided.with_weights([3.0, 3.0]).symmetric
+    one_way = Digraph(range(2), {(0, 1): 1.0})
+    assert not one_way.with_weights([1.0]).symmetric
+
+
+@pytest.mark.parametrize(
+    "weights, match",
+    [
+        ([1.0, 1.0], "2 weights for 3 arcs"),
+        ([1.0] * 4, "4 weights for 3 arcs"),
+        ([1.0, 0.0, 1.0], r"arc \(1, 0\) has non-positive weight 0.0"),
+        ([1.0, 1.0, -2.0], r"arc \(1, 2\) has non-positive weight -2.0"),
+        ([math.nan, 1.0, 1.0], r"arc \(0, 1\) has non-positive weight nan"),
+    ],
+)
+def test_with_weights_rejects_what_the_constructor_rejects(weights, match):
+    g = Digraph(range(3), {(0, 1): 1.0, (1, 0): 1.0, (1, 2): 1.0})
+    with pytest.raises(ValueError, match=match):
+        g.with_weights(weights)
+    assert g.with_weights([math.inf, 1.0, 2.0]).weight(0, 1) == math.inf
+
+
 def test_vertex_reached_only_at_infinite_cost_settles_at_inf():
     # 2 is reached only over arcs priced at inf: it settles at inf, and of its
     # two inf routes keeps the one with the smaller sequence, (0, 1, 2)
     g = Digraph(range(3), {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0, (2, 0): 1.0})
     for ids in (lambda v: v, lambda v: f"v{v}"):
         h = g if ids(0) == 0 else string_ids(g)
-        priced = lambda u, v, w: math.inf if v == ids(2) else w  # noqa: E731
-        dist, parent = shortest_path_tree(h, ids(0), weight_fn=priced)
+        price = lambda u, v, w: math.inf if v == ids(2) else w  # noqa: E731
+        dist, parent = shortest_path_tree(priced(h, price), ids(0))
         assert dist == {ids(0): 0.0, ids(1): 1.0, ids(2): math.inf}
         assert parent == {ids(0): None, ids(1): ids(0), ids(2): ids(1)}
         want = PathResult((ids(0), ids(1), ids(2)), math.inf, 2)
-        assert shortest_path(h, ids(0), ids(2), weight_fn=priced) == want
-        assert path_tuple_tree(h, ids(0), weight_fn=priced)[ids(2)] == want
+        assert shortest_path(priced(h, price), ids(0), ids(2)) == want
+        assert path_tuple_tree(h, ids(0), price=price)[ids(2)] == want
 
 
 def test_within_parts_rejects_unknown_vertex():
@@ -792,10 +875,24 @@ def test_perturb_weights_breaks_ties_reproducibly():
         assert w == g2.weight(u, v)
         assert w != g.weight(u, v)
     lengths = {
-        shortest_path(g1, 0, 3, weight_fn=None).length
+        shortest_path(g1, 0, 3).length
         for _ in range(2)
     }
     assert len(lengths) == 1
+
+
+def test_perturb_weights_equals_a_rebuild_through_the_constructor():
+    rng = random.Random(19)
+    graphs = asymmetric_graphs(29) + [tie_heavy_digraph(rng, 12), path_graph(5)]
+    for seed, g in enumerate(graphs):
+        draws = random.Random(seed)
+        want = Digraph(g.vertices, {(u, v): w + draws.random() * 1e-6 for u, v, w in g.arcs()})
+        got = perturb_weights(g, seed, scale=1e-6)
+        assert [(u, v, w.hex()) for u, v, w in got.arcs()] == [
+            (u, v, w.hex()) for u, v, w in want.arcs()
+        ]
+        assert got.symmetric == want.symmetric
+        assert_same_adjacency(got, want)
 
 
 # -- set distance ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Routing protocols: table construction, walks, and the five route builders."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from regionsim.routing import (
     CycleError,
     RouteNotFound,
     RoutingTable,
+    _hop_joules,
+    _or_priced_graph,
     build_mte_table,
     build_res_tables,
     characteristic_distance,
@@ -31,6 +34,11 @@ PARAMS = EnergyParams()
 
 def line_nodes(count, spacing, reach):
     return {i: NodePos(i, spacing * i, 0.0, reach) for i in range(count)}
+
+
+def squared(g):
+    """``g`` with each arc weighing its weight squared."""
+    return g.with_weights([w**2 for w in g.arc_arrays()[2].tolist()])
 
 
 def res_pipeline(g, seeds, sink):
@@ -302,6 +310,97 @@ def test_or_raises_route_not_found_when_an_arc_outruns_its_tail_range():
         route("or", g, nodes, 0, 2, PARAMS)
 
 
+def test_or_prices_levels_by_the_rule_of_min_level_for_distance():
+    # arcs at each level's reach of their tail's range, at reach + 1e-9, one
+    # ulp to either side of both, and lengths drawn at random, some past the
+    # top reach; sensors are the heads of both billings, the sink of one
+    rng = random.Random(101)
+    bits = 2048.0
+    for _ in range(20):
+        alpha = rng.choice([2.0, 2.5, 4.0])
+        nodes = {v: NodePos(v, 0.0, 0.0, rng.choice([30.0, 60.0, 120.5, 180.0]))
+                 for v in range(rng.randint(2, 12))}
+        arcs = {}
+        for u, v in itertools.permutations(nodes, 2):
+            lengths = [rng.uniform(0.1, 1.1 * nodes[u].radio_range)]
+            for reach in level_reaches(PARAMS, nodes[u].radio_range, alpha):
+                for d in (reach, reach + 1e-9):
+                    lengths += [math.nextafter(d, 0.0), d, math.nextafter(d, math.inf)]
+            arcs[u, v] = rng.choice(lengths)
+        g = Digraph(nodes, arcs)
+        sink = rng.choice(g.vertices)
+        priced = _or_priced_graph(g, nodes, sink, PARAMS, alpha, bits)
+        assert [(u, v) for u, v, _ in priced.arcs()] == [(u, v) for u, v, _ in g.arcs()]
+        for u, v, w in g.arcs():
+            level = min_level_for_distance(PARAMS, w, nodes[u].radio_range, alpha)
+            assert level == uncached_min_level(PARAMS, w, nodes[u].radio_range, alpha)
+            want = math.inf if level is None else _hop_joules(PARAMS, bits, level, v != sink)
+            assert priced.weight(u, v).hex() == want.hex()
+
+
+def test_or_routes_equal_the_path_tuple_oracle_under_per_arc_prices():
+    from test_graph import path_tuple_tree
+
+    rng = random.Random(103)
+    bits = 1024.0
+    for _ in range(25):
+        alpha = rng.choice([2.0, 3.0])
+        count = rng.randint(3, 30)
+        build = [NodePos(v, rng.uniform(0, 120), rng.uniform(0, 120), rng.choice([30.0, 45.0, 60.0]))
+                 for v in range(count)]
+        g = build_unit_disk_digraph(build, symmetric=rng.random() < 0.5)
+        # some sensors reach less than the graph was built with, so that no
+        # level prices a few of their arcs
+        nodes = {n.id: NodePos(n.id, n.x, n.y, n.radio_range * rng.choice([1.0, 1.0, 0.7]))
+                 for n in build}
+        sink = rng.choice(g.vertices)
+
+        def price(u, v, w):
+            level = min_level_for_distance(PARAMS, w, nodes[u].radio_range, alpha)
+            if level is None:
+                return math.inf
+            joules = tx_energy(bits, level, PARAMS)
+            if v != sink:
+                joules += rx_energy(bits, PARAMS)
+            return joules
+
+        prebuilt = _or_priced_graph(g, nodes, sink, PARAMS, alpha, bits)
+        for src in g.vertices:
+            if src == sink:
+                continue
+            want = path_tuple_tree(g, src, sink, price=price).get(sink)
+            for tables in (prebuilt, None):
+                args = ("or", g, nodes, src, sink, PARAMS, alpha, tables, bits)
+                if want is None:
+                    with pytest.raises(RouteNotFound, match="unreachable"):
+                        route(*args)
+                elif want.length == math.inf:
+                    with pytest.raises(RouteNotFound, match="exceeds max range"):
+                        route(*args)
+                else:
+                    r = route(*args)
+                    assert r.vertices == want.vertices
+                    assert packet_energy(r, PARAMS, bits) == want.length
+
+
+def test_or_priced_graph_is_asymmetric_at_the_sink():
+    # a symmetric line: into the sink a hop bills no reception, out of it one
+    nodes = line_nodes(4, 10.0, 25.0)
+    g = build_unit_disk_digraph(nodes.values())
+    assert g.symmetric
+    priced = _or_priced_graph(g, nodes, 3, PARAMS, 2.0, 1024.0)
+    assert not priced.symmetric
+    assert priced.weight(2, 3) < priced.weight(3, 2)
+    assert priced.weight(1, 2) == priced.weight(2, 1)
+    from test_graph import path_tuple_tree
+
+    from regionsim.graph import shortest_paths
+
+    for s in priced.vertices:
+        want = path_tuple_tree(priced, s, reverse=True)
+        assert shortest_paths(priced, s, reverse=True) == want
+
+
 def test_walk_single_hop():
     tables = RoutingTable(sink=1, next_hop={0: 1}, stranded=())
     assert walk_table(tables, 0, 1) == (0, 1)
@@ -363,7 +462,7 @@ def test_mte_tie_follows_sink_first_sequence():
 
     g = symmetric_digraph({(5, 1): 3.0, (1, 0): 4.0, (5, 0): 5.0})
     nodes = {v: NodePos(v, float(v), 0.0, 180.0) for v in g.vertices}
-    tree = shortest_paths(g, 0, weight_fn=lambda u, v, w: w**2, reverse=True)
+    tree = shortest_paths(squared(g), 0, reverse=True)
     r = route("mte", g, nodes, 5, 0, PARAMS)
     assert r.vertices == tree[5].vertices[::-1] == (5, 1, 0)
 
@@ -387,7 +486,7 @@ def test_mte_walks_the_sink_tree_of_minimum_energy_paths():
             r = route("mte", g, nodes, src, sink, PARAMS)
             assert r.vertices == walk_table(table, src, sink)
             assert r == route("mte", g, nodes, src, sink, PARAMS, tables=table)
-            best = shortest_path(g, src, sink, weight_fn=lambda u, v, w: w**2)
+            best = shortest_path(squared(g), src, sink)
             assert energy(r.vertices) == pytest.approx(best.length, rel=1e-12)
 
 

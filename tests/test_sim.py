@@ -91,6 +91,27 @@ def test_res_run_counts_naive_flood_once(monkeypatch):
     assert report.flood.savings == 1.0 - report.flood.tx / report.flood.naive
 
 
+def test_or_run_prices_its_arcs_once_for_every_session(monkeypatch):
+    price, route = sim._or_priced_graph, sim.route
+    built, searched = [], []
+
+    def pricing(*args):
+        built.append(price(*args))
+        return built[-1]
+
+    def routing(*args, tables=None, **kwargs):
+        searched.append(tables)
+        return route(*args, tables=tables, **kwargs)
+
+    monkeypatch.setattr(sim, "_or_priced_graph", pricing)
+    monkeypatch.setattr(sim, "route", routing)
+    report = run(replace(SMALL, protocol="or", radio_range=40.0, sessions=6))
+    assert len(built) == 1 and len(searched) == 6
+    assert all(tables is built[0] for tables in searched)
+    assert report.sessions_established == 6
+    assert max(s.hops for s in report.sessions) > 1
+
+
 def test_init_phase_only_sink_neighbors_sense():
     # short range so that sink adjacency is a strict subset; snapshot the
     # ledger exactly at the end of the init phase
