@@ -8,9 +8,9 @@ from typing import Iterable, Sequence
 
 from .graph import NodeId
 
-LEDGER_MODES = ("tx", "rx", "sense", "sleep")
-TX, RX, SENSE, SLEEP = range(len(LEDGER_MODES))  # indices into a ledger row
-ACCRUAL_MODES = ("sense", "sleep")
+LEDGER_MODES = ("tx", "rx", "sense", "sleep")  # slot names, in row order
+_SLOTS = range(len(LEDGER_MODES))
+TX, RX, SENSE, SLEEP = _SLOTS  # ledger slots: indices into a row
 
 # battery considered empty below this many joules (float accrual slack)
 DEATH_EPSILON_J = 1e-9
@@ -48,6 +48,11 @@ class EnergyParams:
             raise ValueError("draw floor must sit below the communication maximum")
 
     @cached_property
+    def drain_w(self) -> dict[int, float]:
+        """Drain power of each duty slot (SENSE, SLEEP), in watts."""
+        return {SENSE: self.p_sense_mw / 1000.0, SLEEP: self.p_sleep_mw / 1000.0}
+
+    @cached_property
     def level_dbms(self) -> tuple[float, ...]:
         step = (self.level_max_dbm - self.level_min_dbm) / (self.level_count - 1)
         return tuple(self.level_min_dbm + i * step for i in range(self.level_count))
@@ -75,6 +80,11 @@ class EnergyParams:
             raise ValueError(f"invalid power level {level!r}")
 
 
+def spent(tx, rx, sense, sleep):
+    """A ledger row's total, summed left to right; floats or arrays."""
+    return ((tx + rx) + sense) + sleep
+
+
 def tx_energy(bits: float, level: int, params: EnergyParams) -> float:
     """Joules to transmit ``bits`` at a power level."""
     if bits <= 0:
@@ -93,12 +103,12 @@ class EnergyLedger:
     """Per-node cumulative joules by mode against a shared battery budget.
 
     Each node's spends are stored as one flat list ``[tx, rx, sense, sleep]``
-    (indexed by ``TX``, ``RX``, ``SENSE``, ``SLEEP``) in ``rows``.  The spent
-    total is always summed left to right, ``((tx + rx) + sense) + sleep``,
-    and ``remaining`` is the budget minus that total, so the conservation
-    identity holds exactly and an engine that reads ``rows`` directly gets
-    the same bits as these methods.  Nodes at or below ``DEATH_EPSILON_J``
-    are dead; callers stop routing through them.
+    in ``rows``, and every method takes a ledger slot (``TX``, ``RX``,
+    ``SENSE``, ``SLEEP``), an index into that list.  The spent total is
+    ``spent`` of the row and ``remaining`` is the budget minus that total,
+    so the conservation identity holds exactly and an engine that reads
+    ``rows`` directly gets the same bits as these methods.  Nodes at or
+    below ``DEATH_EPSILON_J`` are dead; callers stop routing through them.
     """
 
     def __init__(self, node_ids: Iterable[NodeId], budget_j: float):
@@ -115,34 +125,33 @@ class EnergyLedger:
         except KeyError:
             raise ValueError(f"no ledger entry for node {node!r}") from None
 
-    def check_charge(self, node: NodeId, mode: str, joules: float) -> int:
-        """Validate a charge without applying it; returns the mode's row index."""
-        if mode not in LEDGER_MODES:
-            raise ValueError(f"unknown mode {mode!r}")
+    def check_charge(self, node: NodeId, slot: int, joules: float) -> None:
+        """Validate a charge without applying it."""
+        if slot not in _SLOTS:
+            raise ValueError(f"unknown ledger slot {slot!r}")
         if joules < 0:
             raise ValueError("charge must be >= 0")
         self._entry(node)
-        return LEDGER_MODES.index(mode)
 
-    def charge(self, node: NodeId, mode: str, joules: float) -> None:
-        slot = self.check_charge(node, mode, joules)
+    def charge(self, node: NodeId, slot: int, joules: float) -> None:
+        self.check_charge(node, slot, joules)
         self.rows[node][slot] += joules
 
-    def accrue(self, node: NodeId, mode: str, duration_s: float, params: EnergyParams) -> None:
-        """Add duty-mode energy for a time span (sense or sleep)."""
-        if mode not in ACCRUAL_MODES:
-            raise ValueError(f"mode must be one of {ACCRUAL_MODES}, got {mode!r}")
+    def accrue(self, node: NodeId, slot: int, duration_s: float, params: EnergyParams) -> None:
+        """Add duty-mode energy for a time span: ``params.drain_w[slot]``
+        watts, for slot SENSE or SLEEP."""
+        watts = params.drain_w.get(slot)
+        if watts is None:
+            raise ValueError(f"accrual slot must be SENSE or SLEEP, got {slot!r}")
         if duration_s < 0:
             raise ValueError("duration must be >= 0")
-        power_mw = params.p_sense_mw if mode == "sense" else params.p_sleep_mw
-        self._entry(node)[LEDGER_MODES.index(mode)] += power_mw / 1000.0 * duration_s
+        self._entry(node)[slot] += watts * duration_s
 
     def spent_by_mode(self, node: NodeId) -> dict[str, float]:
         return dict(zip(LEDGER_MODES, self._entry(node)))
 
     def total_spent(self, node: NodeId) -> float:
-        tx, rx, sense, sleep = self._entry(node)
-        return ((tx + rx) + sense) + sleep
+        return spent(*self._entry(node))
 
     def remaining(self, node: NodeId) -> float:
         return self.budget_j - self.total_spent(node)

@@ -142,7 +142,7 @@ class Digraph:
     def arcs(self) -> Iterator[tuple[NodeId, NodeId, float]]:
         """Every arc as (tail, head, weight), in ascending (tail, head) order."""
         ids = self._vertices
-        _, rows, row_weights = self._out_rows
+        rows, row_weights = self._out_rows
         for u, heads, weights in zip(ids, rows, row_weights):
             for h, w in zip(heads, weights):
                 yield u, ids[h], w
@@ -175,7 +175,7 @@ class Digraph:
         return u in self._index and v in self.out_neighbors(u)
 
     def weight(self, u: NodeId, v: NodeId) -> float:
-        _, heads, weights = self._out_rows
+        heads, weights = self._out_rows
         k, j = self._position(u), self._index.get(v, -1)
         i = bisect_left(heads[k], j)
         if i == len(heads[k]) or heads[k][i] != j:
@@ -183,11 +183,11 @@ class Digraph:
         return weights[k][i]
 
     def out_neighbors(self, v: NodeId) -> tuple[NodeId, ...]:
-        row = self._out_rows[1][self._position(v)]
+        row = self._out_rows[0][self._position(v)]
         return tuple(row if self._ids is None else map(self._ids.__getitem__, row))
 
     def in_neighbors(self, v: NodeId) -> tuple[NodeId, ...]:
-        row = self._in_rows[1][self._position(v)]
+        row = self._in_rows[0][self._position(v)]
         return tuple(row if self._ids is None else map(self._ids.__getitem__, row))
 
     def within_parts(self, part: Mapping[NodeId, Hashable]) -> "Digraph":
@@ -263,14 +263,14 @@ def _sorted_arcs(
 
 
 def _rows(names, n: int, tails: np.ndarray, heads: np.ndarray, weights: np.ndarray) -> tuple:
-    """Arc arrays sorted by ``tails`` as CSR rows: each vertex index's first
-    arc (``indptr``), then per vertex index a list of its heads, as
-    ``names[head]`` when ``names`` is given, and a view of its weights."""
+    """Arc arrays sorted by ``tails`` as CSR rows: per vertex index a list of
+    its heads, as ``names[head]`` when ``names`` is given, and a view of its
+    weights."""
     bounds = np.searchsorted(tails, np.arange(n + 1)).tolist()
     heads = (heads if names is None else names[heads]).tolist()
     weights = memoryview(weights).toreadonly()
     spans = list(zip(bounds, bounds[1:]))
-    return bounds, [heads[a:b] for a, b in spans], [weights[a:b] for a, b in spans]
+    return [heads[a:b] for a, b in spans], [weights[a:b] for a, b in spans]
 
 
 def build_unit_disk_digraph(
@@ -405,7 +405,7 @@ def shortest_path_tree(
     """
     sources = [g._position(s) for s in (source if isinstance(source, tuple) else (source,))]
     t = None if target is None else g._position(target)
-    _, heads, costs = g._in_rows if reverse else g._out_rows
+    heads, costs = g._in_rows if reverse else g._out_rows
     ids = g.vertices
     # per vertex index: settled length, tentative length, parent index
     dist: list[float | None] = [None] * len(ids)

@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .energy import EnergyParams, rx_energy, tx_energy
+from .energy import RX, TX, EnergyParams, rx_energy, tx_energy
 from .graph import Digraph, NodeId, NodePos, shortest_path, shortest_path_tree
 from .regions import BoundaryCellMap, BoundaryDualGraph
 
@@ -142,10 +142,13 @@ def build_res_tables(
     straight to the sink.  The cells are vertex-disjoint components of the
     cell graph that ``dual`` holds, so one reversed search from the sink and
     every exit tail yields every cell's tree.  Nodes that cannot reach their
-    cell's exit (or whose cell has no dual route) are reported stranded.
+    cell's exit (or whose cell has no dual route) are reported stranded; if
+    the flood never reached the sink, it has no cell, and so are all nodes.
     """
+    if sink not in dual.cell_graph:
+        raise ValueError(f"sink {sink!r} is not a vertex of the cell graph")
     if sink not in cells.cell_of:
-        raise ValueError(f"sink {sink!r} has no cell assignment")
+        return RoutingTable(sink=sink, next_hop={}, stranded=tuple(sorted(cells.cell_of)))
 
     # shortest dual route from every cell toward the sink cell: the reversed
     # lexicographic tree, in which a cell's parent is its next cell
@@ -334,18 +337,18 @@ def _hop_joules(params: EnergyParams, bits: float, level: int, relayed: bool) ->
 
 def per_packet_charges(
     route: SessionRoute, params: EnergyParams, bits: float
-) -> tuple[tuple[NodeId, str, float], ...]:
-    """Ledger charges for one packet along the route.
+) -> tuple[tuple[NodeId, int, float], ...]:
+    """Ledger charges ``(node, slot, joules)`` for one packet along the route.
 
     Each hop costs the sender a transmit charge at the hop's level and the
     receiver a receive charge; the sink is mains-powered and is never charged.
     """
-    charges: list[tuple[NodeId, str, float]] = []
+    charges: list[tuple[NodeId, int, float]] = []
     for i in range(route.hops):
         sender, receiver = route.vertices[i], route.vertices[i + 1]
-        charges.append((sender, "tx", tx_energy(bits, route.levels[i], params)))
+        charges.append((sender, TX, tx_energy(bits, route.levels[i], params)))
         if receiver != route.sink:
-            charges.append((receiver, "rx", rx_energy(bits, params)))
+            charges.append((receiver, RX, rx_energy(bits, params)))
     return tuple(charges)
 
 

@@ -53,12 +53,13 @@ Model notes:
     methods (so a node can end up to one charge below zero), then kills the
     node at or below DEATH_EPSILON_J or projects its drain death.  Due
     deaths, duty-mode switches and t = 0 settle with a zero charge.  Each
-    node has one due time; a new projection replaces it only when more than
-    1 s earlier.  A node that no charge touches dies at its crossing; a
-    node whose projection packet charges keep moving earlier dies at its
-    recorded due time, up to 1 s late and up to 1 s of drain below zero
-    (12 mJ while sensing).  Under dt on the default scenario at seed 2 the
-    15 session sources end 1.3 to 9.8 mJ below zero.
+    node has one due time, which goes when the node dies; a new projection
+    replaces it only when more than 1 s earlier.  A node that no charge
+    touches dies at its crossing; a node whose projection packet charges
+    keep moving earlier dies at its recorded due time, up to 1 s late and
+    up to 1 s of drain below zero (12 mJ while sensing).  Under dt on the
+    default scenario at seed 2 the 15 session sources end 1.3 to 9.8 mJ
+    below zero.
   * Coverage.  Set-up indexes the sample points within sensing range of
     each sensor and counts, per point, the sensors covering it; a death
     subtracts the dead sensor's points, so a report's coverage is the share
@@ -68,11 +69,12 @@ Model notes:
     outside a sensor's own window fails its test, so each sensor covers the
     same points as in a test of its own window alone.
   * Ledger layout.  Each sensor's spends are one flat [tx, rx, sense, sleep]
-    list in EnergyLedger.rows.  Only the epoch step works on those rows
-    directly: it replays EnergyLedger.accrue, charge and remaining, whose
-    balance is budget - (((tx + rx) + sense) + sleep), so both give the same
-    bits.  A report sums its interval row from its own ledger snapshot, in
-    sensor order.
+    list in EnergyLedger.rows, indexed by the slots the charges carry.  Only
+    the epoch step works on those rows directly: it replays accrue, charge
+    and remaining, with the same drain watts and the same energy.spent, so
+    both give the same bits.  A report sums its interval row from its own
+    ledger snapshot, in sensor order, and its packet counts from the session
+    records.
 """
 
 import math
@@ -92,6 +94,7 @@ from .energy import (
     TX,
     EnergyLedger,
     rx_energy,
+    spent,
     tx_energy,
 )
 from .flood import cells_from_flood, message_savings, naive_flood_count, run_flood
@@ -241,15 +244,15 @@ def _due_writes(low: np.ndarray, threshold: float) -> np.ndarray:
 class _Run:
     """Single-run engine; builds everything in __init__ and leaves a report.
 
-    ``_due[v]`` is v's projected drain death, its only record; ``_next_due``
-    is the smallest (inf for none).  The loop settles a due time through
-    ``_impulse``, and drops that of a node that died meanwhile.
+    ``_due[v]`` is live node v's projected drain death, its only record,
+    which goes when v dies.  The loop settles the smallest due time through
+    ``_impulse``.  The session records hold the only packet counts.
 
     The loop hands each run of ticks before the next other event and before
-    ``_next_due`` to ``_bulk_ticks``, which applies the ticks of an epoch (see
-    the module notes) and returns how many.  If it stopped at a tick in
-    which a node dies, ``_handle_tick`` replays that tick; if a due time now
-    falls at or before the next tick, the loop settles it first.
+    the smallest due time to ``_bulk_ticks``, which applies the ticks of an
+    epoch (see the module notes) and returns how many.  If it stopped at a
+    tick in which a node dies, ``_handle_tick`` replays that tick; if a due
+    time now falls at or before the next tick, the loop settles it first.
     ``_impulse`` stays the one settle rule: the bulk step reproduces its
     arithmetic on ticks where it neither kills a node nor settles a due time.
 
@@ -279,21 +282,13 @@ class _Run:
         self.ledger = EnergyLedger(self.sensors, config.battery_j)
         self.rows = self.ledger.rows
         self.budget = self.ledger.budget_j
-        # drain power per duty slot, in watts, as EnergyLedger.accrue computes it
-        self.drain_w = {
-            SENSE: self.params.p_sense_mw / 1000.0,
-            SLEEP: self.params.p_sleep_mw / 1000.0,
-        }
 
         self.mode: dict[NodeId, int] = {}  # SENSE or SLEEP; kept after death
         self.mode_since: dict[NodeId, float] = {}
         self.alive: set[NodeId] = set(self.sensors)
         self.deaths: list[tuple[float, NodeId]] = []
         self._due: dict[NodeId, float] = {}
-        self._next_due = math.inf
         self.now = 0.0
-        self.generated = 0
-        self.delivered = 0
         self.intervals: list[IntervalRow] = []
         self.ledger_snapshots: list[tuple[float, list]] = []
 
@@ -429,10 +424,9 @@ class _Run:
                     idx, src, self.sink, self.config.protocol, "no_route", 0, 0.0
                 ))
                 continue
-            charges = tuple(
-                (v, self.ledger.check_charge(v, mode, joules), joules)
-                for v, mode, joules in per_packet_charges(r, self.params, self.bits)
-            )
+            charges = per_packet_charges(r, self.params, self.bits)
+            for charge in charges:
+                self.ledger.check_charge(*charge)
             rec = SessionRecord(
                 idx,
                 src,
@@ -491,7 +485,7 @@ class _Run:
     def _accrue_to(self, v: NodeId, t: float):
         dur = t - self.mode_since[v]
         if dur > 0:
-            self.ledger.accrue(v, LEDGER_MODES[self.mode[v]], dur, self.params)
+            self.ledger.accrue(v, self.mode[v], dur, self.params)
             self.mode_since[v] = t
 
     def _set_mode(self, v: NodeId, m: int):
@@ -508,22 +502,21 @@ class _Run:
         death."""
         now = self.now
         self._accrue_to(v, now)
-        self.ledger.charge(v, LEDGER_MODES[slot], joules)
+        self.ledger.charge(v, slot, joules)
         remaining = self.ledger.remaining(v)
         if remaining <= DEATH_EPSILON_J:
             self.alive.discard(v)
+            self._due.pop(v, None)
             self.deaths.append((now, v))
             lo, hi, covered = self._covers[v]
             self._cover_count[lo:hi] -= covered
             return
         # remaining > DEATH_EPSILON_J, so t >= now
-        t = now + remaining / self.drain_w[self.mode[v]]
+        t = now + remaining / self.params.drain_w[self.mode[v]]
         if t <= self.duration:
             due = self._due.get(v)
             if due is None or t < due - 1.0:
                 self._due[v] = t
-                if t < self._next_due:
-                    self._next_due = t
 
     # -- event handlers ----------------------------------------------------
 
@@ -531,15 +524,16 @@ class _Run:
         # Every tick and every due time falls at or before the last report,
         # at the run's end, so both are spent once the events are.
         ticks, events = self._timeline()
+        due = self._due
         i = 0
         for t, kind in events:
             # the ticks before this event: init < tick < report at one time
             end = (bisect_left if kind == INIT else bisect_right)(ticks, t, i)
             while i < end:
                 self._settle_due(ticks[i])
-                k = self._bulk_ticks(ticks[i : bisect_left(ticks, self._next_due, i, end)])
-                i += k
-                if i < end and ticks[i] < self._next_due:
+                stop = bisect_left(ticks, min(due.values(), default=math.inf), i, end)
+                i += self._bulk_ticks(ticks[i:stop])
+                if i < end and ticks[i] < min(due.values(), default=math.inf):
                     # the tick in which a node dies
                     self.now = ticks[i]
                     self._handle_tick()
@@ -555,14 +549,11 @@ class _Run:
         """Settle every due time at or before t: smallest time first, then
         smallest node id."""
         due = self._due
-        while self._next_due <= t:
-            td = self._next_due
+        while (td := min(due.values(), default=math.inf)) <= t:
             v = min(u for u, tu in due.items() if tu == td)
             del due[v]
-            self._next_due = min(due.values(), default=math.inf)
-            if v in self.alive:
-                self.now = td
-                self._impulse(v, self.mode[v], 0.0)
+            self.now = td
+            self._impulse(v, self.mode[v], 0.0)
 
     def _handle_init(self):
         # region flood setup messages are paid at the end of the init phase
@@ -589,8 +580,6 @@ class _Run:
                 rec.energy_j += joules
             else:
                 rec.delivered += 1
-                self.delivered += 1
-        self.generated += len(self._senders)
 
     def _charge_plan(self) -> tuple[dict, list]:
         """What each tick charges while the alive set stays as it is.
@@ -622,12 +611,13 @@ class _Run:
     def _bulk_ticks(self, ticks: list[float]) -> int:
         """Apply the leading ticks of ``ticks`` at once; returns how many.
 
-        The ticks hold no other event and fall before ``_next_due``, so until
-        a node dies every tick charges the same cells with the same joules.
-        This replays ``_impulse`` on them in the scalar order, over blocks of
-        the nodes that take the same number of charges a tick in the same
-        duty mode.  It stops before the first tick in which a balance reaches
-        DEATH_EPSILON_J, which the loop replays through ``_handle_tick``.
+        The ticks hold no other event and fall before every due time, so
+        until a node dies every tick charges the same cells with the same
+        joules.  This replays ``_impulse`` on them in the scalar order, over
+        blocks of the nodes that take the same number of charges a tick in
+        the same duty mode.  It stops before the first tick in which a
+        balance reaches DEATH_EPSILON_J, which the loop replays through
+        ``_handle_tick``.
 
         Each charged balance falls linearly, so ``_ticks_before_death``
         estimates that stop K for every group before any block runs, and the
@@ -659,7 +649,7 @@ class _Run:
         rows, mode_since, due = self.rows, self.mode_since, self._due
         plans = []
         for (c, m), members in groups.items():
-            w = self.drain_w[m]
+            w = self.params.drain_w[m]
             start = np.array([rows[v] for v, _, _ in members])
             # the drain at each node's first charge, w * (t - mode_since)
             first_drain = w * (T[0] - np.array([mode_since[v] for v, _, _ in members]))
@@ -669,7 +659,7 @@ class _Run:
             limit = min(limit, _ticks_before_death(
                 balance, joules.sum(axis=1), w / self.config.packet_rate_hz, limit))
             plans.append((c, m, members, start, first_drain, slots, joules))
-        wdT = {m: w * np.diff(T) for m, w in self.drain_w.items()}
+        wdT = {m: w * np.diff(T) for m, w in self.params.drain_w.items()}
         blocks, writes = [], []
         for c, m, members, *arrays in plans:
             # split rows, never ticks: each block's arrays hold about
@@ -695,18 +685,13 @@ class _Run:
         for v, wt, wv in writes:
             n = int(np.searchsorted(wt, K))
             if n:
-                t = float(wv[n - 1])
-                due[v] = t
-                if t < self._next_due:
-                    self._next_due = t
+                due[v] = float(wv[n - 1])
         for rec, joules, delivered in sessions:
             rec.generated += K
             if len(joules):
                 rec.energy_j = float(_tiled_sums(rec.energy_j, joules, K)[-1])
             if delivered:
                 rec.delivered += K
-                self.delivered += K
-        self.generated += K * len(sessions)
         return K
 
     def _bulk_block(self, block: list, c: int, m: int, start: np.ndarray,
@@ -725,7 +710,7 @@ class _Run:
         """
         K = limit
         r = len(block)
-        w = self.drain_w[m]
+        w = self.params.drain_w[m]
         # each cell after every charge as (rows, ticks, charges), broadcast
         # where it holds one value per row or per tick
         cells = [start[:, s, None, None] for s in range(len(LEDGER_MODES))]
@@ -752,7 +737,7 @@ class _Run:
         # each balance at the end of each tick, after the tick's last charge,
         # which leaves its lowest, as balances only fall
         at_end = [ends[s][:, 1:] if s in ends else x[:, 0] for s, x in enumerate(cells)]
-        ticks_end = self.budget - (((at_end[TX] + at_end[RX]) + at_end[SENSE]) + at_end[SLEEP])
+        ticks_end = self.budget - spent(*at_end)
         dead = ticks_end <= DEATH_EPSILON_J
         hit = dead.any(axis=1)
         if hit.any():
@@ -768,8 +753,9 @@ class _Run:
             n = len(writers)
             if n:
                 # each projection is _impulse's, T + balance / w, in its
-                # operation order, computed in one buffer in place; a gather
-                # copies, so the rows are gathered only if some do not project
+                # operation order, computed in one buffer in place; the sum
+                # follows spent's order; a gather copies, so the rows are
+                # gathered only if some do not project
                 sel = slice(None) if n == r else writers
                 proj = cells[TX][sel, :limit] + cells[RX][sel, :limit]
                 proj += cells[SENSE][sel, :limit]
@@ -806,14 +792,16 @@ class _Run:
             rx += rxj
             sense += sensej
             sleep += sleepj
-            total += ((txj + rxj) + sensej) + sleepj
+            total += spent(txj, rxj, sensej, sleepj)
+        generated = sum(rec.generated for rec in self.records)
+        delivered = sum(rec.delivered for rec in self.records)
         self.intervals.append(IntervalRow(
             t_s=now,
             coverage_pct=self._coverage_pct(),
             alive=len(self.alive),
-            generated=self.generated,
-            delivered=self.delivered,
-            delivery_ratio=self.delivered / self.generated if self.generated else 0.0,
+            generated=generated,
+            delivered=delivered,
+            delivery_ratio=delivered / generated if generated else 0.0,
             tx_j=tx,
             rx_j=rx,
             sense_j=sense,
@@ -830,8 +818,7 @@ class _Run:
     def _build_report(self) -> RunReport:
         # the last row is the report at duration, after which nothing runs
         last = self.intervals[-1]
-        by_mode = {"tx": last.tx_j, "rx": last.rx_j, "sense": last.sense_j,
-                   "sleep": last.sleep_j}
+        by_mode = dict(zip(LEDGER_MODES, (last.tx_j, last.rx_j, last.sense_j, last.sleep_j)))
         lifetime = self.deaths[0][0] if self.deaths else self.duration
         established = len(self._senders)
         return RunReport(
@@ -846,9 +833,9 @@ class _Run:
             total_energy_j=last.total_j,
             lifetime_s=lifetime,
             deaths=self.deaths,
-            generated=self.generated,
-            delivered=self.delivered,
-            delivery_ratio=self.delivered / self.generated if self.generated else 0.0,
+            generated=last.generated,
+            delivered=last.delivered,
+            delivery_ratio=last.delivery_ratio,
             ledger_snapshots=self.ledger_snapshots,
             d_char_m=self.d_char,
             sessions_requested=self.config.sessions,
@@ -886,7 +873,7 @@ def run_batch(config: ScenarioConfig) -> BatchReport:
         metrics[name] = (float(arr.mean()), float(arr.std()))
 
     stat("total_energy_j", [r.total_energy_j for r in reports])
-    for m in ("tx", "rx", "sense", "sleep"):
+    for m in LEDGER_MODES:
         stat(f"{m}_j", [r.totals_by_mode[m] for r in reports])
     stat("generated", [r.generated for r in reports])
     stat("delivered", [r.delivered for r in reports])
@@ -937,7 +924,7 @@ def _report_text(report: RunReport) -> str:
         f"packets: {report.generated} generated, {report.delivered} delivered "
         f"(delivery ratio {report.delivery_ratio:.4f})",
         "energy_j: "
-        + " ".join(f"{m}={report.totals_by_mode[m]:.9f}" for m in ("tx", "rx", "sense", "sleep"))
+        + " ".join(f"{m}={report.totals_by_mode[m]:.9f}" for m in LEDGER_MODES)
         + f" total={report.total_energy_j:.9f}",
         f"lifetime_s: {report.lifetime_s:.3f}",
         f"deaths: {len(report.deaths)}",

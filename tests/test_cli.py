@@ -6,7 +6,9 @@ import pytest
 
 from regionsim import cli
 from regionsim.cli import main
+from regionsim.graph import build_unit_disk_digraph
 from regionsim.routing import CycleError, RoutingError
+from regionsim.scenario import deploy, load_scenario
 from regionsim.sim import _Run
 
 TINY = """
@@ -211,3 +213,21 @@ def test_compare_with_runs_writes_a_batch_summary_per_protocol(tmp_path, capsys)
         lines = (out / tag / "batch_summary.csv").read_text().splitlines()
         assert lines[0] == "metric,mean,std"
         assert (out / tag / "run_5").is_dir() and (out / tag / "run_6").is_dir()
+
+
+def test_res_runs_when_the_flood_never_reaches_the_sink(tmp_path, capsys):
+    # the default field with a 3 m radio: the sink hears no sensor
+    p = tmp_path / "unreached.ini"
+    p.write_text("[nodes]\nradio_range = 3\n\n[traffic]\nsim_duration_s = 600\n")
+    config = load_scenario(str(p))
+    field = deploy(config, config.seed)
+    g = build_unit_disk_digraph([field.nodes[v] for v in sorted(field.nodes)])
+    assert g.out_neighbors(field.sink_id) == () and g.in_neighbors(field.sink_id) == ()
+    statuses = {}
+    for protocol in ("res", "dt"):
+        out = tmp_path / protocol
+        assert main(["run", "--scenario", str(p), "--protocol", protocol,
+                     "--out", str(out)]) == 0
+        rows = (out / "sessions.csv").read_text().splitlines()[1:]
+        statuses[protocol] = [row.split(",")[4] for row in rows]
+    assert statuses["res"] == statuses["dt"] == ["no_route"] * config.sessions

@@ -2,17 +2,24 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regionsim.energy import (
+    LEDGER_MODES,
+    RX,
+    SENSE,
+    SLEEP,
+    TX,
     EnergyLedger,
     EnergyParams,
     energy_savings,
     min_sensor_count,
     rx_energy,
     scaling_diagnostics,
+    spent,
     tx_energy,
 )
 
@@ -84,38 +91,53 @@ def test_params_validation():
 
 def test_mode_accrual_sleep():
     ledger = EnergyLedger([0], budget_j=10.0)
-    ledger.accrue(0, "sleep", 60.0, PARAMS)
+    ledger.accrue(0, SLEEP, 60.0, PARAMS)
     assert ledger.spent_by_mode(0)["sleep"] == pytest.approx(0.0005 * 60)
 
 
 def test_mode_accrual_sense():
     ledger = EnergyLedger([0], budget_j=10.0)
-    ledger.accrue(0, "sense", 10.0, PARAMS)
+    ledger.accrue(0, SENSE, 10.0, PARAMS)
     assert ledger.spent_by_mode(0)["sense"] == pytest.approx(0.12)
 
 
 def test_mode_accrual_zero_duration_noop():
     ledger = EnergyLedger([0], budget_j=10.0)
-    ledger.accrue(0, "sense", 0.0, PARAMS)
+    ledger.accrue(0, SENSE, 0.0, PARAMS)
     assert ledger.total_spent(0) == 0.0
 
 
 def test_mode_accrual_rejections():
     ledger = EnergyLedger([0], budget_j=10.0)
     with pytest.raises(ValueError, match="duration"):
-        ledger.accrue(0, "sense", -1.0, PARAMS)
-    with pytest.raises(ValueError, match="mode"):
-        ledger.accrue(0, "tx", 1.0, PARAMS)
+        ledger.accrue(0, SENSE, -1.0, PARAMS)
+    for slot in (TX, RX, 4, None):
+        with pytest.raises(ValueError, match="SENSE or SLEEP"):
+            ledger.accrue(0, slot, 1.0, PARAMS)
     with pytest.raises(ValueError, match="no ledger entry"):
-        ledger.accrue(9, "sense", 1.0, PARAMS)
+        ledger.accrue(9, SENSE, 1.0, PARAMS)
+    assert ledger.rows[0] == [0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("slot, mw", [(SENSE, "p_sense_mw"), (SLEEP, "p_sleep_mw")])
+@pytest.mark.parametrize("params", [PARAMS, EnergyParams(p_sense_mw=13.7, p_sleep_mw=0.31)])
+def test_accrue_adds_the_drain_watts_times_the_span(slot, mw, params):
+    # bit for bit: the watts are the milliwatts over 1000.0, then times the span
+    for duration in (0.1, 7.0, 1234.567):
+        ledger = EnergyLedger([0], budget_j=10.0)
+        ledger.rows[0][slot] = 0.3
+        ledger.accrue(0, slot, duration, params)
+        assert params.drain_w[slot] == getattr(params, mw) / 1000.0
+        assert ledger.rows[0][slot] == 0.3 + getattr(params, mw) / 1000.0 * duration
+    assert sorted(params.drain_w) == [SENSE, SLEEP]
 
 
 def test_ledger_conservation_identity():
     ledger = EnergyLedger([0, 1], budget_j=5.0)
-    ledger.charge(0, "tx", 1.25)
-    ledger.charge(0, "rx", 0.5)
-    ledger.accrue(0, "sense", 100.0, PARAMS)
-    ledger.accrue(0, "sleep", 100.0, PARAMS)
+    ledger.charge(0, TX, 1.25)
+    ledger.charge(0, RX, 0.5)
+    ledger.accrue(0, SENSE, 100.0, PARAMS)
+    ledger.accrue(0, SLEEP, 100.0, PARAMS)
     total = sum(ledger.spent_by_mode(0).values())
     assert abs(ledger.budget_j - (ledger.remaining(0) + total)) < 1e-12
     assert ledger.remaining(1) == 5.0
@@ -124,31 +146,54 @@ def test_ledger_conservation_identity():
 def test_ledger_death_threshold():
     ledger = EnergyLedger([0], budget_j=1.0)
     assert ledger.is_alive(0)
-    ledger.charge(0, "tx", 1.0)
+    ledger.charge(0, TX, 1.0)
     assert not ledger.is_alive(0)
 
 
 def test_charge_rejections_match_check_charge():
     ledger = EnergyLedger([0], budget_j=1.0)
-    for node, mode, joules, match in (
-        (0, "dead", 0.1, "unknown mode"),
-        (0, "tx", -0.1, ">= 0"),
-        (9, "tx", 0.1, "no ledger entry"),
+    for node, slot, joules, match in (
+        (0, 4, 0.1, "unknown ledger slot"),
+        (0, -1, 0.1, "unknown ledger slot"),
+        (0, TX, -0.1, ">= 0"),
+        (9, TX, 0.1, "no ledger entry"),
     ):
         with pytest.raises(ValueError, match=match):
-            ledger.check_charge(node, mode, joules)
+            ledger.check_charge(node, slot, joules)
         with pytest.raises(ValueError, match=match):
-            ledger.charge(node, mode, joules)
-    assert ledger.check_charge(0, "rx", 0.1) == 1
+            ledger.charge(node, slot, joules)
+    assert ledger.check_charge(0, RX, 0.1) is None
     assert ledger.total_spent(0) == 0.0
 
 
-def test_ledger_rows_are_flat_mode_lists():
+@pytest.mark.parametrize("mode", [*LEDGER_MODES, "dead"])
+def test_ledger_rejects_string_modes(mode):
     ledger = EnergyLedger([0], budget_j=1.0)
-    ledger.charge(0, "rx", 0.25)
-    ledger.accrue(0, "sleep", 100.0, PARAMS)
+    for call in (ledger.check_charge, ledger.charge):
+        with pytest.raises(ValueError, match="unknown ledger slot"):
+            call(0, mode, 0.1)
+    with pytest.raises(ValueError, match="SENSE or SLEEP"):
+        ledger.accrue(0, mode, 1.0, PARAMS)
+    assert ledger.rows[0] == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_ledger_rows_are_flat_mode_lists():
+    assert (TX, RX, SENSE, SLEEP) == (0, 1, 2, 3)
+    assert LEDGER_MODES == ("tx", "rx", "sense", "sleep")
+    ledger = EnergyLedger([0], budget_j=1.0)
+    ledger.charge(0, RX, 0.25)
+    ledger.accrue(0, SLEEP, 100.0, PARAMS)
     assert ledger.rows[0] == [0.0, 0.25, 0.0, 0.05]
     assert ledger.remaining(0) == 1.0 - (((0.0 + 0.25) + 0.0) + 0.05)
+    assert ledger.total_spent(0) == spent(*ledger.rows[0])
+
+
+def test_spent_sums_left_to_right_on_floats_and_arrays():
+    # an order where the left fold differs from the other groupings
+    row = (1e16, 1.0, -1e16, 1.0)
+    assert spent(*row) == ((1e16 + 1.0) + -1e16) + 1.0 == 1.0
+    arrays = [np.array([x, 0.5]) for x in row]
+    assert spent(*arrays).tolist() == [1.0, 2.0]
 
 
 def test_ledger_snapshot_schema():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from regionsim.energy import EnergyParams, rx_energy, tx_energy
+from regionsim.energy import RX, TX, EnergyParams, rx_energy, tx_energy
 from regionsim.flood import cells_from_flood, run_flood
 from regionsim.graph import Digraph, NodePos, build_unit_disk_digraph
 from regionsim.regions import build_boundary_dual_graph, compute_boundary_cells, dual_route
@@ -162,6 +162,26 @@ def test_res_routes_cross_cells_only_at_dual_crossings():
         for a, b in zip(verts, verts[1:]):
             if cells.cell_of[a] != cells.cell_of[b]:
                 assert (a, b) in crossings
+
+
+def test_res_tables_when_the_flood_never_reaches_the_sink():
+    # a four-node line and a sink 1 km off it, out of every node's range
+    nodes = line_nodes(4, 10.0, 15.0) | {4: NodePos(4, 1000.0, 0.0, 15.0)}
+    g = build_unit_disk_digraph(nodes.values())
+    assert g.out_neighbors(4) == () and g.in_neighbors(4) == ()
+    seeds = [0, 3]
+    result = run_flood(g, seeds)
+    cells = cells_from_flood(g, seeds, result.states)
+    dual = build_boundary_dual_graph(g, cells)
+    assert 4 not in cells.cell_of and sorted(cells.cell_of) == [0, 1, 2, 3]
+    tables = build_res_tables(cells, dual, 4)
+    assert tables == RoutingTable(sink=4, next_hop={}, stranded=(0, 1, 2, 3))
+    for src in range(4):
+        with pytest.raises(RouteNotFound):
+            route("res", g, nodes, src, 4, PARAMS, tables=tables)
+    # a sink outside the graph is still an error
+    with pytest.raises(ValueError, match="not a vertex of the cell graph"):
+        build_res_tables(cells, dual, 99)
 
 
 def symmetric_digraph(weights):
@@ -614,8 +634,8 @@ def test_per_packet_charges_skip_sink_rx():
     r = route("mte", g, nodes, 0, 2, PARAMS)
     charges = per_packet_charges(r, PARAMS, 1000.0)
     nodes_charged = {(n, m) for n, m, _ in charges}
-    assert (0, "tx") in nodes_charged
-    assert (1, "tx") in nodes_charged and (1, "rx") in nodes_charged
+    assert (0, TX) in nodes_charged
+    assert (1, TX) in nodes_charged and (1, RX) in nodes_charged
     assert not any(n == 2 for n, _, _ in charges)  # sink is mains powered
 
 

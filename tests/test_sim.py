@@ -342,7 +342,9 @@ def run_bulk_and_scalar(monkeypatch, config, seed=None):
         handle_tick(self)
 
     def recording_settle(self, t):
-        dues[-1][t, self.generated] = sorted(self._due.items())
+        # only live nodes hold a due time
+        assert set(self._due) <= self.alive
+        dues[-1][t, sum(rec.generated for rec in self.records)] = sorted(self._due.items())
         settle_due(self, t)
 
     monkeypatch.setattr(_Run, "_handle_tick", counting_tick)
@@ -518,6 +520,18 @@ def test_due_write_replay_stops_at_the_first_dead_tick(monkeypatch):
     ticks, rows, applied = next(e for e in epochs if e[0][:1] == [301.0])
     assert (len(ticks), applied, ticks[applied]) == (152, 128, 429.0)
     assert rows and max(rows) <= applied
+
+
+@pytest.mark.parametrize("protocol", ["res", "dt", "mte", "merr", "or"])
+def test_report_packet_counts_are_the_session_sums(protocol):
+    engine = _Run(replace(DRAINING, protocol=protocol), DRAINING.seed)
+    report = engine.report
+    assert report.deaths and report.generated
+    assert report.generated == sum(s.generated for s in report.sessions)
+    assert report.delivered == sum(s.delivered for s in report.sessions)
+    assert report.delivery_ratio == report.delivered / report.generated
+    # the session records and _due are the engine's only copies
+    assert {"generated", "delivered", "_next_due", "drain_w"}.isdisjoint(vars(engine))
 
 
 def test_report_times_and_counts_are_python_numbers():
