@@ -94,14 +94,16 @@ class ContainmentReport:
 
 
 def run_containment_suite(suite: Iterable[SuiteGraph]) -> ContainmentReport:
-    """Check every node's path-to-seed containment on every suite graph."""
+    """Check every node's path-to-seed containment in hop cells on every
+    suite graph, searching each graph's hop copy."""
     report = ContainmentReport()
     for item in suite:
-        cells = compute_boundary_cells(item.g, item.seeds)
+        hops = item.g.with_weights([1.0] * item.g.arc_count)
+        cells = compute_boundary_cells(hops, item.seeds)
         report.graphs += 1
         report.tie_nodes += len(cells.tie_nodes)
         for v in item.g.vertices:
-            check = verify_cell_containment(item.g, cells, v)
+            check = verify_cell_containment(hops, cells, v)
             report.nodes_checked += 1
             if not check.ok:
                 report.failures.append((item.index, v, check.witness))
@@ -123,14 +125,14 @@ class StretchReport:
 def run_stretch_suite(suite: Iterable[SuiteGraph], max_pairs: int | None = None) -> StretchReport:
     """Check boundary-route length against the arc-count bound on seed pairs.
 
-    Cells are recomputed in the weighted metric so membership and path
-    lengths agree, which is what the bound requires.
+    Cells are computed on the suite graph itself, in its euclidean weights,
+    so membership and path lengths agree, which is what the bound requires.
     """
     report = StretchReport()
     for item in suite:
         if len(item.seeds) < 2:
             continue
-        cells = compute_boundary_cells(item.g, item.seeds, weighted=True)
+        cells = compute_boundary_cells(item.g, item.seeds)
         dual = build_boundary_dual_graph(item.g, cells)
         report.graphs += 1
         for s in item.seeds:

@@ -282,7 +282,8 @@ def message_savings(totals: FloodTotals, naive: int) -> float:
 def cells_from_flood(
     g: Digraph, seeds: Iterable[NodeId], states: dict[NodeId, FloodState]
 ) -> BoundaryCellMap:
-    """Boundary cell map read off the flood labels (hop metric).
+    """Boundary cell map read off the flood labels: hop cells, which
+    ``verify_cell_containment`` checks on ``g.with_weights([1.0] * g.arc_count)``.
 
     Nodes the flood never reached carry no assignment and are absent from the
     map; callers decide whether that is an error.
@@ -296,4 +297,4 @@ def cells_from_flood(
             continue
         owners[v] = tuple(sorted(st.regions))
         dist[v] = float(st.distance)
-    return BoundaryCellMap.from_owners(seed_tuple, "hop", owners, dist)
+    return BoundaryCellMap.from_owners(seed_tuple, owners, dist)

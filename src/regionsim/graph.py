@@ -14,8 +14,8 @@ The builder lists candidate pairs with numpy but weighs each pair with
 Every search is one routine, ``shortest_path_tree``, run on vertex indices:
 the lexicographic shortest-path tree from one source or a tuple of them,
 where equal-weight paths break ties on the smallest source-first vertex-id
-sequence.  It reads one cost per arc, the arc's weight or 1 for hops; any
-other metric is a graph of its own, the same arcs priced by
+sequence.  It reads one cost per arc, the arc's weight; every other metric,
+hops included, is a graph of its own, the same arcs priced by
 ``Digraph.with_weights``.  Ties are settled on parent pointers, which needs
 every arc to lengthen the path it extends, as a float sum: a search raises
 where one that could tie a length does not.
@@ -365,7 +365,7 @@ def perturb_weights(g: Digraph, seed: int, scale: float = 1e-9) -> Digraph:
 
 def hop_distance(g: Digraph, u: NodeId, v: NodeId) -> int | None:
     """Minimum number of arcs on any directed u->v path; None if unreachable."""
-    path = shortest_path(g, u, v, unit=True)
+    path = shortest_path(g.with_weights([1.0] * g.arc_count), u, v)
     return None if path is None else path.hops
 
 
@@ -373,7 +373,6 @@ def shortest_path_tree(
     g: Digraph,
     source: NodeId | tuple[NodeId, ...],
     target: NodeId | None = None,
-    unit: bool = False,
     reverse: bool = False,
 ) -> tuple[dict[NodeId, float], dict[NodeId, NodeId | None]]:
     """The lexicographic shortest-path tree from ``source`` as ``(dist, parent)``.
@@ -397,8 +396,8 @@ def shortest_path_tree(
     ``inf`` at a positive cost, whose every extension is ``inf`` again, so
     that no finite length can tie there.  With a ``target`` the search stops
     once every vertex of the target's length has settled, so every arc that
-    could tie that length is checked.  Each arc costs its weight, or 1 with
-    ``unit`` (hop metric); another metric is searched on ``g.with_weights``.
+    could tie that length is checked.  Each arc costs its weight; another
+    metric, hops included, is searched on ``g.with_weights``.
     With ``reverse`` the arcs are followed backwards, so the path of ``v``
     runs source, ..., v against the arcs and read backwards is the
     v->source path: ``parent[v]`` is v's next hop.
@@ -432,8 +431,6 @@ def shortest_path_tree(
             settled = dist[nb]
             if settled is not None and settled < d:
                 continue
-            if unit:
-                cost = 1.0
             nd = d + cost
             if not nd > d and not (d == math.inf and cost > 0):
                 arc = (ids[nb], ids[v]) if reverse else (ids[v], ids[nb])
@@ -465,23 +462,17 @@ def shortest_paths(
     g: Digraph,
     source: NodeId,
     target: NodeId | None = None,
-    unit: bool = False,
     reverse: bool = False,
 ) -> dict[NodeId, PathResult]:
     """``shortest_path_tree`` with the path of every settled vertex, in settle order."""
-    dist, parent = shortest_path_tree(g, source, target, unit, reverse)
+    dist, parent = shortest_path_tree(g, source, target, reverse)
     paths = {v: _path(parent, v) for v in dist}
     return {v: PathResult(path, dist[v], len(path) - 1) for v, path in paths.items()}
 
 
-def shortest_path(
-    g: Digraph,
-    x: NodeId,
-    y: NodeId,
-    unit: bool = False,
-) -> PathResult | None:
+def shortest_path(g: Digraph, x: NodeId, y: NodeId) -> PathResult | None:
     """Minimum-weight x->y path of the lexicographic tree, or None when unreachable."""
-    dist, parent = shortest_path_tree(g, x, y, unit)
+    dist, parent = shortest_path_tree(g, x, y)
     if y not in dist:
         return None
     path = _path(parent, y)
@@ -491,7 +482,6 @@ def shortest_path(
 def single_source_distances(
     g: Digraph,
     source: NodeId | tuple[NodeId, ...],
-    unit: bool = False,
     reverse: bool = False,
 ) -> dict[NodeId, float]:
     """Distances from ``source`` (one vertex or a tuple of them, as in
@@ -500,7 +490,7 @@ def single_source_distances(
     With ``reverse`` the arcs are followed backwards, giving the distance
     *to* ``source`` from every vertex.  Missing keys mean unreachable.
     """
-    return shortest_path_tree(g, source, unit=unit, reverse=reverse)[0]
+    return shortest_path_tree(g, source, reverse=reverse)[0]
 
 
 def set_distance(
@@ -532,7 +522,8 @@ def is_connected(g: Digraph) -> bool:
     """
     if len(g) == 0:
         return False
-    return len(single_source_distances(g, g.vertices[0], unit=True)) == len(g)
+    hops = g.with_weights([1.0] * g.arc_count)
+    return len(single_source_distances(hops, g.vertices[0])) == len(g)
 
 
 def random_connected_unit_disk(

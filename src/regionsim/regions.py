@@ -1,8 +1,8 @@
 """Boundary cells around region seeds, the cell dual graph, and boundary routing.
 
 A boundary cell is the discrete Dirichlet/Voronoi cell of a seed on the
-communication graph: every node belongs to the seed(s) it can reach in the
-fewest hops (or least weighted distance, when the weighted option is on).
+communication graph: every node belongs to the seed(s) it can reach at the
+least distance in the graph's weights; a hop graph's cells are hop cells.
 The dual graph has one vertex per cell and carries composed crossing weights,
 which bound the stretch of routing through cells.
 """
@@ -38,7 +38,6 @@ class BoundaryCellMap:
     """
 
     seeds: tuple[NodeId, ...]
-    metric: str  # "hop" or "weighted"
     owners: dict[NodeId, tuple[NodeId, ...]]
     cell_of: dict[NodeId, NodeId]
     members: dict[NodeId, frozenset]
@@ -49,7 +48,6 @@ class BoundaryCellMap:
     def from_owners(
         cls,
         seeds: tuple[NodeId, ...],
-        metric: str,
         owners: dict[NodeId, tuple[NodeId, ...]],
         dist_to_seed: dict[NodeId, float],
     ) -> "BoundaryCellMap":
@@ -60,7 +58,6 @@ class BoundaryCellMap:
                 members[s].add(v)
         return cls(
             seeds=seeds,
-            metric=metric,
             owners=owners,
             cell_of={v: own[0] for v, own in owners.items()},
             members={s: frozenset(vs) for s, vs in members.items()},
@@ -72,20 +69,16 @@ class BoundaryCellMap:
         return tuple(sorted(v for v in self.members.get(seed, ()) if self.cell_of[v] == seed))
 
 
-def compute_boundary_cells(
-    g: Digraph, seeds: Iterable[NodeId], weighted: bool = False
-) -> BoundaryCellMap:
+def compute_boundary_cells(g: Digraph, seeds: Iterable[NodeId]) -> BoundaryCellMap:
     """Assign every node to the seed(s) minimizing its distance-to-seed.
 
-    Default metric is hop count; ``weighted`` switches to arc weights.
-    Raises if any node cannot reach a seed.
+    Distances are in ``g``'s arc weights; hop cells are computed on
+    ``g.with_weights([1.0] * g.arc_count)``.  Raises if any node cannot
+    reach a seed.
     """
     seed_tuple = _normalize_seeds(g, seeds)
     # distance from every node TO each seed = reverse search from the seed
-    to_seed = {
-        s: single_source_distances(g, s, unit=not weighted, reverse=True)
-        for s in seed_tuple
-    }
+    to_seed = {s: single_source_distances(g, s, reverse=True) for s in seed_tuple}
     owners: dict[NodeId, tuple[NodeId, ...]] = {}
     dist: dict[NodeId, float] = {}
     for v in g.vertices:
@@ -103,9 +96,7 @@ def compute_boundary_cells(
             raise ValueError(f"node {v!r} cannot reach any seed")
         owners[v] = tuple(mins)  # seeds already sorted
         dist[v] = best
-    return BoundaryCellMap.from_owners(
-        seed_tuple, "weighted" if weighted else "hop", owners, dist
-    )
+    return BoundaryCellMap.from_owners(seed_tuple, owners, dist)
 
 
 @dataclass(frozen=True)
@@ -123,13 +114,15 @@ class ContainmentCheck:
 def verify_cell_containment(g: Digraph, cells: BoundaryCellMap, u: NodeId) -> ContainmentCheck:
     """Check that the canonical shortest path from u to its seed stays in the cell.
 
+    The path is searched in ``g``'s weights, which must be the metric the
+    cells were computed in: hop cells are checked on a hop graph.
     Membership counts tie nodes; ties encountered on the path are reported
     separately, since their canonical owner may differ.
     """
     if u not in cells.cell_of:
         raise ValueError(f"node {u!r} has no cell assignment")
     owner = cells.cell_of[u]
-    path = shortest_path(g, u, owner, unit=cells.metric == "hop")
+    path = shortest_path(g, u, owner)
     if path is None:
         raise ValueError(f"node {u!r} cannot reach its seed {owner!r}")
     member = cells.members[owner]
@@ -273,8 +266,8 @@ def boundary_route(
     cell, detours through its seed, and leaves by the dual route's chosen
     crossing arc, so its length equals the dual-graph distance.  The legs
     inside a cell search the cell graph that ``dual`` holds.  The ratio is
-    checked against the direct path's arc count; cells must have been computed
-    in the same metric as the graph weights for the bound to apply.
+    checked against the direct path's arc count; the bound applies to cells
+    computed on ``g`` itself, in the metric of its weights.
     """
     if s not in cells.seeds or t not in cells.seeds:
         raise ValueError("boundary_route endpoints must be seeds")
@@ -319,7 +312,7 @@ def worst_case_construction(
     A direct s->t path of ``e`` arcs (end arcs weigh m, interior arcs eps)
     where every interior node hangs its own seed at distance m - eps, forcing
     the boundary path to detour into each pendant cell.  Requires m > eps > 0.
-    Returns (graph, seeds, s, t); use weighted cells on this graph.
+    Returns (graph, seeds, s, t); compute the cells on this graph itself.
     """
     if e < 2:
         raise ValueError("need at least 2 arcs")

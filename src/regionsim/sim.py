@@ -24,21 +24,21 @@ whichever comes first: the next non-tick event, the next due time, or the
 tick before the first one in which a balance reaches DEATH_EPSILON_J.  Each
 charged balance falls linearly over the epoch, so the step first estimates
 that stop from every node's balance and its spend per tick.  It then works
-on blocks of nodes that take the same number of charges per tick in the
-same duty mode, in one pass per block over the estimated stop, on 2-D numpy
-arrays of at most BLOCK_PLACES floats unless a single node needs more.  The
-pass accumulates each cell the block touches after every charge, reads each
-balance at every tick's end and ends the epoch before the first dead tick,
-which settles a late estimate exactly.  If some node's floor, the first
-tick's time plus its lowest balance before that end over its drain rate,
-lies below its due time less 1 s and within the duration, it also replays
-the per-charge projections of such nodes' drain deaths and the due times
-the 1 s rule writes: no other node can write one in the epoch.  The block
-keeps only its cells at every tick's end.  Each array a block computes is a
-prefix of the one it would compute over the whole run of ticks, so every
-value before the epoch's end is the scalar one.  The tick in which a node
-dies is replayed through the scalar _handle_tick, as are init, due settles,
-t = 0 and the tick after an epoch that an early estimate ended.
+on blocks of nodes that take the same number of charges per tick, in one
+pass per block over the estimated stop, on 2-D numpy arrays of at most
+BLOCK_PLACES floats unless a single node needs more.  The pass accumulates
+each cell the block touches after every charge, reads each balance at every
+tick's end and ends the epoch before the first dead tick, which settles a
+late estimate exactly.  If some node's floor, the first tick's time plus its
+lowest balance before that end over its drain rate, lies below its due time
+less 1 s and within the duration, it also replays the per-charge projections
+of such nodes' drain deaths and the due times the 1 s rule writes: no other
+node can write one in the epoch.  The block keeps only its cells at every
+tick's end.  Each array a block computes is a prefix of the one it would
+compute over the whole run of ticks, so every value before the epoch's end
+is the scalar one.  The tick in which a node dies is replayed through the
+scalar _handle_tick, as are init, due settles, t = 0 and the tick after an
+epoch that an early estimate ended.
 
 Model notes:
   * The sink is a mains-powered base station: it relays and receives but has
@@ -584,12 +584,14 @@ class _Run:
     def _charge_plan(self) -> tuple[dict, list]:
         """What each tick charges while the alive set stays as it is.
 
-        Returns ``(groups, sessions)``.  ``groups`` maps ``(c, mode)`` to the
-        charged nodes in that duty mode that take c charges a tick, each as
-        ``(v, slots, joules)``: the ledger slot and the joules of each of its
-        charges, in sender order.  Per sender, ``sessions`` holds ``(record,
-        joules of its charges up to the first dead node, whether that is all
-        of them)``.
+        Returns ``(groups, sessions)``.  ``groups`` maps c to the charged
+        nodes that take c charges a tick, each as ``(v, slots, joules)``: the
+        ledger slot and the joules of each of its charges, in sender order.
+        Every charged node senses: it lies on a route, so it is in ``duty``,
+        and INIT, which comes before every tick and is the last mode switch,
+        set it to SENSE.  Per sender, ``sessions`` holds ``(record, joules
+        of its charges up to the first dead node, whether that is all of
+        them)``.
         """
         alive = self.alive
         charged: dict[NodeId, list[tuple[int, float]]] = {}
@@ -602,10 +604,10 @@ class _Run:
                 charged.setdefault(v, []).append((slot, joules))
                 prefix.append(joules)
             sessions.append((rec, np.array(prefix), len(prefix) == len(charges)))
-        groups: dict[tuple[int, int], list] = {}
+        groups: dict[int, list] = {}
         for v, node_charges in charged.items():
             slots, joules = zip(*node_charges)
-            groups.setdefault((len(slots), self.mode[v]), []).append((v, slots, joules))
+            groups.setdefault(len(slots), []).append((v, slots, joules))
         return groups, sessions
 
     def _bulk_ticks(self, ticks: list[float]) -> int:
@@ -614,10 +616,9 @@ class _Run:
         The ticks hold no other event and fall before every due time, so
         until a node dies every tick charges the same cells with the same
         joules.  This replays ``_impulse`` on them in the scalar order, over
-        blocks of the nodes that take the same number of charges a tick in
-        the same duty mode.  It stops before the first tick in which a
-        balance reaches DEATH_EPSILON_J, which the loop replays through
-        ``_handle_tick``.
+        blocks of the nodes that take the same number of charges a tick, all
+        sensing.  It stops before the first tick in which a balance reaches
+        DEATH_EPSILON_J, which the loop replays through ``_handle_tick``.
 
         Each charged balance falls linearly, so ``_ticks_before_death``
         estimates that stop K for every group before any block runs, and the
@@ -647,9 +648,9 @@ class _Run:
         T = np.array(ticks)
         limit = len(ticks)
         rows, mode_since, due = self.rows, self.mode_since, self._due
+        w = self.params.drain_w[SENSE]
         plans = []
-        for (c, m), members in groups.items():
-            w = self.params.drain_w[m]
+        for c, members in groups.items():
             start = np.array([rows[v] for v, _, _ in members])
             # the drain at each node's first charge, w * (t - mode_since)
             first_drain = w * (T[0] - np.array([mode_since[v] for v, _, _ in members]))
@@ -658,10 +659,10 @@ class _Run:
             balance = self.budget - start.sum(axis=1) - first_drain
             limit = min(limit, _ticks_before_death(
                 balance, joules.sum(axis=1), w / self.config.packet_rate_hz, limit))
-            plans.append((c, m, members, start, first_drain, slots, joules))
-        wdT = {m: w * np.diff(T) for m, w in self.params.drain_w.items()}
+            plans.append((c, members, start, first_drain, slots, joules))
+        wdT = w * np.diff(T)
         blocks, writes = [], []
-        for c, m, members, *arrays in plans:
+        for c, members, *arrays in plans:
             # split rows, never ticks: each block's arrays hold about
             # BLOCK_PLACES floats, or one row if that is longer
             i = 0
@@ -669,7 +670,7 @@ class _Run:
                 size = max(1, BLOCK_PLACES // (limit * c + 1))
                 block = members[i : i + size]
                 limit, ends = self._bulk_block(
-                    block, c, m, *(a[i : i + size] for a in arrays), T, wdT, limit, writes)
+                    block, c, *(a[i : i + size] for a in arrays), T, wdT, limit, writes)
                 blocks.append((block, ends))
                 i += size
         if not limit:
@@ -694,13 +695,14 @@ class _Run:
                 rec.delivered += K
         return K
 
-    def _bulk_block(self, block: list, c: int, m: int, start: np.ndarray,
+    def _bulk_block(self, block: list, c: int, start: np.ndarray,
                     first_drain: np.ndarray, slots: np.ndarray, joules: np.ndarray,
-                    T: np.ndarray, wdT: dict, limit: int, writes: list) -> tuple[int, dict]:
-        """One block of ``_bulk_ticks``: the nodes of ``block``, each taking c
-        charges a tick in duty mode m, over the first ``limit`` ticks of T;
+                    T: np.ndarray, wdT: np.ndarray, limit: int, writes: list) -> tuple[int, dict]:
+        """One block of ``_bulk_ticks``: the nodes of ``block``, each sensing
+        and taking c charges a tick, over the first ``limit`` ticks of T;
         ``start`` holds their ledger rows, ``first_drain`` the drain at their
-        first charge, ``slots`` and ``joules`` their charges.
+        first charge, ``slots`` and ``joules`` their charges, and ``wdT`` the
+        sense drain between consecutive ticks.
 
         Returns the limit lowered to the block's first dead tick, and per
         cell the block touches, its value before the first tick and at the
@@ -710,7 +712,7 @@ class _Run:
         """
         K = limit
         r = len(block)
-        w = self.params.drain_w[m]
+        w = self.params.drain_w[SENSE]
         # each cell after every charge as (rows, ticks, charges), broadcast
         # where it holds one value per row or per tick
         cells = [start[:, s, None, None] for s in range(len(LEDGER_MODES))]
@@ -727,12 +729,12 @@ class _Run:
         # the drain at each tick's first charge: first_drain, then
         # w * (t_i - t_{i-1}); a 0.0 changes no bit
         drain = np.empty((r, K + 1))
-        drain[:, 0] = start[:, m]
+        drain[:, 0] = start[:, SENSE]
         drain[:, 1] = first_drain
-        drain[:, 2:] = wdT[m][: K - 1]
+        drain[:, 2:] = wdT[: K - 1]
         np.add.accumulate(drain, axis=1, out=drain)
-        cells[m] = drain[:, 1:, None]
-        ends[m] = drain
+        cells[SENSE] = drain[:, 1:, None]
+        ends[SENSE] = drain
 
         # each balance at the end of each tick, after the tick's last charge,
         # which leaves its lowest, as balances only fall

@@ -73,7 +73,7 @@ def test_criterion_stretch_bound(suite200):
         last = 0.0
         for eps in (0.1, 0.01, 0.001):
             g, seeds, s, t = worst_case_construction(e, 1.0, eps)
-            cells = compute_boundary_cells(g, seeds, weighted=True)
+            cells = compute_boundary_cells(g, seeds)
             dual = build_boundary_dual_graph(g, cells)
             result = boundary_route(g, cells, dual, s, t)
             lp = 2 * 1.0 + (e - 2) * eps

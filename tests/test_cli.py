@@ -108,12 +108,18 @@ def test_compare_repeated_protocol_runs_once(tmp_path, capsys):
 
 
 def test_check_lemmas_subcommand(capsys):
-    code = main(["check-lemmas", "--sizes", "10", "--seed", "3", "--graphs", "3"])
+    # exact: hop cells searched on a euclidean graph, or euclidean cells on a
+    # hop graph, change the tie counts
+    code = main(["check-lemmas", "--sizes", "10,20", "--seed", "1"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "containment PASS" in out
-    assert "stretch bound PASS" in out
-    assert "flood oracle PASS" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "size 10: containment PASS (200 nodes, 61 ties)",
+        "size 10: stretch bound PASS (172 pairs, worst ratio/bound 1.0000)",
+        "size 10: flood oracle PASS (200 nodes, savings 0.000..0.700)",
+        "size 20: containment PASS (400 nodes, 178 ties)",
+        "size 20: stretch bound PASS (164 pairs, worst ratio/bound 1.0000)",
+        "size 20: flood oracle PASS (400 nodes, savings 0.000..0.640)",
+    ]
 
 
 def test_scenario_error_exit_code(tmp_path, capsys):

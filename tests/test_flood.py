@@ -295,8 +295,9 @@ def test_cells_from_flood_match_direct_computation():
     seeds = [1, 14, 27]
     result = run_flood(g, seeds)
     via_flood = cells_from_flood(g, seeds, result.states)
-    direct = compute_boundary_cells(g, seeds)
+    direct = compute_boundary_cells(g.with_weights([1.0] * g.arc_count), seeds)
     assert via_flood.owners == direct.owners
+    assert via_flood.dist_to_seed == direct.dist_to_seed
     assert via_flood.cell_of == direct.cell_of
     assert via_flood.tie_nodes == direct.tie_nodes
 

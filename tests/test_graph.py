@@ -421,10 +421,11 @@ def reversed_digraph(g):
 def test_shortest_paths_tree_matches_single_paths(unit):
     rng = random.Random(37)
     for g in (tie_heavy_digraph(rng, 12), random_digraph(rng, 12)):
+        h = g.with_weights([1.0] * g.arc_count) if unit else g
         for s in g.vertices:
-            tree = shortest_paths(g, s, unit=unit)
+            tree = shortest_paths(h, s)
             for v in g.vertices:
-                assert tree.get(v) == shortest_path(g, s, v, unit=unit)
+                assert tree.get(v) == shortest_path(h, s, v)
 
 
 def test_shortest_paths_stops_once_target_settles():
@@ -506,49 +507,48 @@ def tie_heavy_graphs(seed):
 
 
 SQUARED = lambda u, v, w: w * w  # noqa: E731 - integer weights, so ties stay exact
-# "weight_fn" is a function of each arc, SQUARED, priced into the arcs up front
+# "unit" (hops) and "weight_fn", a function of each arc, SQUARED, are priced
+# into the arcs up front; the path-tuple oracle prices them itself
 METRICS = ["weight", "unit", "weight_fn"]
 
 
 def metric_search(g, metric):
-    """The graph and keywords that search ``g`` under ``metric``, and the
-    path-tuple oracle's keywords for the same metric on ``g`` itself."""
+    """The graph that searches ``g`` under ``metric``, and the path-tuple
+    oracle's keywords for the same metric on ``g`` itself."""
     if metric == "weight_fn":
-        return priced(g, SQUARED), {}, {"price": SQUARED}
-    unit = {"unit": metric == "unit"}
-    return g, unit, unit
+        return priced(g, SQUARED), {"price": SQUARED}
+    if metric == "unit":
+        return g.with_weights([1.0] * g.arc_count), {"unit": True}
+    return g, {}
 
 
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("reverse", [False, True])
 def test_parent_tree_equals_path_tuple_oracle(metric, reverse):
     for g in tie_heavy_graphs(61):
-        h, kw, oracle = metric_search(g, metric)
+        h, oracle = metric_search(g, metric)
         for s in g.vertices:
             want = path_tuple_tree(g, s, reverse=reverse, **oracle)
-            assert shortest_paths(h, s, reverse=reverse, **kw) == want
-            dist, parent = shortest_path_tree(h, s, reverse=reverse, **kw)
+            assert shortest_paths(h, s, reverse=reverse) == want
+            dist, parent = shortest_path_tree(h, s, reverse=reverse)
             assert dist == {v: p.length for v, p in want.items()}
             assert {v: parent[v] for v in dist} == {
                 v: p.vertices[-2] if p.hops else None for v, p in want.items()
             }
-            if metric != "unit":
-                assert single_source_distances(h, s, reverse=reverse) == {
-                    v: p.length for v, p in want.items()
-                }
+            assert single_source_distances(h, s, reverse=reverse) == dist
 
 
 @pytest.mark.parametrize("metric", METRICS)
 def test_parent_search_stopped_at_a_target_equals_path_tuple_oracle(metric):
     for g in tie_heavy_graphs(67):
-        h, kw, oracle = metric_search(g, metric)
+        h, oracle = metric_search(g, metric)
         for s in g.vertices:
             full = path_tuple_tree(g, s, **oracle)
             for t in g.vertices:
-                got = shortest_paths(h, s, target=t, **kw)
+                got = shortest_paths(h, s, target=t)
                 assert (t in got) == (t in full)
                 assert all(full[v] == p for v, p in got.items())
-                assert shortest_path(h, s, t, **kw) == full.get(t)
+                assert shortest_path(h, s, t) == full.get(t)
 
 
 def test_next_hops_equal_path_tuple_oracle():
@@ -608,23 +608,22 @@ def test_multi_source_tree_is_each_components_own_tree(metric, reverse, symmetri
     rng = random.Random(83)
     for _ in range(60):
         union, comps = disjoint_union(rng, symmetric)
-        union, kw, _ = metric_search(union, metric)
+        union, _ = metric_search(union, metric)
         comps = [metric_search(g, metric)[0] for g in comps]
         assert union.symmetric or not symmetric
         # at most one source per component, in any order; some have none
         sources = [rng.choice(g.vertices) for g in comps if rng.random() < 0.8]
         rng.shuffle(sources)
-        dist, parent = shortest_path_tree(union, tuple(sources), reverse=reverse, **kw)
+        dist, parent = shortest_path_tree(union, tuple(sources), reverse=reverse)
         want_dist, want_parent = {}, {}
         for g in comps:
             for s in (s for s in sources if s in g):
-                d, p = shortest_path_tree(g, s, reverse=reverse, **kw)
+                d, p = shortest_path_tree(g, s, reverse=reverse)
                 want_dist |= d
                 want_parent |= p
         assert dist == want_dist
         assert parent == want_parent
-        if metric == "weight":
-            assert single_source_distances(union, tuple(sources), reverse=reverse) == want_dist
+        assert single_source_distances(union, tuple(sources), reverse=reverse) == want_dist
 
 
 def unchecked(g, weights):
@@ -708,7 +707,7 @@ def test_within_parts_equals_full_arc_scan():
     rng = random.Random(47)
     for item in random_suite(30, seed=5):
         g = item.g
-        cells = compute_boundary_cells(g, item.seeds)
+        cells = compute_boundary_cells(g.with_weights([1.0] * g.arc_count), item.seeds)
         half = rng.sample(g.vertices, len(g) // 2)
         parts = [
             cells.cell_of,
@@ -858,9 +857,10 @@ def test_arcs_come_in_tail_head_order():
 def test_hop_equals_weighted_length_in_unit_mode():
     rng = random.Random(31)
     g = random_digraph(rng, 15)
+    hops = g.with_weights([1.0] * g.arc_count)
     for u in g.vertices:
         for v in g.vertices:
-            p = shortest_path(g, u, v, unit=True)
+            p = shortest_path(hops, u, v)
             h = hop_distance(g, u, v)
             assert (p is None) == (h is None)
             if p is not None:
@@ -983,6 +983,16 @@ def test_is_connected_single_vertex():
 def test_is_connected_asymmetric_reach_from_smallest_id():
     # 0 reaches every vertex, but no vertex reaches 0: connected as documented
     assert is_connected(Digraph(range(3), {(0, 1): 1.0, (1, 2): 1.0}))
+
+
+def test_hop_searches_count_arcs_whatever_the_weights():
+    # 1e20 + 1.0 does not lengthen 1e20, so a search of these weights raises;
+    # is_connected and hop_distance search the hop graph and never meet it
+    g = Digraph(range(3), {(0, 1): 1e20, (1, 2): 1.0})
+    with pytest.raises(ValueError, match="does not lengthen"):
+        shortest_path(g, 0, 2)
+    assert is_connected(g)
+    assert hop_distance(g, 0, 2) == 2
 
 
 # -- properties --------------------------------------------------------------

@@ -100,10 +100,9 @@ def test_cell_membership_minimizes_distance():
     for _ in range(10):
         _, g = random_connected_unit_disk(rng.randint(8, 30), rng)
         seeds = sorted(rng.sample(range(len(g)), rng.randint(1, 3)))
-        cells = compute_boundary_cells(g, seeds)
-        to_seed = {
-            s: single_source_distances(g, s, unit=True, reverse=True) for s in seeds
-        }
+        hops = g.with_weights([1.0] * g.arc_count)
+        cells = compute_boundary_cells(hops, seeds)
+        to_seed = {s: single_source_distances(hops, s, reverse=True) for s in seeds}
         for v in g.vertices:
             own = cells.cell_of[v]
             for w in seeds:
@@ -137,9 +136,10 @@ def test_containment_random_suite():
     for _ in range(10):
         _, g = random_connected_unit_disk(30, rng)
         seeds = sorted(rng.sample(range(30), 3))
-        cells = compute_boundary_cells(g, seeds)
+        hops = g.with_weights([1.0] * g.arc_count)
+        cells = compute_boundary_cells(hops, seeds)
         for v in g.vertices:
-            check = verify_cell_containment(g, cells, v)
+            check = verify_cell_containment(hops, cells, v)
             assert check.ok, (v, check.witness)
 
 
@@ -169,7 +169,7 @@ def test_lattice_quadrant_dual_arcs():
     nodes = [NodePos(4 * r + c, 10.0 * c, 10.0 * r, 10.0) for r in range(4) for c in range(4)]
     g = build_unit_disk_digraph(nodes)
     seeds = [0, 3, 12, 15]  # corners anchor the quadrants
-    cells = compute_boundary_cells(g, seeds)
+    cells = compute_boundary_cells(g.with_weights([1.0] * g.arc_count), seeds)
     dual = build_boundary_dual_graph(g, cells)
     pairs = set(dual.arcs)
     side_adjacent = {
@@ -184,7 +184,8 @@ def test_dual_weight_never_exceeds_any_crossing_composition():
 
     _, g = random_connected_unit_disk(25, rng)
     seeds = sorted(rng.sample(range(25), 4))
-    cells = compute_boundary_cells(g, seeds)
+    # hop cells on a euclidean graph, as a run builds them
+    cells = compute_boundary_cells(g.with_weights([1.0] * g.arc_count), seeds)
     dual = build_boundary_dual_graph(g, cells)
     # oracle: recompute the three-term composition for every crossing arc
     for (su, sv), arc in dual.arcs.items():
@@ -242,7 +243,8 @@ def test_dual_arcs_match_reference_loop_on_suite(weighted):
     from regionsim.checks import random_suite
 
     for item in random_suite(60, seed=17):
-        assert_dual_matches_reference(item.g, compute_boundary_cells(item.g, item.seeds, weighted))
+        g = item.g if weighted else item.g.with_weights([1.0] * item.g.arc_count)
+        assert_dual_matches_reference(item.g, compute_boundary_cells(g, item.seeds))
 
 
 def test_dual_arcs_match_reference_loop_on_asymmetric_digraphs():
@@ -353,7 +355,7 @@ def closed_form_ratio(e, m, eps):
 )
 def test_worst_case_known_ratios(e, m, eps, want):
     g, seeds, s, t = worst_case_construction(e, m, eps)
-    cells = compute_boundary_cells(g, seeds, weighted=True)
+    cells = compute_boundary_cells(g, seeds)
     dual = build_boundary_dual_graph(g, cells)
     result = boundary_route(g, cells, dual, s, t)
     assert result.ratio == pytest.approx(want, rel=1e-12)
@@ -366,7 +368,7 @@ def test_worst_case_ratio_monotone_toward_bound():
         last = 0.0
         for eps in (0.1, 0.01, 0.001):
             g, seeds, s, t = worst_case_construction(e, 1.0, eps)
-            cells = compute_boundary_cells(g, seeds, weighted=True)
+            cells = compute_boundary_cells(g, seeds)
             dual = build_boundary_dual_graph(g, cells)
             ratio = boundary_route(g, cells, dual, s, t).ratio
             assert ratio > last
@@ -384,10 +386,10 @@ def test_worst_case_rejects_bad_eps():
 
 
 def test_stretch_bound_violation_raises():
-    # cells computed in the wrong metric can break the bound's precondition;
-    # misuse must surface as StretchBoundError, not silent nonsense
+    # hop cells on a weighted graph break the bound's precondition; misuse
+    # must surface as StretchBoundError, not silent nonsense
     g, seeds, s, t = worst_case_construction(6, 1.0, 0.001)
-    hop_cells = compute_boundary_cells(g, seeds)  # hop metric: inconsistent
+    hop_cells = compute_boundary_cells(g.with_weights([1.0] * g.arc_count), seeds)
     dual = build_boundary_dual_graph(g, hop_cells)
     try:
         result = boundary_route(g, hop_cells, dual, s, t)
@@ -405,7 +407,7 @@ def test_random_seed_pairs_respect_bound():
     for _ in range(15):
         _, g = random_connected_unit_disk(rng.randint(10, 30), rng)
         seeds = sorted(rng.sample(range(len(g)), 3))
-        cells = compute_boundary_cells(g, seeds, weighted=True)
+        cells = compute_boundary_cells(g, seeds)
         dual = build_boundary_dual_graph(g, cells)
         for s in seeds:
             for t in seeds:

@@ -192,7 +192,7 @@ def symmetric_digraph(weights):
 
 
 def singleton_cells_tables(g, sink):
-    cells = compute_boundary_cells(g, g.vertices, weighted=True)
+    cells = compute_boundary_cells(g, g.vertices)
     dual = build_boundary_dual_graph(g, cells)
     return dual, build_res_tables(cells, dual, sink)
 
@@ -284,7 +284,7 @@ def test_cell_graph_holds_the_same_cell_arcs_and_tables_build_no_graph(monkeypat
 
     cases = []  # (graph, cells, sink, seed pairs to route between)
     for item in random_suite(20, seed=13):
-        cells = compute_boundary_cells(item.g, item.seeds, weighted=True)
+        cells = compute_boundary_cells(item.g, item.seeds)
         pairs = list(itertools.permutations(item.seeds, 2))
         cases.append((item.g, cells, item.g.vertices[0], pairs))
     deployment = deploy(ScenarioConfig(), 2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regionsim.energy import EnergyLedger
+from regionsim.energy import SENSE, EnergyLedger
 from regionsim import sim
 from regionsim.routing import CycleError
 from regionsim.scenario import ScenarioConfig, deploy
@@ -532,6 +532,31 @@ def test_report_packet_counts_are_the_session_sums(protocol):
     assert report.delivery_ratio == report.delivered / report.generated
     # the session records and _due are the engine's only copies
     assert {"generated", "delivered", "_next_due", "drain_w"}.isdisjoint(vars(engine))
+
+
+@pytest.mark.parametrize("protocol", ["res", "dt", "mte", "merr", "or"])
+def test_every_charged_node_senses(monkeypatch, protocol):
+    # the epoch step bills every charged node's drain at the sense rate:
+    # each lies on a route, and INIT, the last mode switch, precedes every tick
+    modes = []
+    charge_plan, handle_tick = _Run._charge_plan, _Run._handle_tick
+
+    def recording_plan(self):
+        groups, sessions = charge_plan(self)
+        modes.extend(self.mode[v] for members in groups.values() for v, _, _ in members)
+        return groups, sessions
+
+    def recording_tick(self):
+        modes.extend(self.mode[v] for _, charges in self._senders
+                     for v, _, _ in charges if v in self.alive)
+        handle_tick(self)
+
+    monkeypatch.setattr(_Run, "_charge_plan", recording_plan)
+    monkeypatch.setattr(_Run, "_handle_tick", recording_tick)
+    config = replace(DRAINING, protocol=protocol)
+    for config in (config, replace(config, init_phase_s=0.0, battery_j=0.5)):
+        run(config)
+    assert modes and set(modes) == {SENSE}
 
 
 def test_report_times_and_counts_are_python_numbers():
