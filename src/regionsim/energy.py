@@ -112,7 +112,7 @@ class EnergyLedger:
     """
 
     def __init__(self, node_ids: Iterable[NodeId], budget_j: float):
-        if budget_j <= 0:
+        if not 0 < budget_j < math.inf:  # NaN fails every comparison
             raise ValueError("budget must be > 0")
         self.budget_j = float(budget_j)
         self.rows: dict[NodeId, list[float]] = {
@@ -129,7 +129,7 @@ class EnergyLedger:
         """Validate a charge without applying it."""
         if slot not in _SLOTS:
             raise ValueError(f"unknown ledger slot {slot!r}")
-        if joules < 0:
+        if not 0 <= joules < math.inf:
             raise ValueError("charge must be >= 0")
         self._entry(node)
 
@@ -143,7 +143,7 @@ class EnergyLedger:
         watts = params.drain_w.get(slot)
         if watts is None:
             raise ValueError(f"accrual slot must be SENSE or SLEEP, got {slot!r}")
-        if duration_s < 0:
+        if not 0 <= duration_s < math.inf:
             raise ValueError("duration must be >= 0")
         self._entry(node)[slot] += watts * duration_s
 

@@ -91,14 +91,17 @@ class Digraph:
         self._lay_out(vertices, tails, heads, np.array(weights, float))
 
     @classmethod
-    def _from_arcs(cls, vertices, tails, heads, weights, symmetric=False) -> "Digraph":
+    def _from_arcs(cls, vertices, tails, heads, weights, symmetric=False,
+                   shape=None) -> "Digraph":
         """Digraph over arrays sorted and checked as ``__init__`` lays them out;
-        ``symmetric`` promises an equal-weight reverse for every arc."""
+        ``symmetric`` promises an equal-weight reverse for every arc, and
+        ``shape`` gives the rows of a graph with the same vertices, tails and
+        heads."""
         g = cls.__new__(cls)
-        g._lay_out(vertices, tails, heads, weights, symmetric)
+        g._lay_out(vertices, tails, heads, weights, symmetric, shape)
         return g
 
-    def _lay_out(self, vertices, tails, heads, weights, symmetric=False) -> None:
+    def _lay_out(self, vertices, tails, heads, weights, symmetric=False, shape=None) -> None:
         self._vertices = vertices
         self._index = {v: k for k, v in enumerate(vertices)}
         # int ids 0..n-1 are their own indices, and their rows hold the ids'
@@ -109,11 +112,20 @@ class Digraph:
         self._arcs = tails, heads, weights
         for a in self._arcs:  # read-only, so the arc arrays stay the graph's own
             a.setflags(write=False)
-        self._out_rows = _rows(names, len(vertices), tails, heads, weights)
+        # per direction, the head list of each row and the rows' bounds,
+        # which depend on the arcs only, not on their weights
+        out = shape[0] if shape else _head_rows(names, len(vertices), tails, heads)
+        self._out_rows = out[0], _weight_rows(weights, out[1])
         if not symmetric:
             back = _sorted_arcs(heads, tails, weights)
             symmetric = all(map(np.array_equal, back, self._arcs))
-        self._in_rows = self._out_rows if symmetric else _rows(names, len(vertices), *back)
+        if symmetric:
+            self._shape = out, out
+            self._in_rows = self._out_rows
+        else:
+            into = shape[1] if shape else _head_rows(names, len(vertices), *back[:2])
+            self._shape = out, into
+            self._in_rows = into[0], _weight_rows(back[2], into[1])
 
     def __reduce__(self):
         return Digraph._from_arcs, (self._vertices, *self._arcs, self.symmetric)
@@ -156,7 +168,8 @@ class Digraph:
         """The same arcs with new weights, one per arc in ``arc_arrays()``
         order, each checked as the constructor checks it: ``> 0``, so NaN
         is rejected and ``inf`` allowed.  Whether it is ``symmetric`` is
-        worked out from the new weights."""
+        worked out from the new weights; the rows' head lists and bounds are
+        this graph's own."""
         tails, heads, _ = self._arcs
         weights = np.array(weights, dtype=float)
         if weights.shape != tails.shape:
@@ -165,7 +178,7 @@ class Digraph:
             k = int(np.argmin(positive))
             arc = self._vertices[tails[k]], self._vertices[heads[k]]
             raise ValueError(f"arc {arc!r} has non-positive weight {weights[k]}")
-        return Digraph._from_arcs(self._vertices, tails, heads, weights)
+        return Digraph._from_arcs(self._vertices, tails, heads, weights, shape=self._shape)
 
     @property
     def arc_count(self) -> int:
@@ -262,15 +275,19 @@ def _sorted_arcs(
     return frm[by], to[by], weights[by]
 
 
-def _rows(names, n: int, tails: np.ndarray, heads: np.ndarray, weights: np.ndarray) -> tuple:
-    """Arc arrays sorted by ``tails`` as CSR rows: per vertex index a list of
-    its heads, as ``names[head]`` when ``names`` is given, and a view of its
-    weights."""
+def _head_rows(names, n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[list, list]:
+    """Arcs sorted by ``tails`` as CSR rows: per vertex index a list of its
+    heads, as ``names[head]`` when ``names`` is given, and the n + 1 row
+    bounds."""
     bounds = np.searchsorted(tails, np.arange(n + 1)).tolist()
     heads = (heads if names is None else names[heads]).tolist()
+    return [heads[a:b] for a, b in zip(bounds, bounds[1:])], bounds
+
+
+def _weight_rows(weights: np.ndarray, bounds: list) -> list:
+    """A read-only view of each row's weights, the rows cut at ``bounds``."""
     weights = memoryview(weights).toreadonly()
-    spans = list(zip(bounds, bounds[1:]))
-    return [heads[a:b] for a, b in spans], [weights[a:b] for a, b in spans]
+    return [weights[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def build_unit_disk_digraph(

@@ -25,20 +25,25 @@ tick before the first one in which a balance reaches DEATH_EPSILON_J.  Each
 charged balance falls linearly over the epoch, so the step first estimates
 that stop from every node's balance and its spend per tick.  It then works
 on blocks of nodes that take the same number of charges per tick, in one
-pass per block over the estimated stop, on 2-D numpy arrays of at most
-BLOCK_PLACES floats unless a single node needs more.  The pass accumulates
-each cell the block touches after every charge, reads each balance at every
-tick's end and ends the epoch before the first dead tick, which settles a
-late estimate exactly.  If some node's floor, the first tick's time plus its
-lowest balance before that end over its drain rate, lies below its due time
-less 1 s and within the duration, it also replays the per-charge projections
-of such nodes' drain deaths and the due times the 1 s rule writes: no other
-node can write one in the epoch.  The block keeps only its cells at every
-tick's end.  Each array a block computes is a prefix of the one it would
-compute over the whole run of ticks, so every value before the epoch's end
-is the scalar one.  The tick in which a node dies is replayed through the
-scalar _handle_tick, as are init, due settles, t = 0 and the tick after an
-epoch that an early estimate ended.
+pass per block over the estimated stop, or two if a block lowers it, on
+2-D numpy arrays of at most BLOCK_PLACES floats unless a single node needs
+more.  The pass accumulates each cell the block touches after every charge
+and reads each balance at every tick's end.  A block in which a balance reaches DEATH_EPSILON_J
+before the stop keeps nothing and lowers the stop to the tick before; once
+every block has run, they all run again at the lowered stop, which no
+block can lower again, as it is the earliest dead tick over all nodes.  So
+the stop is confirmed before anything is kept, which settles a late
+estimate exactly.  A block at a confirmed stop keeps only each cell's value
+there, and if some node's floor, the first tick's time plus its balance at
+the stop over its drain rate, lies below its due time less 1 s and within
+the duration, the last due time the 1 s rule writes for such a node: it
+replays their per-charge projections of the drain death, negated, and
+walks the writes from the first one on; no other node can write one in the
+epoch.  Each array of a kept block is a prefix of the one it would compute
+over the whole run of ticks, so every value it keeps is the scalar one.
+The tick in which a node dies is replayed through the scalar _handle_tick,
+as are init, due settles, t = 0 and the tick after an epoch that an early
+estimate ended.
 
 Model notes:
   * The sink is a mains-powered base station: it relays and receives but has
@@ -222,23 +227,22 @@ def _ticks_before_death(balance: np.ndarray, spend: np.ndarray, drain: float,
     return int(min(max(first, 0), ticks))
 
 
-def _due_writes(low: np.ndarray, threshold: float) -> np.ndarray:
-    """The places at which ``_impulse``'s rule writes a due time, given one
-    node's running minimum ``low`` of the projections after every charge and
-    its due time less 1 s before the first: the first place below the
-    threshold, then each next place more than 1 s below the last write."""
-    neg = np.negative(low)  # ascending, as searchsorted needs
-    n = len(neg)
-    i = int(np.searchsorted(neg, -threshold, "right"))
-    wrote = np.zeros(n, dtype=bool)
-    if i < n:
-        # nxt[i]: the place of the write after one at place i
-        nxt = memoryview(np.searchsorted(neg, neg + 1.0, "right"))
-        mark = memoryview(wrote)
-        while i < n:
-            mark[i] = True
-            i = nxt[i]
-    return np.flatnonzero(wrote)
+def _last_due_write(neg: np.ndarray, bar: float) -> int | None:
+    """The last place at which ``_impulse``'s rule writes a due time, or None,
+    given one node's negated running minimum ``neg`` of the projections after
+    every charge, which ascends, and ``bar``, its negated due time less 1 s
+    before the first: the first write is at the first place above the bar,
+    each next one at the first place more than 1 s above the last write."""
+    i = int(np.searchsorted(neg, bar, "right"))
+    if i == len(neg):
+        return None
+    tail = neg[i:]
+    # nxt[j]: the place in tail of the write after one at place j
+    nxt = memoryview(np.searchsorted(tail, tail + 1.0, "right"))
+    j, n = 0, len(tail)
+    while (k := nxt[j]) < n:
+        j = k
+    return i + j
 
 
 class _Run:
@@ -623,30 +627,33 @@ class _Run:
         Each charged balance falls linearly, so ``_ticks_before_death``
         estimates that stop K for every group before any block runs, and the
         estimate is the limit offered to the blocks.  Each block
-        (``_bulk_block``) then runs over the limit it is offered in one pass:
-        it accumulates its cells, lowers the limit to its first dead tick,
-        which settles a late estimate exactly, and replays its per-charge
-        projections and due-time writes before that limit.  An early
-        estimate ends the epoch early; the loop replays the next tick through
-        ``_handle_tick``, in which no node dies.  Once K is known, each cell
-        takes its value after tick K from its tick-end array, and each node
-        its last due-time write before K.
+        (``_bulk_block``) runs over the limit it is offered in one pass: it
+        accumulates its cells and tests every balance at each tick's end.  A
+        block that finds a dead tick keeps nothing and lowers the limit to
+        its first one, and once the pass is over every block runs again at
+        the lowered limit.  Otherwise it keeps its cells' values after tick
+        K and each row's last due-time write before the end of tick K.  An
+        early estimate ends the epoch early; the loop replays the next tick
+        through ``_handle_tick``, in which no node dies.
 
         Why the bits hold.  A prefix of ``np.add.accumulate`` (and of
-        ``np.minimum.accumulate``) equals the accumulate of that prefix, and
-        everything else is elementwise; a row's write chain walked over a
-        prefix is the prefix of its chain.  So a block computed over the
-        limit offered to it, longer than K or not, holds at and before K the
-        values the scalar path computes.  K is the minimum over rows of the
-        first dead tick, each read off such a prefix, so it is the same in
-        whatever order the blocks run and however the rows are split into
-        blocks.  ``_due`` may take its entries in another insertion order
-        than tick by tick, which is harmless: ``_settle_due`` reads only
-        minima.
+        ``np.maximum.accumulate``) equals the accumulate of that prefix, and
+        everything else is elementwise.  A row whose first dead tick lies
+        below the limit it is tested at lowers the limit to it, and any
+        other row's lies at or past that limit, so a pass ends at the
+        estimate or the earliest first dead tick of all rows, whichever is
+        lower, whatever order the blocks run in and however the rows are
+        split into blocks.  A second pass at that K finds no dead tick, so K
+        is confirmed.  Every block kept computed exactly K ticks, a prefix of
+        what it would compute over the whole run of ticks, so it holds the
+        values the scalar path computes, and the last write of a row's chain
+        over those ticks is the scalar due time.  ``_due`` may take its
+        entries in another insertion order than tick by tick, which is
+        harmless: ``_settle_due`` reads only minima.
         """
         groups, sessions = self._charge_plan()
         T = np.array(ticks)
-        limit = len(ticks)
+        K = len(ticks)
         rows, mode_since, due = self.rows, self.mode_since, self._due
         w = self.params.drain_w[SENSE]
         plans = []
@@ -657,36 +664,36 @@ class _Run:
             slots = np.array([s for _, s, _ in members])
             joules = np.array([j for _, _, j in members])
             balance = self.budget - start.sum(axis=1) - first_drain
-            limit = min(limit, _ticks_before_death(
-                balance, joules.sum(axis=1), w / self.config.packet_rate_hz, limit))
+            K = min(K, _ticks_before_death(
+                balance, joules.sum(axis=1), w / self.config.packet_rate_hz, K))
             plans.append((c, members, start, first_drain, slots, joules))
         wdT = w * np.diff(T)
-        blocks, writes = [], []
-        for c, members, *arrays in plans:
-            # split rows, never ticks: each block's arrays hold about
-            # BLOCK_PLACES floats, or one row if that is longer
-            i = 0
-            while i < len(members) and limit:
-                size = max(1, BLOCK_PLACES // (limit * c + 1))
-                block = members[i : i + size]
-                limit, ends = self._bulk_block(
-                    block, c, *(a[i : i + size] for a in arrays), T, wdT, limit, writes)
-                blocks.append((block, ends))
-                i += size
-        if not limit:
+        # a block that lowers K keeps nothing, and then every block runs
+        # again at the lowered K, which none can lower
+        offered = None
+        while K != offered:
+            offered, kept = K, []
+            for c, members, *arrays in plans:
+                # split rows, never ticks: each block's arrays hold about
+                # BLOCK_PLACES floats, or one row if that is longer
+                i = 0
+                while i < len(members) and K:
+                    size = max(1, BLOCK_PLACES // (K * c + 1))
+                    block = members[i : i + size]
+                    K, ends, dues = self._bulk_block(
+                        block, c, *(a[i : i + size] for a in arrays), T, wdT, K)
+                    kept.append((block, ends, dues))
+                    i += size
+        if not K:
             return 0
-        K = limit
         last = ticks[K - 1]
-        for block, ends in blocks:
+        for block, ends, dues in kept:
             for slot, end in ends.items():
-                for (v, _, _), x in zip(block, end[:, K].tolist()):
+                for (v, _, _), x in zip(block, end):
                     rows[v][slot] = x
             for v, _, _ in block:
                 mode_since[v] = last
-        for v, wt, wv in writes:
-            n = int(np.searchsorted(wt, K))
-            if n:
-                due[v] = float(wv[n - 1])
+            due.update(dues)
         for rec, joules, delivered in sessions:
             rec.generated += K
             if len(joules):
@@ -697,20 +704,21 @@ class _Run:
 
     def _bulk_block(self, block: list, c: int, start: np.ndarray,
                     first_drain: np.ndarray, slots: np.ndarray, joules: np.ndarray,
-                    T: np.ndarray, wdT: np.ndarray, limit: int, writes: list) -> tuple[int, dict]:
+                    T: np.ndarray, wdT: np.ndarray, K: int) -> tuple[int, dict, list]:
         """One block of ``_bulk_ticks``: the nodes of ``block``, each sensing
-        and taking c charges a tick, over the first ``limit`` ticks of T;
-        ``start`` holds their ledger rows, ``first_drain`` the drain at their
-        first charge, ``slots`` and ``joules`` their charges, and ``wdT`` the
-        sense drain between consecutive ticks.
+        and taking c charges a tick, over the first K ticks of T; ``start``
+        holds their ledger rows, ``first_drain`` the drain at their first
+        charge, ``slots`` and ``joules`` their charges, and ``wdT`` the sense
+        drain between consecutive ticks.
 
-        Returns the limit lowered to the block's first dead tick, and per
-        cell the block touches, its value before the first tick and at the
-        end of each tick up to that limit, as a (rows, limit + 1) array.
-        Appends the due-time writes of its rows before that limit to
-        ``writes``, each as ``(v, tick indices, due times)``.
+        Returns ``(limit, ends, dues)``.  If a balance of the block reaches
+        DEATH_EPSILON_J in one of the K ticks, the limit is the first such
+        tick and the rest is empty: nothing computed past it is kept.
+        Otherwise the limit is K, ``ends`` maps each cell the block touches
+        to its values at the end of tick K, in block order, and ``dues``
+        holds ``(v, due time)`` for each row whose last due-time write falls
+        in those K ticks.
         """
-        K = limit
         r = len(block)
         w = self.params.drain_w[SENSE]
         # each cell after every charge as (rows, ticks, charges), broadcast
@@ -743,43 +751,44 @@ class _Run:
         dead = ticks_end <= DEATH_EPSILON_J
         hit = dead.any(axis=1)
         if hit.any():
-            limit = int(dead.argmax(axis=1)[hit].min())
-        if limit:
-            thresholds = np.array([self._due.get(v, math.inf) for v, _, _ in block]) - 1.0
-            # No projection of a row lies below T[0] plus its balance at the
-            # end of the last tick before the limit over w, as T ascends,
-            # balances fall and rounding is monotone: a row whose floor is not
-            # below its threshold, or lies past the duration, writes nothing.
-            floor = T[0] + ticks_end[:, limit - 1] / w
-            writers = np.flatnonzero((floor < thresholds) & (floor <= self.duration))
-            n = len(writers)
-            if n:
-                # each projection is _impulse's, T + balance / w, in its
-                # operation order, computed in one buffer in place; the sum
-                # follows spent's order; a gather copies, so the rows are
-                # gathered only if some do not project
-                sel = slice(None) if n == r else writers
-                proj = cells[TX][sel, :limit] + cells[RX][sel, :limit]
-                proj += cells[SENSE][sel, :limit]
-                proj += cells[SLEEP][sel, :limit]
-                np.subtract(self.budget, proj, out=proj)
-                proj /= w
-                proj += T[:limit, None]
-                proj[proj > self.duration] = math.inf
-                # The first projection below a threshold is where their running
-                # minimum first falls below it, and that minimum never rises.  A
-                # write is such a place, so it equals the minimum there.
-                low = proj.reshape(n, limit * c)
-                np.minimum.accumulate(low, axis=1, out=low)
-                thresholds = thresholds[writers]
-                # No write stops the epoch: a due time written at or before the
-                # next tick means the drain alone empties that battery by that
-                # tick, so the dead test stops the epoch there first.
-                for k in np.flatnonzero(low[:, -1] < thresholds).tolist():
-                    at = _due_writes(low[k], thresholds[k])
-                    writes.append((block[int(writers[k])][0], at // c, low[k, at]))
-        # a view would keep each whole accumulation alive until the epoch ends
-        return limit, {s: end[:, : limit + 1].copy() for s, end in ends.items()}
+            return int(dead.argmax(axis=1)[hit].min()), {}, []
+        thresholds = np.array([self._due.get(v, math.inf) for v, _, _ in block]) - 1.0
+        # No projection of a row lies below T[0] plus its balance at the end
+        # of tick K over w, as T ascends, balances fall and rounding is
+        # monotone: a row whose floor is not below its threshold, or lies
+        # past the duration, writes nothing.
+        floor = T[0] + ticks_end[:, -1] / w
+        writers = np.flatnonzero((floor < thresholds) & (floor <= self.duration))
+        n = len(writers)
+        dues = []
+        if n:
+            # each projection is _impulse's, T + balance / w, negated, in its
+            # operation order, computed in one buffer in place: the sum
+            # follows spent's order, and rounding to nearest is symmetric in
+            # sign, so each value is the projection's exact negation.  A
+            # gather copies, so the rows are gathered only if some do not
+            # project.
+            sel = slice(None) if n == r else writers
+            neg = cells[TX][sel] + cells[RX][sel]
+            neg += cells[SENSE][sel]
+            neg += cells[SLEEP][sel]
+            neg -= self.budget
+            neg /= w
+            neg -= T[:K, None]
+            neg[neg < -self.duration] = -math.inf
+            # The first projection below a threshold is where their running
+            # minimum first falls below it, and that minimum never rises.  A
+            # write is such a place, so it equals the minimum there.
+            neg = neg.reshape(n, K * c)
+            np.maximum.accumulate(neg, axis=1, out=neg)
+            bars = -thresholds[writers]
+            # No write stops the epoch: a due time written at or before the
+            # next tick means the drain alone empties that battery by that
+            # tick, so the dead test stops the epoch there first.
+            for k in np.flatnonzero(neg[:, -1] > bars).tolist():
+                at = _last_due_write(neg[k], bars[k])
+                dues.append((block[int(writers[k])][0], -float(neg[k, at])))
+        return K, {s: end[:, -1].tolist() for s, end in ends.items()}, dues
 
     def _report(self):
         """Accrue the alive nodes, then snapshot the ledger and sum its row."""

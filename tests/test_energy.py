@@ -156,14 +156,25 @@ def test_charge_rejections_match_check_charge():
         (0, 4, 0.1, "unknown ledger slot"),
         (0, -1, 0.1, "unknown ledger slot"),
         (0, TX, -0.1, ">= 0"),
+        # a NaN balance never reaches DEATH_EPSILON_J, so its node never dies
+        (0, TX, math.nan, ">= 0"),
+        (0, RX, math.inf, ">= 0"),
+        (0, TX, -math.inf, ">= 0"),
         (9, TX, 0.1, "no ledger entry"),
     ):
         with pytest.raises(ValueError, match=match):
             ledger.check_charge(node, slot, joules)
         with pytest.raises(ValueError, match=match):
             ledger.charge(node, slot, joules)
+    for duration in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="duration must be >= 0"):
+            ledger.accrue(0, SENSE, duration, PARAMS)
     assert ledger.check_charge(0, RX, 0.1) is None
     assert ledger.total_spent(0) == 0.0
+    assert ledger.rows[0] == [0.0, 0.0, 0.0, 0.0]
+    for budget in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="budget must be > 0"):
+            EnergyLedger([0], budget_j=budget)
 
 
 @pytest.mark.parametrize("mode", [*LEDGER_MODES, "dead"])

@@ -786,6 +786,36 @@ def test_with_weights_equals_a_rebuild_through_the_constructor():
                     )
 
 
+def test_with_weights_reuses_the_rows_on_symmetric_and_asymmetric_weights():
+    # each graph lays out the next one's rows, so a chain of pricings passes
+    # rows from symmetric to asymmetric weights and back
+    rng = random.Random(101)
+    graphs = [build_unit_disk_digraph(random_layout(rng, 30)), path_graph(5)]
+    graphs += asymmetric_graphs(103)[::4]
+    seen = set()
+    for g in graphs:
+        h = g
+        for step in range(4):
+            if step % 2:
+                pair = {}
+                weights = [pair.setdefault(frozenset((u, v)), rng.uniform(0.1, 3.0))
+                           for u, v, _ in g.arcs()]
+            else:
+                weights = [rng.uniform(0.1, 3.0) for _ in range(g.arc_count)]
+            h = h.with_weights(weights)
+            want = Digraph(g.vertices, {(u, v): w for (u, v, _), w in zip(g.arcs(), weights)})
+            assert [(u, v, w.hex()) for u, v, w in h.arcs()] == [
+                (u, v, w.hex()) for u, v, w in want.arcs()]
+            assert h.symmetric == want.symmetric
+            seen.add(h.symmetric)
+            for v in g.vertices:
+                assert h.in_neighbors(v) == want.in_neighbors(v)
+                # the reverse search reads the in-rows' weights
+                assert shortest_paths(h, v, reverse=True) == shortest_paths(
+                    want, v, reverse=True)
+    assert seen == {False, True}
+
+
 def test_with_weights_works_out_symmetric():
     g = path_graph(4)
     assert g.symmetric

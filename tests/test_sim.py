@@ -411,7 +411,45 @@ def test_bulk_ticks_match_scalar_ticks(monkeypatch, config, seed, block_places):
     assert applied == real_cap
 
 
-@pytest.mark.parametrize("offer", ["every-tick", "one-tick-early"])
+def record_epochs(monkeypatch):
+    """Record each epoch of the bulk step as [ticks offered, passes, ticks
+    applied], a pass holding per block [its first node, the limit offered,
+    the limit returned, the row length of each due-write walk]; a pass starts
+    at the block of the epoch's first node.  Returns the list it fills."""
+    epochs = []
+    bulk_ticks, bulk_block = _Run._bulk_ticks, _Run._bulk_block
+    last_due_write = sim._last_due_write
+
+    def recording_bulk(self, ticks):
+        epochs.append([ticks, [], None])
+        epochs[-1][2] = bulk_ticks(self, ticks)
+        return epochs[-1][2]
+
+    def recording_block(self, block, c, *arrays):
+        passes = epochs[-1][1]
+        first = block[0][0]
+        if not passes or first == passes[0][0][0]:
+            passes.append([])
+        passes[-1].append([first, arrays[-1], None, []])
+        result = bulk_block(self, block, c, *arrays)
+        passes[-1][-1][2] = result[0]
+        return result
+
+    def recording_walk(neg, bar):
+        epochs[-1][1][-1][-1][3].append(len(neg))
+        return last_due_write(neg, bar)
+
+    monkeypatch.setattr(_Run, "_bulk_ticks", recording_bulk)
+    monkeypatch.setattr(_Run, "_bulk_block", recording_block)
+    monkeypatch.setattr(sim, "_last_due_write", recording_walk)
+    return epochs
+
+
+@pytest.mark.parametrize("offer, block_places", [
+    ("every-tick", None), ("one-tick-early", None), ("one-tick-late", None),
+    ("every-tick", 4), ("one-tick-late", 4),
+], ids=["every-tick", "one-tick-early", "one-tick-late", "every-tick-4-places",
+        "one-tick-late-4-places"])
 @pytest.mark.parametrize(
     "config, seed",
     [(replace(DRAINING, protocol="mte"), None), (replace(DRAINING, protocol="dt"), None),
@@ -419,19 +457,39 @@ def test_bulk_ticks_match_scalar_ticks(monkeypatch, config, seed, block_places):
     ids=["mte", "dt", "default-mte", "sparse-mte"],
 )
 def test_bulk_ticks_match_scalar_ticks_whatever_the_stop_estimate(
-        monkeypatch, config, seed, offer):
-    # Offering every tick leaves each stop to the dead test; offering one tick
-    # fewer than estimated ends epochs early, and the loop replays the next
-    # tick through _handle_tick.  The estimate is exact on these runs, so
-    # only this test reaches those two paths.
+        monkeypatch, config, seed, offer, block_places):
+    # Offering every tick, or one tick more than estimated, leaves the stop
+    # to the dead test, and a block that lowers it makes every block run
+    # again at the lowered stop; offering one tick fewer ends epochs early,
+    # and the loop replays the next tick through _handle_tick.  The estimate
+    # is exact on these runs, so only this test reaches those paths.
     estimate = sim._ticks_before_death
     if offer == "every-tick":
         fake = lambda balance, spend, drain, ticks: ticks
+    elif offer == "one-tick-late":
+        fake = lambda *args: min(args[-1], estimate(*args) + 1)
     else:
         fake = lambda *args: max(0, estimate(*args) - 1)
     monkeypatch.setattr(sim, "_ticks_before_death", fake)
+    if block_places is not None:
+        monkeypatch.setattr(sim, "BLOCK_PLACES", block_places)
+    epochs = record_epochs(monkeypatch)
     report = run_bulk_and_scalar(monkeypatch, config, seed)
     assert report.deaths
+    reruns = 0
+    for _, passes, applied in epochs:
+        if not (applied and passes):  # no ticks, or no node charged
+            continue
+        # a pass runs again exactly when one of its blocks lowered the
+        # limit, and the last pass runs at the ticks applied, lowering nothing
+        assert [any(ret < off for _, off, ret, _ in p) for p in passes] == (
+            [True] * (len(passes) - 1) + [False])
+        assert {(off, ret) for _, off, ret, _ in passes[-1]} == {(applied, applied)}
+        reruns += len(passes) > 1
+    if offer != "one-tick-early":
+        assert reruns
+    else:
+        assert not reruns
 
 
 def test_bulk_ticks_match_scalar_ticks_when_sources_die_in_the_first_tick(monkeypatch):
@@ -489,37 +547,27 @@ def falling_minima(draw):
 @given(falling_minima())
 def test_due_writes_follow_the_impulse_rule(case):
     low, threshold = case
-    assert sim._due_writes(low, threshold).tolist() == due_writes_by_loop(low, threshold)
+    for m in range(len(low) + 1):
+        writes = due_writes_by_loop(low[:m], threshold)
+        last = sim._last_due_write(np.negative(low[:m]), -threshold)
+        assert last == (writes[-1] if writes else None)
 
 
 def test_due_write_replay_stops_at_the_first_dead_tick(monkeypatch):
-    # a dt source takes one charge a tick, so a row handed to _due_writes
-    # holds one place per tick; one row a block puts blocks of writing rows
-    # before that of a source that dies
+    # a dt source takes one charge a tick, so the row a walk is handed holds
+    # one place per tick, and its length is the walk's bound; one row a block
+    # puts blocks of writing rows before that of a source that dies
     config = replace(DRAINING, protocol="dt", seed=1, sessions=8, battery_j=6.0)
     monkeypatch.setattr(sim, "BLOCK_PLACES", 1)
-    epochs = []
-    bulk_ticks, due_writes = _Run._bulk_ticks, sim._due_writes
-
-    def recording_bulk(self, ticks):
-        # (ticks offered, lengths of the rows handed to _due_writes, ticks applied)
-        epochs.append([ticks, [], None])
-        epochs[-1][2] = bulk_ticks(self, ticks)
-        return epochs[-1][2]
-
-    def recording_writes(low, threshold):
-        epochs[-1][1].append(len(low))
-        return due_writes(low, threshold)
-
-    monkeypatch.setattr(_Run, "_bulk_ticks", recording_bulk)
-    monkeypatch.setattr(sim, "_due_writes", recording_writes)
+    epochs = record_epochs(monkeypatch)
     report = run(config)
     # three sources die by charge at the tick of 429 s, 128 ticks into an
     # epoch offered 152
     assert report.deaths[:3] == [(429.0, 4), (429.0, 12), (429.0, 14)]
-    ticks, rows, applied = next(e for e in epochs if e[0][:1] == [301.0])
+    ticks, passes, applied = next(e for e in epochs if e[0][:1] == [301.0])
     assert (len(ticks), applied, ticks[applied]) == (152, 128, 429.0)
-    assert rows and max(rows) <= applied
+    bounds = [n for _, _, _, walks in passes[-1] for n in walks]
+    assert bounds and max(bounds) <= applied
 
 
 @pytest.mark.parametrize("protocol", ["res", "dt", "mte", "merr", "or"])
