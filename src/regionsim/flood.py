@@ -17,12 +17,19 @@ in a multi-source breadth-first search and its regions are those of its
 in-neighbours one level closer.  ``run_flood`` computes an untraced sync flood
 from that labelling, message tallies included, and delivers messages one by
 one only for a trace or the ``async`` mode.
+
+The labelling and ``naive_flood_count`` walk the graph's arc arrays
+(``Digraph.arc_arrays``) a level at a time: one array pass over the arcs out
+of each frontier, with no per-node Python until the labelling builds its
+``FloodState`` objects.
 """
 
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
+
+import numpy as np
 
 from .graph import Digraph, NodeId
 from .regions import BoundaryCellMap, _normalize_seeds
@@ -147,49 +154,82 @@ def _result(g: Digraph, states: dict[NodeId, FloodState], rounds: int) -> FloodR
     return FloodResult(states, totals, rounds, unreached)
 
 
+def _row_bounds(g: Digraph) -> np.ndarray:
+    """Each vertex's out-row as ``bounds[k]:bounds[k + 1]`` of ``g.arc_arrays()``."""
+    tails = g.arc_arrays()[0]
+    return np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=len(g)))))
+
+
+def _out_arcs(bounds: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Indices of the arcs out of the non-empty ``rows``, row by row."""
+    starts = bounds[rows]
+    counts = bounds[rows + 1] - starts
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+
+
 def _label_flood(g: Digraph, seeds: Iterable[NodeId]) -> FloodResult:
     """The sync flood's result from a level-synchronous multi-source BFS.
 
     A node's distance is its BFS level and its regions are the union of the
-    regions of its in-neighbours one level closer.  With k(v) regions at v,
-    v sends k(v) messages on each out-arc and receives k(u) on each in-arc
-    (u, v); a reached non-seed accepts k(v) of them and discards the rest, a
-    seed or an unreached node discards all.  Round r runs while some node at
-    level r - 1 has an out-arc.
+    regions of its in-neighbours one level closer.  Each level is one array
+    pass over the arcs out of the frontier.  A node's regions are a bit mask
+    of ``ceil(len(seeds) / 64)`` words, bit j for the j-th smallest seed,
+    OR-reduced per head over the arcs into the next level.  With k(v)
+    regions at v, v sends k(v) messages on each out-arc and receives k(u) on
+    each in-arc (u, v); a reached non-seed accepts k(v) of them and discards
+    the rest, a seed or an unreached node discards all.  Round r runs while
+    some node at level r - 1 has an out-arc.
     """
     seed_tuple = _normalize_seeds(g, seeds)
-    states = {v: FloodState() for v in g.vertices}
-    for s in seed_tuple:
-        states[s].regions = {s}
-        states[s].distance = 0
-    rounds = 0
+    vertices = g.vertices
+    n = len(vertices)
+    tails, heads, _ = g.arc_arrays()
+    bounds = _row_bounds(g)
+    rank = dict(zip(vertices, range(n)))
+    frontier = np.array([rank[s] for s in seed_tuple], np.intp)
+    bit = np.arange(len(seed_tuple))
+    words = (len(seed_tuple) + 63) // 64
+    mask = np.zeros((n, words), np.uint64)
+    mask[frontier, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
+    dist = np.full(n, -1, np.intp)
+    dist[frontier] = 0
     level = 0
-    frontier = list(seed_tuple)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            su = states[u]
-            k = len(su.regions)
-            out = g.out_neighbors(u)
-            su.tx_count = k * len(out)
-            if out:
-                rounds = level + 1
-            for v in out:
-                sv = states[v]
-                sv.rx_count += k
-                if sv.distance is None:
-                    sv.distance = level + 1
-                    sv.regions = set(su.regions)
-                    nxt.append(v)
-                elif sv.distance == level + 1:
-                    sv.regions |= su.regions
-        frontier = nxt
+    while len(frontier):
+        out = _out_arcs(bounds, frontier)
+        head = heads[out]
+        dist[head[dist[head] < 0]] = level + 1
+        # the arcs into the next level, grouped by head
+        into = out[dist[head] == level + 1]
+        into = into[np.argsort(heads[into])]
+        first = np.flatnonzero(np.diff(heads[into], prepend=-1))
+        frontier = heads[into[first]]
+        if len(frontier):
+            mask[frontier] = np.bitwise_or.reduceat(mask[tails[into]], first)
         level += 1
-    for st in states.values():
-        st.discard_count = st.rx_count
-        if st.distance:  # reached and not a seed: k(v) messages accepted
-            st.discard_count -= len(st.regions)
-    return _result(g, states, rounds)
+    # the set bits, by node and then by seed: word, then bit within the word
+    nonzero = np.flatnonzero(mask)
+    bits = np.unpackbits(
+        mask.ravel()[nonzero].astype("<u8", copy=False).view(np.uint8), bitorder="little"
+    )
+    hit = np.flatnonzero(bits.view(bool))
+    at = nonzero[hit >> 6]
+    k = np.bincount(at // words, minlength=n)
+    names = np.array(seed_tuple, object)[at % words * 64 + (hit & 63)].tolist()
+    ends = np.cumsum(k).tolist()
+    regions = map(set, map(names.__getitem__, map(slice, [0, *ends], ends)))
+    distance = [None if d < 0 else d for d in dist.tolist()]
+    degree = np.diff(bounds)
+    tx = k * degree
+    rx = np.bincount(heads, weights=k[tails], minlength=n).astype(np.intp)
+    discard = rx - np.where(dist > 0, k, 0)
+    states = dict(zip(vertices, map(
+        FloodState, regions, distance, tx.tolist(), rx.tolist(), discard.tolist()
+    )))
+    totals = FloodTotals(int(tx.sum()), int(rx.sum()), int(discard.sum()))
+    rounds = int(dist[degree > 0].max(initial=-1)) + 1
+    unreached = tuple(map(vertices.__getitem__, np.flatnonzero(dist < 0).tolist()))
+    return FloodResult(states, totals, rounds, unreached)
 
 
 def _message_flood(
@@ -241,33 +281,32 @@ def naive_flood_count(g: Digraph, seeds: Iterable[NodeId]) -> int:
 
     Every node rebroadcasts each seed's flood once, on first receipt, across
     the whole graph; counts are per-link messages.  A seed's count is the
-    out-degree sum of the nodes it reaches.  On a ``symmetric`` graph that set
-    is the seed's connected component, so one search per component serves
-    every seed in it; otherwise each seed gets its own search.
+    out-degree sum of the nodes it reaches, found by a frontier walk over
+    the arc arrays, one array pass per level.  On a ``symmetric`` graph that
+    set is the seed's connected component, so one walk per component serves
+    every seed in it; otherwise each seed gets its own walk.
     """
     seed_tuple = _normalize_seeds(g, seeds)
-    component_count: dict[NodeId, int] = {}
+    heads = g.arc_arrays()[1]
+    bounds = _row_bounds(g)
+    degree = np.diff(bounds)
+    rank = dict(zip(g.vertices, range(len(g))))
+    left = np.array([rank[s] for s in seed_tuple], np.intp)
     total = 0
-    for s in seed_tuple:
-        if s in component_count:
-            total += component_count[s]
-            continue
-        reached = {s}
-        frontier = [s]
-        count = 0
-        while frontier:
-            nxt = []
-            for v in frontier:
-                out = g.out_neighbors(v)
-                count += len(out)
-                for nb in out:
-                    if nb not in reached:
-                        reached.add(nb)
-                        nxt.append(nb)
-            frontier = nxt
-        total += count
-        if g.symmetric:
-            component_count.update(dict.fromkeys(reached, count))
+    while len(left):
+        reached = np.zeros(len(g), bool)
+        reached[left[0]] = True
+        frontier = left[:1]
+        while len(frontier) and not reached.all():
+            fresh = np.zeros(len(g), bool)
+            fresh[heads[_out_arcs(bounds, frontier)]] = True
+            fresh &= ~reached
+            reached |= fresh
+            frontier = np.flatnonzero(fresh)
+        count = int(degree[reached].sum())
+        served = reached[left] if g.symmetric else left == left[0]
+        total += count * int(served.sum())
+        left = left[~served]
     return total
 
 

@@ -534,8 +534,7 @@ class _Run:
             # the ticks before this event: init < tick < report at one time
             end = (bisect_left if kind == INIT else bisect_right)(ticks, t, i)
             while i < end:
-                self._settle_due(ticks[i])
-                stop = bisect_left(ticks, min(due.values(), default=math.inf), i, end)
+                stop = bisect_left(ticks, self._settle_due(ticks[i]), i, end)
                 i += self._bulk_ticks(ticks[i:stop])
                 if i < end and ticks[i] < min(due.values(), default=math.inf):
                     # the tick in which a node dies
@@ -549,15 +548,16 @@ class _Run:
             else:
                 self._report()
 
-    def _settle_due(self, t: float):
+    def _settle_due(self, t: float) -> float:
         """Settle every due time at or before t: smallest time first, then
-        smallest node id."""
+        smallest node id.  Returns the smallest due time left (inf if none)."""
         due = self._due
         while (td := min(due.values(), default=math.inf)) <= t:
             v = min(u for u, tu in due.items() if tu == td)
             del due[v]
             self.now = td
             self._impulse(v, self.mode[v], 0.0)
+        return td
 
     def _handle_init(self):
         # region flood setup messages are paid at the end of the init phase

@@ -305,10 +305,11 @@ def test_cells_from_flood_match_direct_computation():
 # -- the labelling against the message-level flood ------------------------------
 
 
-def random_digraph(rng, n):
+def random_digraph(rng, n, p=None):
     """Asymmetric digraph, usually disconnected: each ordered pair is an arc
-    with one probability drawn per graph."""
-    p = rng.uniform(0.0, 0.3)
+    with probability ``p``, drawn per graph when not given."""
+    if p is None:
+        p = rng.uniform(0.0, 0.3)
     arcs = {(u, v): 1.0 for u in range(n) for v in range(n) if u != v and rng.random() < p}
     return Digraph(range(n), arcs)
 
@@ -319,6 +320,10 @@ def asymmetric_cases(count=200, seed=71):
         n = rng.randint(1, 30)
         g = random_digraph(rng, n)
         yield g, rng.sample(range(n), rng.randint(1, min(5, n)))
+    # seed counts either side of the region masks' 64-bit word boundaries
+    g = random_digraph(rng, 150, p=0.05)
+    for k in (63, 64, 65, 129):
+        yield g, rng.sample(range(150), k)
 
 
 def field_graph(config, seed):

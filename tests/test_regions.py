@@ -16,6 +16,7 @@ from regionsim.regions import (
     verify_cell_containment,
     worst_case_construction,
 )
+from regionsim.scenario import ScenarioConfig
 
 
 def path_graph(n, weight=1.0):
@@ -206,12 +207,12 @@ def reference_dual_arcs(g, cells):
     creates it, and only a strictly smaller composition replaces it."""
     from regionsim.graph import single_source_distances
 
-    subs = {}
-    for s in cells.seeds:
-        members = set(cells.canonical_members(s))
-        subs[s] = Digraph(
-            members, {(u, v): w for u, v, w in g.arcs() if u in members and v in members}
-        )
+    inside = {s: {} for s in cells.seeds}
+    for u, v, w in g.arcs():
+        su = cells.cell_of.get(u)
+        if su is not None and su == cells.cell_of.get(v):
+            inside[su][(u, v)] = w
+    subs = {s: Digraph(cells.canonical_members(s), inside[s]) for s in cells.seeds}
     from_seed = {s: single_source_distances(sub, s) for s, sub in subs.items()}
     to_seed = {s: single_source_distances(sub, s, reverse=True) for s, sub in subs.items()}
     arcs = {}
@@ -254,6 +255,22 @@ def test_dual_arcs_match_reference_loop_on_asymmetric_digraphs():
 
     for g, seeds in asymmetric_cases():
         assert_dual_matches_reference(g, cells_from_flood(g, seeds, run_flood(g, seeds).states))
+
+
+@pytest.mark.parametrize("field", ["default", "dense", "sparse"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_dual_arcs_match_reference_loop_on_fields(field, seed):
+    # the benchmark's fields, 16 to 256 cells and 3,970 to 21,606 crossing arcs
+    from regionsim.flood import cells_from_flood, run_flood
+    from test_flood import SPARSE_FIELD, field_graph
+
+    config = {
+        "default": ScenarioConfig(),
+        "dense": ScenarioConfig(node_count=280),
+        "sparse": SPARSE_FIELD,
+    }[field]
+    g, seeds = field_graph(config, seed)
+    assert_dual_matches_reference(g, cells_from_flood(g, seeds, run_flood(g, seeds).states))
 
 
 def test_dual_arc_ties_go_to_the_smallest_crossing_arc():

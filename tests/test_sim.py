@@ -345,7 +345,9 @@ def run_bulk_and_scalar(monkeypatch, config, seed=None):
         # only live nodes hold a due time
         assert set(self._due) <= self.alive
         dues[-1][t, sum(rec.generated for rec in self.records)] = sorted(self._due.items())
-        settle_due(self, t)
+        left = settle_due(self, t)
+        assert left == min(self._due.values(), default=math.inf)
+        return left
 
     monkeypatch.setattr(_Run, "_handle_tick", counting_tick)
     monkeypatch.setattr(_Run, "_settle_due", recording_settle)
