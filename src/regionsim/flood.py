@@ -336,4 +336,4 @@ def cells_from_flood(
             continue
         owners[v] = tuple(sorted(st.regions))
         dist[v] = float(st.distance)
-    return BoundaryCellMap.from_owners(seed_tuple, owners, dist)
+    return BoundaryCellMap(seed_tuple, owners, dist)

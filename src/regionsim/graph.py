@@ -5,11 +5,16 @@ immutable after construction, so concurrent read-only queries are safe.
 Unreachable is always reported as ``None``, never a sentinel number.
 
 A ``Digraph`` has one layout, sorted CSR: arc arrays in ascending (tail, head)
-order over vertex indices, cut into per-vertex rows.  The public constructor
-sorts and checks every arc; the unit-disk builder and ``Digraph.within_parts``
-hand arrays that are already sorted and checked to the private ``_from_arcs``.
-The builder lists candidate pairs with numpy but weighs each pair with
-``math.hypot``: ``np.hypot`` rounds differently on about one pair in 180.
+order over vertex indices, cut into per-vertex rows.  Arcs are put in that
+order by one stable sort of the integer key ``tail * n + head``.  The public
+constructors, ``Digraph(vertices, {(u, v): w})`` and
+``Digraph.from_arrays(vertices, tails, heads, weights)``, sort and check every
+arc on arrays, the first through the second's checks; the unit-disk builder,
+``Digraph.within_parts`` and ``Digraph.with_weights`` hand arrays that are
+already sorted and checked to the private ``_from_arcs``.  The builder lists
+candidate pairs and weighs them with numpy, each weight the bits of
+``math.hypot`` (``_hypot``): ``np.hypot`` rounds differently on about one pair
+in 180.
 
 Every search is one routine, ``shortest_path_tree``, run on vertex indices:
 the lexicographic shortest-path tree from one source or a tuple of them,
@@ -23,9 +28,11 @@ where one that could tie a length does not.
 
 import heapq
 import math
+import operator
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -77,18 +84,43 @@ class Digraph:
     def __init__(self, vertices: Iterable[NodeId], arcs: Mapping[tuple[NodeId, NodeId], float]):
         vertices = tuple(sorted(set(vertices)))
         index = {v: k for k, v in enumerate(vertices)}
-        keys = sorted(arcs)
-        weights = [float(arcs[a]) for a in keys]
-        for (u, v), w in zip(keys, weights):
-            if u not in index or v not in index:
-                raise ValueError(f"arc ({u!r}, {v!r}) references unknown vertex")
-            if u == v:
-                raise ValueError(f"self-loop on {u!r} not allowed")
-            if not w > 0:
-                raise ValueError(f"arc ({u!r}, {v!r}) has non-positive weight {w}")
-        tails = np.array([index[u] for u, _ in keys], np.intp)
-        heads = np.array([index[v] for _, v in keys], np.intp)
-        self._lay_out(vertices, tails, heads, np.array(weights, float))
+        tails, heads = (
+            np.fromiter(map(index.get, map(operator.itemgetter(end), arcs), repeat(-1)),
+                        np.intp, len(arcs))
+            for end in (0, 1)
+        )
+        if (unknown := (tails < 0) | (heads < 0)).any():
+            u, v = min(compress(arcs, unknown.tolist()))
+            raise ValueError(f"arc ({u!r}, {v!r}) references unknown vertex")
+        weights = np.fromiter(arcs.values(), float, len(arcs))
+        self._lay_out(vertices, *_checked_arcs(vertices, tails, heads, weights))
+
+    @classmethod
+    def from_arrays(cls, vertices: Iterable[NodeId], tails, heads, weights) -> "Digraph":
+        """Digraph over ``vertices``, distinct ids in ascending order, with an
+        arc from ``vertices[tails[k]]`` to ``vertices[heads[k]]`` weighing
+        ``weights[k]`` for each k, in any order.  The arcs are sorted by one
+        key and checked as the dict constructor checks them, on arrays: the
+        first bad arc in ascending (tail, head) order raises ``ValueError``,
+        for an index outside ``vertices`` (named by the index), then for a
+        self-loop, a repeated arc or a weight that is not ``> 0`` (NaN is
+        rejected, ``inf`` allowed)."""
+        vertices = tuple(vertices)
+        if not all(map(operator.lt, vertices, vertices[1:])):
+            raise ValueError("vertices must be distinct and in ascending order")
+        tails, heads = (np.asarray(a) for a in (tails, heads))
+        if any(a.size and a.dtype.kind not in "iu" for a in (tails, heads)):
+            raise ValueError("tails and heads must be integer indices into vertices")
+        tails, heads = tails.astype(np.intp), heads.astype(np.intp)
+        weights = np.array(weights, dtype=float)
+        if not (tails.ndim == 1 and tails.shape == heads.shape == weights.shape):
+            raise ValueError("tails, heads and weights must be 1-D arrays of one length")
+        n = len(vertices)
+        if (outside := (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n)).any():
+            t, h = min(zip(tails[outside].tolist(), heads[outside].tolist()))
+            u, v = (vertices[k] if 0 <= k < n else k for k in (t, h))
+            raise ValueError(f"arc ({u!r}, {v!r}) references unknown vertex")
+        return cls._from_arcs(vertices, *_checked_arcs(vertices, tails, heads, weights))
 
     @classmethod
     def _from_arcs(cls, vertices, tails, heads, weights, symmetric=False,
@@ -117,7 +149,7 @@ class Digraph:
         out = shape[0] if shape else _head_rows(names, len(vertices), tails, heads)
         self._out_rows = out[0], _weight_rows(weights, out[1])
         if not symmetric:
-            back = _sorted_arcs(heads, tails, weights)
+            back = _sorted_arcs(heads, tails, weights, len(vertices))
             symmetric = all(map(np.array_equal, back, self._arcs))
         if symmetric:
             self._shape = out, out
@@ -208,10 +240,14 @@ class Digraph:
         part, ``part`` mapping vertices to their parts; a vertex it leaves
         out keeps no arcs.  One mask over the arc arrays, so each part's rows
         are its induced subgraph's rows, in the same order."""
-        rows = np.array([self._position(v) for v in part], np.intp)
-        codes: dict = {}
+        rows = np.fromiter(map(self._index.get, part, repeat(-1)), np.intp, len(part))
+        if (rows < 0).any():
+            v = next(compress(part, (rows < 0).tolist()))
+            raise ValueError(f"unknown vertex {v!r}")
+        parts = part.values()
+        codes = dict(zip(dict.fromkeys(parts), range(len(part))))
         label = np.full(len(self._vertices), -1, np.intp)
-        label[rows] = [codes.setdefault(p, len(codes)) for p in part.values()]
+        label[rows] = np.fromiter(map(codes.__getitem__, parts), np.intp, len(part))
         tails, heads, weights = self._arcs
         keep = label[tails] == label[heads]
         keep &= label[tails] >= 0
@@ -268,11 +304,83 @@ def _bucket_pairs(bucket_of: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray
 
 
 def _sorted_arcs(
-    frm: np.ndarray, to: np.ndarray, weights: np.ndarray
+    frm: np.ndarray, to: np.ndarray, weights: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arc arrays in ascending (frm, to) order."""
-    by = np.lexsort((to, frm))
+    """The arc arrays in ascending (frm, to) order, both indices below ``n``:
+    one stable sort of the key ``frm * n + to``."""
+    by = np.argsort(frm * n + to, kind="stable")
     return frm[by], to[by], weights[by]
+
+
+def _checked_arcs(
+    vertices: tuple, tails: np.ndarray, heads: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """In-range arcs sorted by ``_sorted_arcs``; the first bad one in that
+    order raises, as a self-loop, a repeat of the arc before it, or a weight
+    not ``> 0``, in that order of precedence."""
+    tails, heads, weights = _sorted_arcs(tails, heads, weights, len(vertices))
+    loop = tails == heads
+    again = np.zeros_like(loop)
+    again[1:] = (tails[1:] == tails[:-1]) & (heads[1:] == heads[:-1])
+    if (bad := loop | again | ~(weights > 0)).any():
+        k = int(np.argmax(bad))
+        u, v = vertices[tails[k]], vertices[heads[k]]
+        if loop[k]:
+            raise ValueError(f"self-loop on {u!r} not allowed")
+        if again[k]:
+            raise ValueError(f"duplicate arc ({u!r}, {v!r})")
+        raise ValueError(f"arc ({u!r}, {v!r}) has non-positive weight {weights[k]}")
+    return tails, heads, weights
+
+
+def _exact_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x * x`` and its rounding error, exactly (Dekker's product, with
+    Veltkamp's split at 2**27 + 1), for ``x`` far from under- and overflow."""
+    p = x * x
+    c = x * 134217729.0
+    hi = c - (c - x)
+    lo = x - hi
+    return p, lo * lo - (((p - hi * hi) - hi * lo) - lo * hi)
+
+
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``math.hypot(dx[k], dy[k])`` for every k, bit for bit, on arrays.
+
+    This is how CPython's ``math.hypot`` computes two coordinates: it scales
+    both magnitudes by the power of two that puts the larger in [0.5, 1),
+    adds their squares to 1 without error, keeping each square's and each
+    sum's rounding error in two low-order terms, takes the square root of
+    the sum less 1, and corrects it once by the residual, worked out the
+    same way.  C takes a square's error from ``fma``, and ``_exact_square``
+    takes the same exact value without it.  ``np.hypot`` rounds differently
+    on about one pair in 180.  A pair whose larger magnitude is zero or
+    subnormal, where the split loses bits, is measured by ``math.hypot``
+    itself; ``tests/test_graph.py`` compares the whole with it.
+    """
+    a, b = np.abs(dx, dtype=float), np.abs(dy, dtype=float)
+    top = np.maximum(a, b)
+    total = np.ones_like(top)
+    low_squares = np.zeros_like(top)
+    low_sums = np.zeros_like(top)
+    # the pairs that over- or underflow here are measured again below
+    with np.errstate(all="ignore"):
+        scale = np.ldexp(1.0, -np.frexp(top)[1])
+        for c in (a, b):
+            square, low = _exact_square(c * scale)
+            low_squares += low
+            # total >= square, so this sum's error is exact as well
+            low_sums += (total - (total + square)) + square
+            total += square
+        h = np.sqrt(total - 1.0 + (low_squares + low_sums))
+        square, low = _exact_square(h)
+        low_squares -= low
+        low_sums += (total - (total - square)) - square
+        total -= square
+        h += (total - 1.0 + (low_squares + low_sums)) / (2.0 * h)
+        h /= scale
+    small = np.flatnonzero(top < 2.0**-1021)
+    h[small] = list(map(math.hypot, dx[small].tolist(), dy[small].tolist()))
+    return h
 
 
 def _head_rows(names, n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[list, list]:
@@ -303,8 +411,8 @@ def build_unit_disk_digraph(
     range, so two nodes in range share a bucket or lie in adjacent ones.  The
     pairs of each bucket with itself and its adjacent buckets are listed in
     numpy arrays, each unordered pair once; a squared-distance prefilter drops
-    pairs clearly out of range, and the rest are measured with ``math.hypot``
-    and tested exactly.
+    pairs clearly out of range, and the rest are measured as ``math.hypot``
+    measures them (``_hypot``) and tested exactly.
     """
     node_list = list(nodes)
     if not node_list:
@@ -346,7 +454,7 @@ def build_unit_disk_digraph(
     pair_reach = np.minimum(reach[i], reach[j]) if symmetric else np.maximum(reach[i], reach[j])
     near = dx * dx + dy * dy <= pair_reach * pair_reach * (1 + 1e-9) + 2.0**-1000
     i, j = i[near], j[near]
-    d = np.array(list(map(math.hypot, dx[near].tolist(), dy[near].tolist())), dtype=float)
+    d = _hypot(dx[near], dy[near])
     del dx, dy, pair_reach, near
     if not unit_weight and (coincident := d == 0.0).any():
         a, b = min(sorted(p) for p in zip(i[coincident].tolist(), j[coincident].tolist()))
@@ -365,7 +473,9 @@ def build_unit_disk_digraph(
     weights = np.concatenate((w[fwd], w[bwd]))
     del i, j, d, w, fwd, bwd
     # symmetric arcs come in pairs of equal weight, so both directions read alike
-    return Digraph._from_arcs(vertices, *_sorted_arcs(tails, heads, weights), symmetric)
+    return Digraph._from_arcs(
+        vertices, *_sorted_arcs(tails, heads, weights, len(vertices)), symmetric
+    )
 
 
 def perturb_weights(g: Digraph, seed: int, scale: float = 1e-9) -> Digraph:

@@ -8,6 +8,8 @@ which bound the stretch of routing through cells.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -33,37 +35,31 @@ def _normalize_seeds(g: Digraph, seeds: Iterable[NodeId]) -> tuple[NodeId, ...]:
 class BoundaryCellMap:
     """Assignment of every node to its nearest region seed(s).
 
-    ``owners`` keeps all minimizing seeds per node; ``cell_of`` resolves ties
-    to the smallest seed id so downstream routing is deterministic.
+    ``owners`` keeps all minimizing seeds per node, sorted; ``cell_of``
+    resolves ties to the smallest seed id so downstream routing is
+    deterministic.  ``cell_of``, ``members`` and ``tie_nodes`` are read off
+    ``owners`` when first asked for: a run reads ``cell_of`` only.
     """
 
     seeds: tuple[NodeId, ...]
     owners: dict[NodeId, tuple[NodeId, ...]]
-    cell_of: dict[NodeId, NodeId]
-    members: dict[NodeId, frozenset]
-    tie_nodes: frozenset
     dist_to_seed: dict[NodeId, float]
 
-    @classmethod
-    def from_owners(
-        cls,
-        seeds: tuple[NodeId, ...],
-        owners: dict[NodeId, tuple[NodeId, ...]],
-        dist_to_seed: dict[NodeId, float],
-    ) -> "BoundaryCellMap":
-        """Cell map from each node's sorted minimizing seeds and its distance."""
-        members: dict[NodeId, set] = {s: set() for s in seeds}
-        for v, own in owners.items():
+    @cached_property
+    def cell_of(self) -> dict[NodeId, NodeId]:
+        return {v: own[0] for v, own in self.owners.items()}
+
+    @cached_property
+    def members(self) -> dict[NodeId, frozenset]:
+        members: dict[NodeId, set] = {s: set() for s in self.seeds}
+        for v, own in self.owners.items():
             for s in own:
                 members[s].add(v)
-        return cls(
-            seeds=seeds,
-            owners=owners,
-            cell_of={v: own[0] for v, own in owners.items()},
-            members={s: frozenset(vs) for s, vs in members.items()},
-            tie_nodes=frozenset(v for v, own in owners.items() if len(own) > 1),
-            dist_to_seed=dist_to_seed,
-        )
+        return {s: frozenset(vs) for s, vs in members.items()}
+
+    @cached_property
+    def tie_nodes(self) -> frozenset:
+        return frozenset(v for v, own in self.owners.items() if len(own) > 1)
 
     def canonical_members(self, seed: NodeId) -> tuple[NodeId, ...]:
         return tuple(sorted(v for v in self.members.get(seed, ()) if self.cell_of[v] == seed))
@@ -96,7 +92,7 @@ def compute_boundary_cells(g: Digraph, seeds: Iterable[NodeId]) -> BoundaryCellM
             raise ValueError(f"node {v!r} cannot reach any seed")
         owners[v] = tuple(mins)  # seeds already sorted
         dist[v] = best
-    return BoundaryCellMap.from_owners(seed_tuple, owners, dist)
+    return BoundaryCellMap(seed_tuple, owners, dist)
 
 
 @dataclass(frozen=True)
@@ -153,18 +149,15 @@ class BoundaryDualGraph:
     ``cell_graph`` spans the communication graph's vertices with only the
     arcs whose two ends share a canonical cell, so each cell's rows are its
     canonical subgraph's; the res tables and boundary routes search it.
-    ``graph`` holds the cells and dual arcs as a weighted ``Digraph``, built
-    with the dual graph, so the tables and routes build no graph.
+    ``graph`` holds the cells and dual arcs as a weighted ``Digraph``, which
+    ``build_boundary_dual_graph`` builds from its arc arrays through
+    ``Digraph.from_arrays``, so the tables and routes build no graph.
     """
 
     cells: tuple[NodeId, ...]
     arcs: dict[tuple[NodeId, NodeId], DualArc]
     cell_graph: Digraph
-    graph: Digraph = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        weights = {key: arc.weight for key, arc in self.arcs.items()}
-        object.__setattr__(self, "graph", Digraph(self.cells, weights))
+    graph: Digraph = field(repr=False, compare=False)
 
 
 def build_boundary_dual_graph(g: Digraph, cells: BoundaryCellMap) -> BoundaryDualGraph:
@@ -187,7 +180,8 @@ def build_boundary_dual_graph(g: Digraph, cells: BoundaryCellMap) -> BoundaryDua
     as a loop over ``g.arcs()``.  It costs O(arcs) with no sort: a table over
     the ``len(seeds) ** 2`` cell pairs numbers the pairs in first-crossing
     order, and ``np.minimum.at`` takes each pair's smallest weight and then
-    its earliest crossing arc at that weight.
+    its earliest crossing arc at that weight.  The dual ``Digraph`` is laid
+    out from those arrays, cell indices and weights, by ``Digraph.from_arrays``.
     """
     cell_graph = g.within_parts(cells.cell_of)
     seeds = cells.seeds
@@ -196,14 +190,20 @@ def build_boundary_dual_graph(g: Digraph, cells: BoundaryCellMap) -> BoundaryDua
     # per vertex: its cell's index, and its distances from and to its seed
     # inside the cell (NaN when it has no cell or the search misses it)
     cell_index = {s: c for c, s in enumerate(seeds)}
-    cell = np.array([cell_index.get(cells.cell_of.get(v), -1) for v in vertices])
-    from_seed = np.full(len(vertices), np.nan)
-    to_seed = np.full(len(vertices), np.nan)
-    dist = single_source_distances(cell_graph, seeds)
-    from_seed[[rank[v] for v in dist]] = list(dist.values())
-    if not cell_graph.symmetric:  # else the reverse search repeats the same sums
-        dist = single_source_distances(cell_graph, seeds, reverse=True)
-    to_seed[[rank[v] for v in dist]] = list(dist.values())
+    cell = np.fromiter(
+        map(cell_index.get, map(cells.cell_of.get, vertices), repeat(-1)), np.intp, len(vertices)
+    )
+
+    def lengths(dist: dict) -> np.ndarray:
+        out = np.full(len(vertices), np.nan)
+        out[np.fromiter(map(rank.__getitem__, dist), np.intp, len(dist))] = list(dist.values())
+        return out
+
+    from_seed = lengths(single_source_distances(cell_graph, seeds))
+    # on a symmetric cell graph the reverse search repeats the same sums
+    to_seed = from_seed if cell_graph.symmetric else lengths(
+        single_source_distances(cell_graph, seeds, reverse=True)
+    )
     tails, heads, weights = g.arc_arrays()
     composed = (from_seed[tails] + weights) + to_seed[heads]
     crossing = np.flatnonzero((cell[tails] != cell[heads]) & ~np.isnan(composed))
@@ -224,11 +224,13 @@ def build_boundary_dual_graph(g: Digraph, cells: BoundaryCellMap) -> BoundaryDua
     best = np.full(len(low), len(pair))
     np.minimum.at(best, pair[tied], tied)
     u, v = tails[crossing[best]], heads[crossing[best]]
+    weight = weight[best]
+    graph = Digraph.from_arrays(seeds, cell[u], cell[v], weight)
     src = list(map(seeds.__getitem__, cell[u].tolist()))
     dst = list(map(seeds.__getitem__, cell[v].tolist()))
     crossed = zip(map(vertices.__getitem__, u.tolist()), map(vertices.__getitem__, v.tolist()))
-    arcs = dict(zip(zip(src, dst), map(DualArc, src, dst, weight[best].tolist(), crossed)))
-    return BoundaryDualGraph(cells=seeds, arcs=arcs, cell_graph=cell_graph)
+    arcs = dict(zip(zip(src, dst), map(DualArc, src, dst, weight.tolist(), crossed)))
+    return BoundaryDualGraph(cells=seeds, arcs=arcs, cell_graph=cell_graph, graph=graph)
 
 
 def dual_route(

@@ -68,11 +68,14 @@ Model notes:
   * Coverage.  Set-up indexes the sample points within sensing range of
     each sensor and counts, per point, the sensors covering it; a death
     subtracts the dead sensor's points, so a report's coverage is the share
-    of points whose count is nonzero, as a Python float.  The index tests
-    the sensors in x order, a chunk of at most COVER_PLACES tests (or one
-    sensor) at a time, against one window of the x-sorted points; a point
-    outside a sensor's own window fails its test, so each sensor covers the
-    same points as in a test of its own window alone.
+    of points whose count is nonzero, as a Python float.  The points are
+    cut into at most COVER_BANDS horizontal bands, each at least two sensing
+    ranges tall (one band on a field under four ranges tall), x-sorted
+    within each band.  Per band, the index tests the sensors whose y +-
+    range meets it, in x order, a chunk of at most COVER_PLACES tests (or
+    one sensor) at a time, against one window of the band's points; a point
+    outside a sensor's own window or bands fails its test, so each sensor
+    covers the same points as in a test of its own window alone.
   * Ledger layout.  Each sensor's spends are one flat [tx, rx, sense, sleep]
     list in EnergyLedger.rows, indexed by the slots the charges carry.  Only
     the epoch step works on those rows directly: it replays accrue, charge
@@ -124,6 +127,11 @@ BLOCK_PLACES = 1 << 15
 # floats per array of one chunk of the coverage index (128 KB); of 2^13 to
 # 2^17, the fastest or within noise of it on the default, dense and sparse fields
 COVER_PLACES = 1 << 14
+# most horizontal bands of the coverage index: of caps 2 to 15, 3 to 7 were
+# within noise of the fastest on the 640 m and 1280 m fields and 15 was
+# slower; uncapped, a 0.1 m sensing range on the 640 m field made 3,199 bands
+# and an index 16 times slower than with one band
+COVER_BANDS = 8
 
 
 class SimulationError(RuntimeError):
@@ -309,16 +317,22 @@ class _Run:
         """Index which sample points each sensor covers, and count per point
         the sensors covering it; a death subtracts its points.
 
-        The points are sorted by x, and each sensor's window is the points
-        within ``pad`` of its x.  The sensors are taken in x order, in chunks
-        whose span of windows times their count stays within COVER_PLACES
-        (one sensor at least), and each chunk is tested against that one
-        span.  A point outside a sensor's own window is more than r from it
-        in x alone (the 1e-9 margin of ``pad`` exceeds the rounding of x +-
-        pad unless r is below about 1e-6 of x), so it fails the test, and the
-        covered sets are those of a test window by window.  Each sensor keeps
-        its window ``(lo, hi)`` and its row of the test there; counts are
-        kept in x order.
+        A covered point lies within r of a sensor in x and in y up to
+        rounding, so within ``pad`` of it in each (the 1e-9 margin of
+        ``pad`` exceeds the rounding of x +- pad unless r is below about
+        1e-6 of x).  The points are cut into horizontal bands, as many as
+        fit at least two pads tall (one on a field under four pads tall), up
+        to COVER_BANDS, and sorted by band, then by x within the band.  The
+        band of a y is monotone in y, so a sensor's covered points lie in
+        the bands from that of its y - pad to that of its y + pad, and in
+        each such band within its window, the points within ``pad`` of its
+        x.  Per band, the sensors that meet it are taken in x order, in
+        chunks whose span of windows times their count stays within
+        COVER_PLACES (one sensor at least), and each chunk is tested against
+        that one span.  A point outside a sensor's own window fails its
+        test, so the covered sets are those of a test window by window.
+        Each sensor keeps its window ``(lo, hi)`` and its row of the test
+        there, one per band it meets; counts are kept in the points' order.
         """
         rng = np.random.default_rng([abs(self.seed), 0x5EED])
         pts = rng.random((COVERAGE_SAMPLES, 2))
@@ -326,38 +340,51 @@ class _Run:
         pts[:, 1] *= self.config.area_height
         r = self.config.sensing_range
         r2 = r**2
-        # a covered point lies within r of x up to rounding, so inside x +- pad
         pad = r * (1 + 1e-9)
-        by_x = np.argsort(pts[:, 0], kind="stable")
-        xs = pts[by_x, 0]
-        ys = pts[by_x, 1]
+        bands = max(1, min(COVER_BANDS, int(self.config.area_height // (2 * pad))))
+        height = self.config.area_height / bands
+
+        def band(y: np.ndarray) -> np.ndarray:
+            return np.clip(np.floor(y / height), 0, bands - 1).astype(np.intp)
+
+        # the counts do not depend on how points of equal x are ordered
+        by = np.argsort(pts[:, 0])
+        by = by[np.argsort(band(pts[by, 1]), kind="stable")]
+        xs = pts[by, 0]
+        ys = pts[by, 1]
+        bounds = np.searchsorted(band(ys), np.arange(bands + 1)).tolist()
         sx = np.array([self.nodes[v].x for v in self.sensors])
         sy = np.array([self.nodes[v].y for v in self.sensors])
         order = np.argsort(sx, kind="stable")
         sx, sy = sx[order], sy[order]
         sensors = [self.sensors[k] for k in order.tolist()]
-        # both ascend, since the sensors do
-        lo = np.searchsorted(xs, sx - pad).tolist()
-        hi = np.searchsorted(xs, sx + pad, "right").tolist()
-        self._covers: dict[NodeId, tuple[int, int, np.ndarray]] = {}
+        low, high = band(sy - pad), band(sy + pad)
+        self._covers: dict[NodeId, list[tuple[int, int, np.ndarray]]] = {v: [] for v in sensors}
         self._cover_count = np.zeros(COVERAGE_SAMPLES, dtype=np.int32)
-        i, n = 0, len(sensors)
-        while i < n:
-            j = i + 1
-            while j < n and (j + 1 - i) * (hi[j] - lo[i]) <= COVER_PLACES:
-                j += 1
-            a, b = lo[i], hi[j - 1]
-            dx = xs[a:b] - sx[i:j, None]
-            dy = ys[a:b] - sy[i:j, None]
-            dx *= dx
-            dy *= dy
-            dx += dy
-            covered = dx <= r2
-            del dx, dy
-            self._cover_count[a:b] += covered.sum(axis=0, dtype=np.int32)
-            for v, row, l, h in zip(sensors[i:j], covered, lo[i:j], hi[i:j]):
-                self._covers[v] = (l, h, row[l - a : h - a])
-            i = j
+        for b, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            meet = np.flatnonzero((low <= b) & (b <= high))
+            mx, my = sx[meet], sy[meet]
+            names = list(map(sensors.__getitem__, meet.tolist()))
+            # both ascend, since the sensors do
+            lo = (np.searchsorted(xs[start:stop], mx - pad) + start).tolist()
+            hi = (np.searchsorted(xs[start:stop], mx + pad, "right") + start).tolist()
+            i, n = 0, len(names)
+            while i < n:
+                j = i + 1
+                while j < n and (j + 1 - i) * (hi[j] - lo[i]) <= COVER_PLACES:
+                    j += 1
+                a, z = lo[i], hi[j - 1]
+                dx = xs[a:z] - mx[i:j, None]
+                dy = ys[a:z] - my[i:j, None]
+                dx *= dx
+                dy *= dy
+                dx += dy
+                covered = dx <= r2
+                del dx, dy
+                self._cover_count[a:z] += covered.sum(axis=0, dtype=np.int32)
+                for v, row, l, h in zip(names[i:j], covered, lo[i:j], hi[i:j]):
+                    self._covers[v].append((l, h, row[l - a : h - a]))
+                i = j
 
     def _setup_protocol(self):
         sink_nb = neighborhoods(self.g, self.sink).all_nodes
@@ -512,8 +539,8 @@ class _Run:
             self.alive.discard(v)
             self._due.pop(v, None)
             self.deaths.append((now, v))
-            lo, hi, covered = self._covers[v]
-            self._cover_count[lo:hi] -= covered
+            for lo, hi, covered in self._covers[v]:
+                self._cover_count[lo:hi] -= covered
             return
         # remaining > DEATH_EPSILON_J, so t >= now
         t = now + remaining / self.params.drain_w[self.mode[v]]

@@ -138,6 +138,122 @@ def test_digraph_rejects_self_loops_and_bad_weights():
         Digraph([0, 1], {(0, 2): 1.0})
 
 
+def from_dict(n, arcs):
+    """``Digraph(range(n), ...)`` from ``(tail, head, weight)`` triples."""
+    return Digraph(range(n), {(u, v): w for u, v, w in arcs})
+
+
+def from_arrays(n, arcs):
+    """The same graph through ``Digraph.from_arrays``: on ids 0..n-1 an arc's
+    ends are its indices."""
+    tails, heads, weights = zip(*arcs) if arcs else ((), (), ())
+    return Digraph.from_arrays(range(n), tails, heads, weights)
+
+
+@pytest.mark.parametrize("build", [from_dict, from_arrays], ids=["dict", "arrays"])
+@pytest.mark.parametrize(
+    "arcs, match",
+    [
+        ([(0, 3, 1.0)], r"arc \(0, 3\) references unknown vertex"),
+        ([(0, 1, 1.0), (-1, 0, 1.0)], r"arc \(-1, 0\) references unknown vertex"),
+        ([(0, 0, 1.0)], "self-loop on 0 not allowed"),
+        ([(0, 1, 0.0)], r"arc \(0, 1\) has non-positive weight 0.0"),
+        ([(0, 1, -1.0)], r"arc \(0, 1\) has non-positive weight -1.0"),
+        ([(0, 1, math.nan)], r"arc \(0, 1\) has non-positive weight nan"),
+        # the first bad arc in (tail, head) order, whatever the given order
+        ([(2, 2, 1.0), (1, 2, -1.0), (1, 0, 0.0), (0, 1, 1.0)],
+         r"arc \(1, 0\) has non-positive weight 0.0"),
+        ([(1, 0, 0.0), (0, 0, 1.0)], "self-loop on 0 not allowed"),
+        # an unknown vertex is reported before any other fault
+        ([(0, 0, 1.0), (1, 3, 1.0), (2, 5, 1.0)], r"arc \(1, 3\) references unknown vertex"),
+    ],
+    ids=["unknown-head", "negative-index", "self-loop", "zero", "negative", "nan",
+         "first-in-order", "self-loop-first", "unknown-first"],
+)
+def test_constructors_reject_the_same_first_arc(build, arcs, match):
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        build(3, arcs)
+
+
+def test_array_constructor_rejects_repeated_arcs_and_bad_arrays():
+    with pytest.raises(ValueError, match=r"^duplicate arc \(0, 1\)$"):
+        Digraph.from_arrays(range(3), [1, 0, 0], [2, 1, 1], [1.0, 2.0, 3.0])
+    # a duplicate is reported where it comes in (tail, head) order
+    with pytest.raises(ValueError, match="^self-loop on 0 not allowed$"):
+        Digraph.from_arrays(range(3), [1, 0, 1], [2, 0, 2], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="ascending"):
+        Digraph.from_arrays([1, 0], [0], [1], [1.0])
+    with pytest.raises(ValueError, match="ascending"):
+        Digraph.from_arrays([0, 0, 1], [0], [1], [1.0])
+    with pytest.raises(ValueError, match="integer indices"):
+        Digraph.from_arrays(range(2), [0.0], [1.0], [1.0])
+    with pytest.raises(ValueError, match="one length"):
+        Digraph.from_arrays(range(2), [0, 1], [1, 0], [1.0])
+    # an index outside the vertices is named by itself, the rest by their ids
+    with pytest.raises(ValueError, match=r"^arc \('b', 7\) references unknown vertex$"):
+        Digraph.from_arrays("ab", [1, 0], [7, 1], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("build", [from_dict, from_arrays], ids=["dict", "arrays"])
+def test_constructors_take_infinite_weights_alike(build):
+    # an arc no power level reaches is priced at inf, so inf stays a weight
+    g = build(3, [(1, 2, 1.0), (0, 1, math.inf)])
+    assert g.weight(0, 1) == math.inf
+    assert_same_adjacency(g, from_dict(3, [(0, 1, math.inf), (1, 2, 1.0)]))
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_constructors_lay_out_graphs_without_arcs(n):
+    for g in (from_dict(n, []), from_arrays(n, []), Digraph.from_arrays(range(n), [], [], [])):
+        assert len(g) == n and g.arc_count == 0 and g.symmetric
+        assert all(a.size == 0 for a in g.arc_arrays())
+        assert_same_adjacency(g, Digraph(range(n), {}))
+    # a one-node field: the builder's key sort over no pairs at all
+    if n == 1:
+        g = build_unit_disk_digraph([NodePos(4, 1.0, 2.0, 10.0)])
+        assert g.vertices == (4,) and g.arc_count == 0
+
+
+def test_array_constructor_equals_the_dict_constructor():
+    rng = random.Random(131)
+    graphs = asymmetric_graphs(137) + [tie_heavy_digraph(rng, 12) for _ in range(4)]
+    graphs += [build_unit_disk_digraph(random_layout(rng, 40)), path_graph(6)]
+    for g in graphs:
+        arcs = list(g.arcs())
+        rng.shuffle(arcs)
+        rank = {v: k for k, v in enumerate(g.vertices)}
+        tails = np.array([rank[u] for u, _, _ in arcs], np.int32)
+        heads = np.array([rank[v] for _, v, _ in arcs], np.int32)
+        got = Digraph.from_arrays(g.vertices, tails, heads, [w for _, _, w in arcs])
+        assert_same_adjacency(got, g)
+        assert_same_adjacency(Digraph(g.vertices, {(u, v): w for u, v, w in arcs}), g)
+
+
+def test_builder_distances_are_math_hypot_bit_for_bit():
+    from regionsim.graph import _hypot
+
+    rng = np.random.default_rng(149)
+    n = 200_000
+    coords = [
+        rng.random((2, n)) * 1280 - rng.random((2, n)) * 1280,
+        rng.integers(-2000, 2000, (2, n)).astype(float),
+        rng.random((2, n)) * 100 * (rng.random((2, n)) < 0.5),  # zeros on an axis
+        np.stack([rng.random(n) * 100, rng.random(n) * 1e-6]),
+        rng.standard_normal((2, n)) * 2.0 ** rng.integers(-1074, 1000, (2, n)),
+        rng.standard_normal((2, n)) * 2.0 ** rng.integers(-1074, -1000, (2, n)),
+    ]
+    equal = rng.random(n) * 100
+    coords.append(np.stack([equal, -equal]))
+    for dx, dy in coords:
+        got = _hypot(dx, dy)
+        want = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
+        assert got.tobytes() == want.tobytes()
+    # int coordinates convert as math.hypot converts them
+    ints = rng.integers(-(2**60), 2**60, (2, 1000))
+    got = _hypot(*ints)
+    assert got.tolist() == list(map(math.hypot, *ints.tolist()))
+
+
 def all_pairs_unit_disk(nodes, symmetric=True, unit_weight=False):
     """Arcs of the unit-disk digraph by measuring every ordered pair."""
     arcs = {}

@@ -236,6 +236,13 @@ def assert_dual_matches_reference(g, cells):
     assert [(k, a.src, a.dst, a.weight.hex(), a.crossing) for k, a in dual.arcs.items()] == [
         (k, a.src, a.dst, a.weight.hex(), a.crossing) for k, a in want.items()
     ]
+    # the graph laid out from the builder's arrays is the dict constructor's
+    rebuilt = Digraph(cells.seeds, {k: a.weight for k, a in want.items()})
+    assert dual.graph.vertices == rebuilt.vertices
+    assert [(u, v, w.hex()) for u, v, w in dual.graph.arcs()] == [
+        (u, v, w.hex()) for u, v, w in rebuilt.arcs()
+    ]
+    assert dual.graph.symmetric == rebuilt.symmetric
     return dual
 
 
@@ -336,7 +343,7 @@ def test_dual_route_unreachable_cells():
 def dual_of(weights):
     cells = sorted({c for key in weights for c in key})
     arcs = {(a, b): DualArc(a, b, w, (a, b)) for (a, b), w in weights.items()}
-    return BoundaryDualGraph(tuple(cells), arcs, Digraph(cells, {}))
+    return BoundaryDualGraph(tuple(cells), arcs, Digraph(cells, {}), Digraph(cells, weights))
 
 
 def test_dual_route_ties_on_exact_float_sums_then_cell_sequence():

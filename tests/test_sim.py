@@ -665,6 +665,11 @@ def brute_force_coverage_pct(config, seed, alive, nodes=None):
 
 SPARSE = ScenarioConfig(area_width=640.0, area_height=640.0, node_count=1120,
                         radio_range=60.0, sim_duration_s=600.0, report_interval_s=300.0)
+# 320 m tall at a 20 m sensing range: the coverage index cuts the points into
+# seven bands of about 46 m, most sensors' windows span two of them, and the
+# 3 J batteries die within the run
+TALL = replace(DRAINING, area_height=320.0, node_count=64, radio_range=60.0,
+               sensing_range=20.0, report_interval_s=60.0)
 
 
 def assert_coverage_equals_brute_force(config, seed, nodes=None):
@@ -696,9 +701,11 @@ def assert_coverage_equals_brute_force(config, seed, nodes=None):
         # a sensing range wider than the 80 m field: every window is every point
         (replace(DEAD_NETWORK, sensing_range=200.0), None),
         (ScenarioConfig(node_count=280, sim_duration_s=1200.0), 2),
+        (TALL, None),
+        (replace(TALL, protocol="mte"), None),
     ],
     ids=["draining-res", "draining-dt", "default-mte", "sparse-res", "dead-network",
-         "wide-range", "dense-res"],
+         "wide-range", "dense-res", "tall-bands-res", "tall-bands-mte"],
 )
 def test_coverage_equals_brute_force_at_every_report(config, seed):
     assert_coverage_equals_brute_force(config, config.seed if seed is None else seed)
@@ -727,6 +734,40 @@ def test_coverage_index_with_sensors_sharing_x(monkeypatch):
     monkeypatch.setattr(sim, "deploy", lambda config, seed: replace(deployment, nodes=nodes))
     # chunks of several sensors, which split the columns
     monkeypatch.setattr(sim, "COVER_PLACES", 4 * COVERAGE_SAMPLES // 3)
+    assert_coverage_equals_brute_force(config, config.seed, nodes)
+
+
+def test_tall_field_deaths_subtract_windows_in_two_bands():
+    # the tall cases above exercise what they are meant to: sensors whose
+    # windows lie in two bands die at several times
+    for config in (TALL, replace(TALL, protocol="mte")):
+        r = _Run(config, config.seed)
+        assert {len(windows) for windows in r._covers.values()} == {1, 2}
+        times = {t for t, v in r.deaths if len(r._covers[v]) == 2}
+        assert len(times) >= 3
+
+
+def test_coverage_index_with_sensors_on_band_edges(monkeypatch):
+    config = replace(TALL, protocol="mte")
+    deployment = deploy(config, config.seed)
+    # every y moved to the nearest band edge or a sensing range off one, where
+    # the window y +- pad ends a rounding past the edge; two sensors at y = 0
+    # and at y = height
+    height, reach = config.area_height / 7, config.sensing_range
+    grid = [y for k in range(8) for y in (k * height - reach, k * height, k * height + reach)
+            if 0.0 <= y <= config.area_height]
+    nodes = {v: replace(n, y=min(grid, key=lambda y: abs(y - n.y)))
+             for v, n in deployment.nodes.items()}
+    first, second = deployment.sensor_ids[:2]
+    nodes[first] = replace(nodes[first], y=0.0)
+    nodes[second] = replace(nodes[second], y=config.area_height)
+    assert len({n.y for n in nodes.values()}) >= 12
+    monkeypatch.setattr(sim, "deploy", lambda config, seed: replace(deployment, nodes=nodes))
+    r = _Run(config, config.seed)
+    dead = {v for _, v in r.deaths}
+    assert {first, second} <= dead
+    assert len(r._covers[first]) == len(r._covers[second]) == 1
+    assert any(len(r._covers[v]) == 2 for v in dead)
     assert_coverage_equals_brute_force(config, config.seed, nodes)
 
 
