@@ -2,15 +2,19 @@
 coverage sizing and scale diagnostics."""
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .graph import NodeId
 
 LEDGER_MODES = ("tx", "rx", "sense", "sleep")  # slot names, in row order
 _SLOTS = range(len(LEDGER_MODES))
 TX, RX, SENSE, SLEEP = _SLOTS  # ledger slots: indices into a row
+_ROW = len(LEDGER_MODES)  # cells per ledger row
 
 # battery considered empty below this many joules (float accrual slack)
 DEATH_EPSILON_J = 1e-9
@@ -102,28 +106,46 @@ def rx_energy(bits: float, params: EnergyParams) -> float:
 class EnergyLedger:
     """Per-node cumulative joules by mode against a shared battery budget.
 
-    Each node's spends are stored as one flat list ``[tx, rx, sense, sleep]``
-    in ``rows``, and every method takes a ledger slot (``TX``, ``RX``,
-    ``SENSE``, ``SLEEP``), an index into that list.  The spent total is
-    ``spent`` of the row and ``remaining`` is the budget minus that total,
-    so the conservation identity holds exactly and an engine that reads
-    ``rows`` directly gets the same bits as these methods.  Nodes at or
-    below ``DEATH_EPSILON_J`` are dead; callers stop routing through them.
+    Node ids are ints ``>= 0``.  ``rows`` is one ``(n, 4)`` float64 array
+    indexed by node id, n one past the largest id; row v holds node v's
+    spends ``[tx, rx, sense, sleep]`` (a row whose id is not a node's stays
+    zero and has no entry), and ``ids`` lists the nodes, ascending.  Every
+    method takes a ledger slot (``TX``, ``RX``, ``SENSE``, ``SLEEP``), a
+    column of that array.  The spent total is ``spent`` of the row and
+    ``remaining`` is the budget minus that total, so the conservation
+    identity holds exactly and an engine that works on ``rows`` with the
+    same operations gets the same bits as these methods.  The per-node
+    methods read and write the array through a flat memoryview of its
+    buffer, at list speed; ``check_charges`` checks an array of charges as
+    ``check_charge`` checks each.  Nodes at or below ``DEATH_EPSILON_J`` are
+    dead; callers stop routing through them.
     """
 
     def __init__(self, node_ids: Iterable[NodeId], budget_j: float):
         if not 0 < budget_j < math.inf:  # NaN fails every comparison
             raise ValueError("budget must be > 0")
         self.budget_j = float(budget_j)
-        self.rows: dict[NodeId, list[float]] = {
-            v: [0.0, 0.0, 0.0, 0.0] for v in sorted(set(node_ids))
-        }
-
-    def _entry(self, node: NodeId) -> list[float]:
         try:
-            return self.rows[node]
-        except KeyError:
-            raise ValueError(f"no ledger entry for node {node!r}") from None
+            self.ids = tuple(sorted({operator.index(v) for v in node_ids}))
+        except TypeError:
+            raise ValueError("node ids must be ints >= 0") from None
+        if self.ids and self.ids[0] < 0:
+            raise ValueError("node ids must be ints >= 0")
+        size = self.ids[-1] + 1 if self.ids else 0
+        self.rows = np.zeros((size, _ROW))
+        has = np.zeros(size, dtype=bool)
+        has[list(self.ids)] = True
+        self._has = memoryview(has)
+        self._cells = memoryview(self.rows.reshape(-1))
+
+    def _base(self, node: NodeId) -> int:
+        """The flat index of a node's first cell."""
+        try:
+            if node >= 0 and self._has[node]:
+                return node * _ROW
+        except (TypeError, IndexError):
+            pass
+        raise ValueError(f"no ledger entry for node {node!r}")
 
     def check_charge(self, node: NodeId, slot: int, joules: float) -> None:
         """Validate a charge without applying it."""
@@ -131,11 +153,24 @@ class EnergyLedger:
             raise ValueError(f"unknown ledger slot {slot!r}")
         if not 0 <= joules < math.inf:
             raise ValueError("charge must be >= 0")
-        self._entry(node)
+        self._base(node)
+
+    def check_charges(self, nodes: np.ndarray, slot: int, joules: np.ndarray) -> None:
+        """Validate an array of charges to one slot, one per node of
+        ``nodes``, as ``check_charge`` validates each."""
+        if slot not in _SLOTS:
+            raise ValueError(f"unknown ledger slot {slot!r}")
+        if not ((0 <= joules) & (joules < math.inf)).all():
+            raise ValueError("charge must be >= 0")
+        inside = (0 <= nodes) & (nodes < len(self._has))
+        known = np.zeros(len(nodes), dtype=bool)
+        known[inside] = np.asarray(self._has)[nodes[inside]]
+        if not known.all():
+            raise ValueError(f"no ledger entry for node {nodes[~known][0].item()!r}")
 
     def charge(self, node: NodeId, slot: int, joules: float) -> None:
         self.check_charge(node, slot, joules)
-        self.rows[node][slot] += joules
+        self._cells[node * _ROW + slot] += joules
 
     def accrue(self, node: NodeId, slot: int, duration_s: float, params: EnergyParams) -> None:
         """Add duty-mode energy for a time span: ``params.drain_w[slot]``
@@ -145,13 +180,16 @@ class EnergyLedger:
             raise ValueError(f"accrual slot must be SENSE or SLEEP, got {slot!r}")
         if not 0 <= duration_s < math.inf:
             raise ValueError("duration must be >= 0")
-        self._entry(node)[slot] += watts * duration_s
+        self._cells[self._base(node) + slot] += watts * duration_s
 
     def spent_by_mode(self, node: NodeId) -> dict[str, float]:
-        return dict(zip(LEDGER_MODES, self._entry(node)))
+        i = self._base(node)
+        return dict(zip(LEDGER_MODES, self._cells[i : i + _ROW].tolist()))
 
     def total_spent(self, node: NodeId) -> float:
-        return spent(*self._entry(node))
+        i = self._base(node)
+        cells = self._cells
+        return spent(cells[i], cells[i + 1], cells[i + 2], cells[i + 3])
 
     def remaining(self, node: NodeId) -> float:
         return self.budget_j - self.total_spent(node)
@@ -159,9 +197,17 @@ class EnergyLedger:
     def is_alive(self, node: NodeId) -> bool:
         return self.remaining(node) > DEATH_EPSILON_J
 
+    def remaining_of(self, rows: np.ndarray) -> np.ndarray:
+        """``remaining`` of each row of a ``(k, 4)`` array of ledger rows."""
+        return self.budget_j - spent(*rows.T)
+
     def snapshot(self) -> list[tuple]:
-        """Rows (node_id, tx_J, rx_J, sense_J, sleep_J, remaining_J), id-sorted."""
-        return [(v, *e, self.remaining(v)) for v, e in self.rows.items()]
+        """Rows (node_id, tx_J, rx_J, sense_J, sleep_J, remaining_J), id-sorted,
+        as Python ints and floats."""
+        ids = self.ids
+        rows = self.rows if len(ids) == len(self.rows) else self.rows[list(ids)]
+        columns = (*rows.T, self.remaining_of(rows))
+        return list(zip(ids, *(c.tolist() for c in columns)))
 
 
 def min_sensor_count(area_m2: float, sensing_range_m: float) -> int:
@@ -213,8 +259,6 @@ def scaling_diagnostics(
     mean per-node energy must have coefficient of variation within tolerance.
     Needs at least 3 points.
     """
-    import numpy as np
-
     pts = tuple(sorted(points))
     if len(pts) < 3:
         raise ValueError("need at least 3 batch points")

@@ -124,16 +124,24 @@ class Digraph:
 
     @classmethod
     def _from_arcs(cls, vertices, tails, heads, weights, symmetric=False,
-                   shape=None) -> "Digraph":
+                   shape=None, back=None) -> "Digraph":
         """Digraph over arrays sorted and checked as ``__init__`` lays them out;
         ``symmetric`` promises an equal-weight reverse for every arc, and
-        ``shape`` gives the rows of a graph with the same vertices, tails and
-        heads."""
+        ``back``, if given, holds each arc's reverse by index.  ``shape`` is
+        the ``_shape`` of a graph with the same vertices, tails and heads."""
         g = cls.__new__(cls)
-        g._lay_out(vertices, tails, heads, weights, symmetric, shape)
+        g._lay_out(vertices, tails, heads, weights, symmetric, shape, back)
         return g
 
-    def _lay_out(self, vertices, tails, heads, weights, symmetric=False, shape=None) -> None:
+    def _lay_out(self, vertices, tails, heads, weights, symmetric=False, shape=None,
+                 back=None) -> None:
+        """``_shape`` depends on the arcs only, not on their weights: per
+        direction, the head list of each row and the rows' bounds, and
+        ``back``, the arcs' indices in ascending (head, tail) order, the
+        in-rows' order.  Where every arc's reverse is an arc, the in-rows'
+        head lists are the out-rows' own, and ``back`` holds each arc's
+        reverse; a graph laid out on a promise of symmetry works it out only
+        when ``with_weights`` first needs it."""
         self._vertices = vertices
         self._index = {v: k for k, v in enumerate(vertices)}
         # int ids 0..n-1 are their own indices, and their rows hold the ids'
@@ -144,20 +152,25 @@ class Digraph:
         self._arcs = tails, heads, weights
         for a in self._arcs:  # read-only, so the arc arrays stay the graph's own
             a.setflags(write=False)
-        # per direction, the head list of each row and the rows' bounds,
-        # which depend on the arcs only, not on their weights
-        out = shape[0] if shape else _head_rows(names, len(vertices), tails, heads)
-        self._out_rows = out[0], _weight_rows(weights, out[1])
+        if shape is None:
+            n = len(vertices)
+            out = _head_rows(names, n, tails, heads)
+            mirrored = symmetric
+            if not symmetric:
+                back = _arc_order(heads, tails, n)
+                # the arcs reversed, in ascending (tail, head) order
+                r_tails, r_heads = heads[back], tails[back]
+                mirrored = np.array_equal(r_tails, tails) and np.array_equal(r_heads, heads)
+            into = out if mirrored else _head_rows(names, n, r_tails, r_heads)
+            shape = out, into, back
+        self._shape = out, into, back = shape
         if not symmetric:
-            back = _sorted_arcs(heads, tails, weights, len(vertices))
-            symmetric = all(map(np.array_equal, back, self._arcs))
+            symmetric = into is out and np.array_equal(weights[back], weights)
+        self._out_rows = out[0], _weight_rows(weights, out[1])
         if symmetric:
-            self._shape = out, out
             self._in_rows = self._out_rows
         else:
-            into = shape[1] if shape else _head_rows(names, len(vertices), *back[:2])
-            self._shape = out, into
-            self._in_rows = into[0], _weight_rows(back[2], into[1])
+            self._in_rows = into[0], _weight_rows(weights[back], into[1])
 
     def __reduce__(self):
         return Digraph._from_arcs, (self._vertices, *self._arcs, self.symmetric)
@@ -199,9 +212,9 @@ class Digraph:
     def with_weights(self, weights: Iterable[float]) -> "Digraph":
         """The same arcs with new weights, one per arc in ``arc_arrays()``
         order, each checked as the constructor checks it: ``> 0``, so NaN
-        is rejected and ``inf`` allowed.  Whether it is ``symmetric`` is
-        worked out from the new weights; the rows' head lists and bounds are
-        this graph's own."""
+        is rejected and ``inf`` allowed.  The rows' head lists and bounds
+        and the in-rows' order are this graph's own, and it is ``symmetric``
+        when every arc's reverse is an arc of the same new weight."""
         tails, heads, _ = self._arcs
         weights = np.array(weights, dtype=float)
         if weights.shape != tails.shape:
@@ -210,6 +223,9 @@ class Digraph:
             k = int(np.argmin(positive))
             arc = self._vertices[tails[k]], self._vertices[heads[k]]
             raise ValueError(f"arc {arc!r} has non-positive weight {weights[k]}")
+        out, into, back = self._shape
+        if back is None:  # laid out on a promise of symmetry
+            self._shape = out, into, _arc_order(heads, tails, len(self._vertices))
         return Digraph._from_arcs(self._vertices, tails, heads, weights, shape=self._shape)
 
     @property
@@ -303,22 +319,20 @@ def _bucket_pairs(bucket_of: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray
     return i[keep], j[keep]
 
 
-def _sorted_arcs(
-    frm: np.ndarray, to: np.ndarray, weights: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arc arrays in ascending (frm, to) order, both indices below ``n``:
-    one stable sort of the key ``frm * n + to``."""
-    by = np.argsort(frm * n + to, kind="stable")
-    return frm[by], to[by], weights[by]
+def _arc_order(frm: np.ndarray, to: np.ndarray, n: int) -> np.ndarray:
+    """The indices of the arcs in ascending (frm, to) order, both indices
+    below ``n``: one stable sort of the key ``frm * n + to``."""
+    return np.argsort(frm * n + to, kind="stable")
 
 
 def _checked_arcs(
     vertices: tuple, tails: np.ndarray, heads: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """In-range arcs sorted by ``_sorted_arcs``; the first bad one in that
-    order raises, as a self-loop, a repeat of the arc before it, or a weight
-    not ``> 0``, in that order of precedence."""
-    tails, heads, weights = _sorted_arcs(tails, heads, weights, len(vertices))
+    """In-range arcs in ascending (tail, head) order (``_arc_order``); the
+    first bad one in that order raises, as a self-loop, a repeat of the arc
+    before it, or a weight not ``> 0``, in that order of precedence."""
+    by = _arc_order(tails, heads, len(vertices))
+    tails, heads, weights = tails[by], heads[by], weights[by]
     loop = tails == heads
     again = np.zeros_like(loop)
     again[1:] = (tails[1:] == tails[:-1]) & (heads[1:] == heads[:-1])
@@ -472,9 +486,17 @@ def build_unit_disk_digraph(
     heads = rank[np.concatenate((j[fwd], i[bwd]))]
     weights = np.concatenate((w[fwd], w[bwd]))
     del i, j, d, w, fwd, bwd
-    # symmetric arcs come in pairs of equal weight, so both directions read alike
+    by = _arc_order(tails, heads, len(vertices))
+    back = None
+    if symmetric:
+        # symmetric arcs come in pairs of equal weight, so both directions
+        # read alike; before the sort, arc k's reverse is arc k + pairs
+        pairs = len(by) // 2
+        place = np.empty_like(by)
+        place[by] = np.arange(len(by))
+        back = place[np.where(by < pairs, by + pairs, by - pairs)]
     return Digraph._from_arcs(
-        vertices, *_sorted_arcs(tails, heads, weights, len(vertices)), symmetric
+        vertices, tails[by], heads[by], weights[by], symmetric, back=back
     )
 
 

@@ -134,7 +134,9 @@ class DualArc(NamedTuple):
 
     A ``NamedTuple``: the dual graph builds one per crossed cell pair (3,004
     on the 256-cell field), and a tuple costs a fraction of a frozen
-    dataclass's ``__init__``.  Construction and equality are by its fields."""
+    dataclass's ``__init__``; it builds them through ``tuple.__new__``,
+    which also skips the NamedTuple's Python-level ``__new__``.
+    Construction and equality are by its fields."""
 
     src: NodeId
     dst: NodeId
@@ -229,7 +231,9 @@ def build_boundary_dual_graph(g: Digraph, cells: BoundaryCellMap) -> BoundaryDua
     src = list(map(seeds.__getitem__, cell[u].tolist()))
     dst = list(map(seeds.__getitem__, cell[v].tolist()))
     crossed = zip(map(vertices.__getitem__, u.tolist()), map(vertices.__getitem__, v.tolist()))
-    arcs = dict(zip(zip(src, dst), map(DualArc, src, dst, weight.tolist(), crossed)))
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    fields = zip(src, dst, weight.tolist(), crossed)
+    arcs = dict(zip(zip(src, dst), map(tuple.__new__, repeat(DualArc), fields)))
     return BoundaryDualGraph(cells=seeds, arcs=arcs, cell_graph=cell_graph, graph=graph)
 
 

@@ -76,13 +76,19 @@ Model notes:
     one sensor) at a time, against one window of the band's points; a point
     outside a sensor's own window or bands fails its test, so each sensor
     covers the same points as in a test of its own window alone.
-  * Ledger layout.  Each sensor's spends are one flat [tx, rx, sense, sleep]
-    list in EnergyLedger.rows, indexed by the slots the charges carry.  Only
-    the epoch step works on those rows directly: it replays accrue, charge
-    and remaining, with the same drain watts and the same energy.spent, so
-    both give the same bits.  A report sums its interval row from its own
-    ledger snapshot, in sensor order, and its packet counts from the session
-    records.
+  * Ledger layout.  deploy numbers the sensors 0..n-1, so a sensor's id is
+    its index.  EnergyLedger.rows is one (n, 4) float64 array, row v holding
+    sensor v's spends [tx, rx, sense, sleep], indexed by the slots the
+    charges carry; each sensor's mode, mode start, liveness and due time
+    (inf for none) are arrays of n too.  The scalar settle reads and writes
+    them one sensor at a time through memoryviews of the same buffers, and
+    the ledger's own methods bill it.  The t = 0 settle, init and the
+    reports replay that arithmetic on arrays of sensors, and the epoch step
+    on blocks of rows, each with the same drain watts, the same operations
+    in the same order and the same energy.spent, so all give the same bits.
+    A report sums its interval row over the rows in sensor order, one add
+    at a time, and its packet counts from the session records; every value
+    that reaches a report is a Python int or float.
 """
 
 import math
@@ -225,6 +231,22 @@ def _tiled_sums(start: float, adds: np.ndarray, k: int) -> np.ndarray:
     return np.add.accumulate(acc, out=acc)
 
 
+def _tick_times(start: float, step: float, end: float) -> np.ndarray:
+    """``start``, then each sum of the last one and ``step`` while below
+    ``end``, added one at a time as a Python ``+=`` loop would; ``start``
+    even if it is not below ``end``."""
+    count = max(2, int((end - start) / step) + 2)
+    while True:
+        acc = np.full(count, step)
+        acc[0] = start
+        np.add.accumulate(acc, out=acc)
+        # the sums ascend, so those below end are a prefix
+        k = 1 + int(np.searchsorted(acc[1:], end))
+        if k < count:
+            return acc[:k]
+        count *= 2
+
+
 def _ticks_before_death(balance: np.ndarray, spend: np.ndarray, drain: float,
                         ticks: int) -> int:
     """How many of ``ticks`` ticks pass before the first in which one of the
@@ -256,9 +278,14 @@ def _last_due_write(neg: np.ndarray, bar: float) -> int | None:
 class _Run:
     """Single-run engine; builds everything in __init__ and leaves a report.
 
-    ``_due[v]`` is live node v's projected drain death, its only record,
-    which goes when v dies.  The loop settles the smallest due time through
-    ``_impulse``.  The session records hold the only packet counts.
+    Per-sensor state is arrays indexed by sensor id: ``mode`` (int8, SENSE
+    or SLEEP, kept after death), ``mode_since``, ``alive`` (with ``live``,
+    its count) and ``due``, and the ledger's ``rows``.  ``_mode``,
+    ``_since``, ``_alive`` and ``_due`` are memoryviews of the same buffers,
+    for the scalar settle.  ``due[v]`` is live node v's projected drain
+    death, its only record, ``inf`` for none and once v dies.  The loop
+    settles the smallest due time, the smallest id among equal ones,
+    through ``_impulse``.  The session records hold the only packet counts.
 
     The loop hands each run of ticks before the next other event and before
     the smallest due time to ``_bulk_ticks``, which applies the ticks of an
@@ -269,11 +296,13 @@ class _Run:
     arithmetic on ticks where it neither kills a node nor settles a due time.
 
     ``_impulse`` settles through ``EnergyLedger.accrue``, ``charge`` and
-    ``remaining``, which check every flood charge as init bills it.  Only
-    the epoch step (``_bulk_ticks`` and its ``_bulk_block``) works on the
-    ledger rows directly, with the same arithmetic in the same order, so the
-    hop charges it bills are checked once at setup.  Reports read the ledger
-    only through ``snapshot``.
+    ``remaining``.  ``_settle`` and ``_accrue`` replay it on arrays of
+    sensors for t = 0, init and the reports, and the epoch step
+    (``_bulk_ticks`` and its ``_bulk_block``) on blocks of rows, each with
+    the same arithmetic in the same order; init checks its flood charges
+    with ``EnergyLedger.check_charges`` and setup the hop charges, each as
+    ``charge`` would.  Reports read the ledger through ``snapshot`` and
+    ``rows``.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int):
@@ -291,15 +320,25 @@ class _Run:
         self.g = build_unit_disk_digraph(
             [self.nodes[v] for v in sorted(self.nodes)], symmetric=True
         )
+        # deploy numbers the sensors 0..n-1 (the sink is n), so a sensor's id
+        # is its index into the ledger rows and every per-sensor array
         self.ledger = EnergyLedger(self.sensors, config.battery_j)
         self.rows = self.ledger.rows
         self.budget = self.ledger.budget_j
-
-        self.mode: dict[NodeId, int] = {}  # SENSE or SLEEP; kept after death
-        self.mode_since: dict[NodeId, float] = {}
-        self.alive: set[NodeId] = set(self.sensors)
+        n = len(self.sensors)
+        self.mode = np.full(n, SLEEP, dtype=np.int8)  # SENSE or SLEEP; kept after death
+        self.mode_since = np.zeros(n)
+        self.alive = np.ones(n, dtype=bool)
+        self.live = n  # the count of True in alive
+        self.due = np.full(n, math.inf)  # projected drain death; inf: none
+        # the same buffers, read and written one node at a time
+        self._mode, self._since, self._alive, self._due = map(
+            memoryview, (self.mode, self.mode_since, self.alive, self.due))
+        # drain watts by ledger slot, for SENSE and SLEEP
+        self._drain = np.full(len(LEDGER_MODES), math.nan)
+        for slot, watts in self.params.drain_w.items():
+            self._drain[slot] = watts
         self.deaths: list[tuple[float, NodeId]] = []
-        self._due: dict[NodeId, float] = {}
         self.now = 0.0
         self.intervals: list[IntervalRow] = []
         self.ledger_snapshots: list[tuple[float, list]] = []
@@ -355,16 +394,15 @@ class _Run:
         bounds = np.searchsorted(band(ys), np.arange(bands + 1)).tolist()
         sx = np.array([self.nodes[v].x for v in self.sensors])
         sy = np.array([self.nodes[v].y for v in self.sensors])
-        order = np.argsort(sx, kind="stable")
-        sx, sy = sx[order], sy[order]
-        sensors = [self.sensors[k] for k in order.tolist()]
+        sensors = np.argsort(sx, kind="stable")  # ids, as ids are indices
+        sx, sy = sx[sensors], sy[sensors]
         low, high = band(sy - pad), band(sy + pad)
-        self._covers: dict[NodeId, list[tuple[int, int, np.ndarray]]] = {v: [] for v in sensors}
+        self._covers: list[list[tuple[int, int, np.ndarray]]] = [[] for _ in self.sensors]
         self._cover_count = np.zeros(COVERAGE_SAMPLES, dtype=np.int32)
         for b, (start, stop) in enumerate(zip(bounds, bounds[1:])):
             meet = np.flatnonzero((low <= b) & (b <= high))
             mx, my = sx[meet], sy[meet]
-            names = list(map(sensors.__getitem__, meet.tolist()))
+            names = sensors[meet].tolist()
             # both ascend, since the sensors do
             lo = (np.searchsorted(xs[start:stop], mx - pad) + start).tolist()
             hi = (np.searchsorted(xs[start:stop], mx + pad, "right") + start).tolist()
@@ -388,12 +426,14 @@ class _Run:
 
     def _setup_protocol(self):
         sink_nb = neighborhoods(self.g, self.sink).all_nodes
-        self.init_active = frozenset(v for v in sink_nb if v != self.sink)
+        # the sensors that sense from t = 0 to init
+        self.init_active = np.array(sorted(sink_nb - {self.sink}), dtype=np.intp)
         self.tables = None
         self.flood_stats: FloodStats | None = None
         self.flood_trace_rows: list = []
         self.d_char: float | None = None
-        self._flood_charges: list[tuple[NodeId, float, float]] = []
+        # (ledger slot, joules per sensor) of the flood charges init bills
+        self._flood_charges: list[tuple[int, np.ndarray]] = []
 
         if self.config.protocol == "mte":
             self.tables = build_mte_table(self.g, self.sink, self.alpha)
@@ -421,9 +461,10 @@ class _Run:
             top = self.params.level_count - 1
             tx1 = tx_energy(self.bits, top, self.params)
             rx1 = rx_energy(self.bits, self.params)
+            states = [result.states[v] for v in self.sensors]
             self._flood_charges = [
-                (v, result.states[v].tx_count * tx1, result.states[v].rx_count * rx1)
-                for v in self.sensors
+                (TX, np.array([st.tx_count for st in states], dtype=float) * tx1),
+                (RX, np.array([st.rx_count for st in states], dtype=float) * rx1),
             ]
         elif self.config.protocol == "merr":
             self.d_char = characteristic_distance(
@@ -474,33 +515,28 @@ class _Run:
         # source-id order in which a tick sends
         self._senders = sorted(senders, key=lambda s: s[0].source)
 
+        # each sensor's mode after init: under res, SENSE on a route only
+        self.duty = np.full(len(self.sensors), SENSE, dtype=np.int8)
         if self.config.protocol == "res":
-            duty = {v for rec, _ in senders for v in rec.vertices}
-            self.duty = frozenset(duty - {self.sink})
-        else:
-            self.duty = frozenset(self.sensors)
+            on_routes = {v for rec, _ in senders for v in rec.vertices} - {self.sink}
+            self.duty[:] = SLEEP
+            self.duty[list(on_routes)] = SENSE
 
     def _setup_modes(self):
-        for v in self.sensors:
-            self.mode[v] = SENSE if v in self.init_active else SLEEP
-            self.mode_since[v] = 0.0
-            self._impulse(v, self.mode[v], 0.0)
+        """Each sensor's first mode from t = 0, and the t = 0 settle."""
+        self.mode[self.init_active] = SENSE
+        for v in self._settle(np.arange(len(self.sensors))):
+            self._kill(v)
         self._report()
 
-    def _timeline(self) -> tuple[list[float], list[tuple[float, int]]]:
+    def _timeline(self) -> tuple[np.ndarray, list[tuple[float, int]]]:
         """Every event but the deaths: the tick times, and the init and report
         events as sorted (time, kind) pairs."""
-        t = t_init = self.config.init_phase_s
+        t_init = self.config.init_phase_s
         # t_init always sends (it lies inside the run); each later instant adds
         # 1 / rate to the previous one, which gives other floats than
         # t_init + k / rate
-        step = 1.0 / self.config.packet_rate_hz
-        ticks = []
-        while True:
-            ticks.append(t)
-            t += step
-            if not t < self.duration - 1e-9:
-                break
+        ticks = _tick_times(t_init, 1.0 / self.config.packet_rate_hz, self.duration - 1e-9)
         interval = self.config.report_interval_s
         events = [(t_init, INIT)]
         k = 1
@@ -511,59 +547,88 @@ class _Run:
         return ticks, sorted(events)
 
     # -- accounting ------------------------------------------------------
-    # Callers pass live nodes only.
+    # Callers pass live nodes only.  The scalar settle (_accrue_to, _impulse)
+    # works one node at a time through the memoryviews; _accrue and _settle
+    # replay it on an array of nodes, elementwise, in the same operation order.
 
     def _accrue_to(self, v: NodeId, t: float):
-        dur = t - self.mode_since[v]
+        since = self._since
+        dur = t - since[v]
         if dur > 0:
-            self.ledger.accrue(v, self.mode[v], dur, self.params)
-            self.mode_since[v] = t
-
-    def _set_mode(self, v: NodeId, m: int):
-        if v not in self.alive:
-            return
-        self._accrue_to(v, self.now)
-        if self.mode[v] != m:
-            self.mode[v] = m
-            self._impulse(v, m, 0.0)
+            self.ledger.accrue(v, self._mode[v], dur, self.params)
+            since[v] = t
 
     def _impulse(self, v: NodeId, slot: int, joules: float):
         """Settle a live node: accrue its drain, bill the charge (zero for a
-        due death, a mode switch or t = 0), then kill it or project its drain
-        death."""
+        due death), then kill it or project its drain death."""
         now = self.now
         self._accrue_to(v, now)
         self.ledger.charge(v, slot, joules)
         remaining = self.ledger.remaining(v)
         if remaining <= DEATH_EPSILON_J:
-            self.alive.discard(v)
-            self._due.pop(v, None)
-            self.deaths.append((now, v))
-            for lo, hi, covered in self._covers[v]:
-                self._cover_count[lo:hi] -= covered
+            self._kill(v)
             return
         # remaining > DEATH_EPSILON_J, so t >= now
-        t = now + remaining / self.params.drain_w[self.mode[v]]
-        if t <= self.duration:
-            due = self._due.get(v)
-            if due is None or t < due - 1.0:
-                self._due[v] = t
+        t = now + remaining / self.params.drain_w[self._mode[v]]
+        if t <= self.duration and t < self._due[v] - 1.0:
+            self._due[v] = t
+
+    def _kill(self, v: NodeId):
+        """Record live node v's death at the current time."""
+        self._alive[v] = False
+        self._due[v] = math.inf
+        self.live -= 1
+        self.deaths.append((self.now, v))
+        for lo, hi, covered in self._covers[v]:
+            self._cover_count[lo:hi] -= covered
+
+    def _accrue(self, nodes: np.ndarray):
+        """``_accrue_to(v, now)`` for each node of ``nodes``."""
+        now = self.now
+        dur = now - self.mode_since[nodes]
+        accrued = dur > 0
+        nodes, dur = nodes[accrued], dur[accrued]
+        modes = self.mode[nodes]
+        self.rows[nodes, modes] += self._drain[modes] * dur
+        self.mode_since[nodes] = now
+
+    def _settle(self, nodes: np.ndarray, slot: int | None = None,
+                joules: np.ndarray | None = None) -> list[NodeId]:
+        """``_impulse`` on each node of ``nodes``, ascending live ids, with a
+        charge of ``joules`` to ``slot`` each, or none, as a zero charge
+        changes no bit.  Those at or below DEATH_EPSILON_J leave ``alive``
+        and are returned, ascending, for the caller to ``_kill`` in its
+        order; the others project their drain deaths by the 1 s rule."""
+        now = self.now
+        self._accrue(nodes)
+        if slot is not None:
+            self.rows[nodes, slot] += joules
+        remaining = self.ledger.remaining_of(self.rows[nodes])
+        dead = remaining <= DEATH_EPSILON_J
+        died = nodes[dead]
+        self.alive[died] = False
+        nodes, remaining = nodes[~dead], remaining[~dead]
+        t = now + remaining / self._drain[self.mode[nodes]]
+        due = (t <= self.duration) & (t < self.due[nodes] - 1.0)
+        self.due[nodes[due]] = t[due]
+        return died.tolist()
 
     # -- event handlers ----------------------------------------------------
 
     def _loop(self):
         # Every tick and every due time falls at or before the last report,
         # at the run's end, so both are spent once the events are.
-        ticks, events = self._timeline()
-        due = self._due
+        times, events = self._timeline()
+        ticks = times.tolist()
+        due = self.due
         i = 0
         for t, kind in events:
             # the ticks before this event: init < tick < report at one time
             end = (bisect_left if kind == INIT else bisect_right)(ticks, t, i)
             while i < end:
                 stop = bisect_left(ticks, self._settle_due(ticks[i]), i, end)
-                i += self._bulk_ticks(ticks[i:stop])
-                if i < end and ticks[i] < min(due.values(), default=math.inf):
+                i += self._bulk_ticks(times[i:stop])
+                if i < end and ticks[i] < due.min():
                     # the tick in which a node dies
                     self.now = ticks[i]
                     self._handle_tick()
@@ -577,35 +642,41 @@ class _Run:
 
     def _settle_due(self, t: float) -> float:
         """Settle every due time at or before t: smallest time first, then
-        smallest node id.  Returns the smallest due time left (inf if none)."""
-        due = self._due
-        while (td := min(due.values(), default=math.inf)) <= t:
-            v = min(u for u, tu in due.items() if tu == td)
-            del due[v]
+        smallest node id, the first minimum ``argmin`` finds.  Returns the
+        smallest due time left (inf if none)."""
+        due, at = self.due, self._due
+        while (td := at[v := int(due.argmin())]) <= t:
+            at[v] = math.inf
             self.now = td
-            self._impulse(v, self.mode[v], 0.0)
+            self._impulse(v, self._mode[v], 0.0)
         return td
 
     def _handle_init(self):
+        """Replay init's scalar loops on arrays: every live sensor accrues,
+        then takes its region flood charges at TX and at RX (a charge of 0.0
+        is none), then switches to its duty mode.  Each step settles as
+        ``_impulse`` does, and a node that dies in one takes no later step.
+        The deaths go in the scalar order: those of the flood charges by
+        id, then those of the switch by id."""
         # region flood setup messages are paid at the end of the init phase
-        alive = self.alive
-        for u, txj, rxj in self._flood_charges:
-            if u not in alive:
-                continue
-            if txj:
-                self._impulse(u, TX, txj)
-            if rxj and u in alive:
-                self._impulse(u, RX, rxj)
-        for v in self.sensors:
-            self._set_mode(v, SENSE if v in self.duty else SLEEP)
+        self._accrue(np.flatnonzero(self.alive))
+        dead = []
+        for slot, joules in self._flood_charges:
+            nodes = np.flatnonzero(self.alive & (joules != 0))
+            self.ledger.check_charges(nodes, slot, joules[nodes])
+            dead += self._settle(nodes, slot, joules[nodes])
+        switch = np.flatnonzero(self.alive & (self.mode != self.duty))
+        self.mode[switch] = self.duty[switch]
+        for v in [*sorted(dead), *self._settle(switch)]:
+            self._kill(v)
 
     def _handle_tick(self):
-        alive = self.alive
+        alive = self._alive
         impulse = self._impulse
         for rec, charges in self._senders:
             rec.generated += 1
             for v, slot, joules in charges:
-                if v not in alive:
+                if not alive[v]:
                     break  # dropped; a dead receiver wastes the transmission to it
                 impulse(v, slot, joules)
                 rec.energy_j += joules
@@ -616,32 +687,35 @@ class _Run:
         """What each tick charges while the alive set stays as it is.
 
         Returns ``(groups, sessions)``.  ``groups`` maps c to the charged
-        nodes that take c charges a tick, each as ``(v, slots, joules)``: the
-        ledger slot and the joules of each of its charges, in sender order.
-        Every charged node senses: it lies on a route, so it is in ``duty``,
-        and INIT, which comes before every tick and is the last mode switch,
-        set it to SENSE.  Per sender, ``sessions`` holds ``(record, joules
-        of its charges up to the first dead node, whether that is all of
-        them)``.
+        nodes that take c charges a tick, as arrays ``(ids, slots,
+        joules)``: their ids, and per id the ledger slot and the joules of
+        each of its c charges, in sender order.  Every charged node senses:
+        it lies on a route, so its ``duty`` mode is SENSE, and INIT, which
+        comes before every tick and is the last mode switch, set it.  Per
+        sender, ``sessions`` holds ``(record, joules of its charges up to
+        the first dead node, whether that is all of them)``.
         """
-        alive = self.alive
+        alive = self._alive
         charged: dict[NodeId, list[tuple[int, float]]] = {}
         sessions = []
         for rec, charges in self._senders:
             prefix = []
             for v, slot, joules in charges:
-                if v not in alive:
+                if not alive[v]:
                     break
                 charged.setdefault(v, []).append((slot, joules))
                 prefix.append(joules)
             sessions.append((rec, np.array(prefix), len(prefix) == len(charges)))
-        groups: dict[int, list] = {}
+        members: dict[int, list] = {}
         for v, node_charges in charged.items():
-            slots, joules = zip(*node_charges)
-            groups.setdefault(len(slots), []).append((v, slots, joules))
+            members.setdefault(len(node_charges), []).append((v, *zip(*node_charges)))
+        groups = {}
+        for c, group in members.items():
+            ids, slots, joules = zip(*group)
+            groups[c] = (np.array(ids, dtype=np.intp), np.array(slots), np.array(joules))
         return groups, sessions
 
-    def _bulk_ticks(self, ticks: list[float]) -> int:
+    def _bulk_ticks(self, ticks: np.ndarray) -> int:
         """Apply the leading ticks of ``ticks`` at once; returns how many.
 
         The ticks hold no other event and fall before every due time, so
@@ -661,7 +735,9 @@ class _Run:
         the lowered limit.  Otherwise it keeps its cells' values after tick
         K and each row's last due-time write before the end of tick K.  An
         early estimate ends the epoch early; the loop replays the next tick
-        through ``_handle_tick``, in which no node dies.
+        through ``_handle_tick``, in which no node dies.  A group's rows are
+        gathered by one index array, and the kept cells, mode starts and due
+        times scattered back by the blocks' ids.
 
         Why the bits hold.  A prefix of ``np.add.accumulate`` (and of
         ``np.maximum.accumulate``) equals the accumulate of that prefix, and
@@ -674,53 +750,45 @@ class _Run:
         is confirmed.  Every block kept computed exactly K ticks, a prefix of
         what it would compute over the whole run of ticks, so it holds the
         values the scalar path computes, and the last write of a row's chain
-        over those ticks is the scalar due time.  ``_due`` may take its
-        entries in another insertion order than tick by tick, which is
-        harmless: ``_settle_due`` reads only minima.
+        over those ticks is the scalar due time.
         """
         groups, sessions = self._charge_plan()
-        T = np.array(ticks)
         K = len(ticks)
-        rows, mode_since, due = self.rows, self.mode_since, self._due
+        rows, mode_since, due = self.rows, self.mode_since, self.due
         w = self.params.drain_w[SENSE]
         plans = []
-        for c, members in groups.items():
-            start = np.array([rows[v] for v, _, _ in members])
+        for c, (ids, slots, joules) in groups.items():
+            start = rows[ids]
             # the drain at each node's first charge, w * (t - mode_since)
-            first_drain = w * (T[0] - np.array([mode_since[v] for v, _, _ in members]))
-            slots = np.array([s for _, s, _ in members])
-            joules = np.array([j for _, _, j in members])
+            first_drain = w * (ticks[0] - mode_since[ids])
             balance = self.budget - start.sum(axis=1) - first_drain
             K = min(K, _ticks_before_death(
                 balance, joules.sum(axis=1), w / self.config.packet_rate_hz, K))
-            plans.append((c, members, start, first_drain, slots, joules))
-        wdT = w * np.diff(T)
+            plans.append((c, ids, start, first_drain, slots, joules))
+        wdT = w * np.diff(ticks)
         # a block that lowers K keeps nothing, and then every block runs
         # again at the lowered K, which none can lower
         offered = None
         while K != offered:
             offered, kept = K, []
-            for c, members, *arrays in plans:
+            for c, ids, *arrays in plans:
                 # split rows, never ticks: each block's arrays hold about
                 # BLOCK_PLACES floats, or one row if that is longer
                 i = 0
-                while i < len(members) and K:
+                while i < len(ids) and K:
                     size = max(1, BLOCK_PLACES // (K * c + 1))
-                    block = members[i : i + size]
+                    block = ids[i : i + size]
                     K, ends, dues = self._bulk_block(
-                        block, c, *(a[i : i + size] for a in arrays), T, wdT, K)
+                        block, c, *(a[i : i + size] for a in arrays), ticks, wdT, K)
                     kept.append((block, ends, dues))
                     i += size
         if not K:
             return 0
-        last = ticks[K - 1]
-        for block, ends, dues in kept:
+        for block, ends, (writers, times) in kept:
             for slot, end in ends.items():
-                for (v, _, _), x in zip(block, end):
-                    rows[v][slot] = x
-            for v, _, _ in block:
-                mode_since[v] = last
-            due.update(dues)
+                rows[block, slot] = end
+            mode_since[block] = ticks[K - 1]
+            due[writers] = times
         for rec, joules, delivered in sessions:
             rec.generated += K
             if len(joules):
@@ -729,22 +797,23 @@ class _Run:
                 rec.delivered += K
         return K
 
-    def _bulk_block(self, block: list, c: int, start: np.ndarray,
+    def _bulk_block(self, block: np.ndarray, c: int, start: np.ndarray,
                     first_drain: np.ndarray, slots: np.ndarray, joules: np.ndarray,
-                    T: np.ndarray, wdT: np.ndarray, K: int) -> tuple[int, dict, list]:
-        """One block of ``_bulk_ticks``: the nodes of ``block``, each sensing
-        and taking c charges a tick, over the first K ticks of T; ``start``
-        holds their ledger rows, ``first_drain`` the drain at their first
-        charge, ``slots`` and ``joules`` their charges, and ``wdT`` the sense
-        drain between consecutive ticks.
+                    T: np.ndarray, wdT: np.ndarray, K: int) -> tuple[int, dict, tuple]:
+        """One block of ``_bulk_ticks``: the nodes whose ids ``block`` holds,
+        each sensing and taking c charges a tick, over the first K ticks of
+        T; ``start`` holds their ledger rows, ``first_drain`` the drain at
+        their first charge, ``slots`` and ``joules`` their charges, and
+        ``wdT`` the sense drain between consecutive ticks.
 
         Returns ``(limit, ends, dues)``.  If a balance of the block reaches
         DEATH_EPSILON_J in one of the K ticks, the limit is the first such
         tick and the rest is empty: nothing computed past it is kept.
         Otherwise the limit is K, ``ends`` maps each cell the block touches
-        to its values at the end of tick K, in block order, and ``dues``
-        holds ``(v, due time)`` for each row whose last due-time write falls
-        in those K ticks.
+        to its values at the end of tick K, in block order, each array a
+        copy that holds no block buffer, and ``dues`` is ``(ids, times)``,
+        the due time of each row whose last due-time write falls in those K
+        ticks.
         """
         r = len(block)
         w = self.params.drain_w[SENSE]
@@ -778,8 +847,8 @@ class _Run:
         dead = ticks_end <= DEATH_EPSILON_J
         hit = dead.any(axis=1)
         if hit.any():
-            return int(dead.argmax(axis=1)[hit].min()), {}, []
-        thresholds = np.array([self._due.get(v, math.inf) for v, _, _ in block]) - 1.0
+            return int(dead.argmax(axis=1)[hit].min()), {}, ()
+        thresholds = self.due[block] - 1.0
         # No projection of a row lies below T[0] plus its balance at the end
         # of tick K over w, as T ascends, balances fall and rounding is
         # monotone: a row whose floor is not below its threshold, or lies
@@ -787,7 +856,7 @@ class _Run:
         floor = T[0] + ticks_end[:, -1] / w
         writers = np.flatnonzero((floor < thresholds) & (floor <= self.duration))
         n = len(writers)
-        dues = []
+        ids, times = block[:0], floor[:0]
         if n:
             # each projection is _impulse's, T + balance / w, negated, in its
             # operation order, computed in one buffer in place: the sum
@@ -812,31 +881,28 @@ class _Run:
             # No write stops the epoch: a due time written at or before the
             # next tick means the drain alone empties that battery by that
             # tick, so the dead test stops the epoch there first.
-            for k in np.flatnonzero(neg[:, -1] > bars).tolist():
-                at = _last_due_write(neg[k], bars[k])
-                dues.append((block[int(writers[k])][0], -float(neg[k, at])))
-        return K, {s: end[:, -1].tolist() for s, end in ends.items()}, dues
+            hits = np.flatnonzero(neg[:, -1] > bars)
+            at = [_last_due_write(neg[k], bars[k]) for k in hits.tolist()]
+            ids, times = block[writers[hits]], -neg[hits, at]
+        return K, {s: end[:, -1].copy() for s, end in ends.items()}, (ids, times)
 
     def _report(self):
-        """Accrue the alive nodes, then snapshot the ledger and sum its row."""
+        """Accrue the alive nodes, then snapshot the ledger and sum its
+        columns and its rows' totals in sensor order, one add at a time."""
         now = self.now
-        for v in self.alive:
-            self._accrue_to(v, now)
-        snapshot = self.ledger.snapshot()
-        self.ledger_snapshots.append((now, snapshot))
-        tx = rx = sense = sleep = total = 0.0
-        for _, txj, rxj, sensej, sleepj, _ in snapshot:
-            tx += txj
-            rx += rxj
-            sense += sensej
-            sleep += sleepj
-            total += spent(txj, rxj, sensej, sleepj)
+        self._accrue(np.flatnonzero(self.alive))
+        self.ledger_snapshots.append((now, self.ledger.snapshot()))
+        rows = self.rows
+        sums = np.zeros((len(rows) + 1, len(LEDGER_MODES) + 1))
+        sums[1:, :-1] = rows
+        sums[1:, -1] = spent(*rows.T)
+        tx, rx, sense, sleep, total = np.add.accumulate(sums, out=sums)[-1].tolist()
         generated = sum(rec.generated for rec in self.records)
         delivered = sum(rec.delivered for rec in self.records)
         self.intervals.append(IntervalRow(
             t_s=now,
             coverage_pct=self._coverage_pct(),
-            alive=len(self.alive),
+            alive=self.live,
             generated=generated,
             delivered=delivered,
             delivery_ratio=delivered / generated if generated else 0.0,

@@ -116,7 +116,7 @@ def test_mode_accrual_rejections():
             ledger.accrue(0, slot, 1.0, PARAMS)
     with pytest.raises(ValueError, match="no ledger entry"):
         ledger.accrue(9, SENSE, 1.0, PARAMS)
-    assert ledger.rows[0] == [0.0, 0.0, 0.0, 0.0]
+    assert ledger.rows[0].tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("slot, mw", [(SENSE, "p_sense_mw"), (SLEEP, "p_sleep_mw")])
@@ -171,7 +171,7 @@ def test_charge_rejections_match_check_charge():
             ledger.accrue(0, SENSE, duration, PARAMS)
     assert ledger.check_charge(0, RX, 0.1) is None
     assert ledger.total_spent(0) == 0.0
-    assert ledger.rows[0] == [0.0, 0.0, 0.0, 0.0]
+    assert ledger.rows[0].tolist() == [0.0, 0.0, 0.0, 0.0]
     for budget in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="budget must be > 0"):
             EnergyLedger([0], budget_j=budget)
@@ -185,7 +185,7 @@ def test_ledger_rejects_string_modes(mode):
             call(0, mode, 0.1)
     with pytest.raises(ValueError, match="SENSE or SLEEP"):
         ledger.accrue(0, mode, 1.0, PARAMS)
-    assert ledger.rows[0] == [0.0, 0.0, 0.0, 0.0]
+    assert ledger.rows[0].tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_ledger_rows_are_flat_mode_lists():
@@ -194,9 +194,65 @@ def test_ledger_rows_are_flat_mode_lists():
     ledger = EnergyLedger([0], budget_j=1.0)
     ledger.charge(0, RX, 0.25)
     ledger.accrue(0, SLEEP, 100.0, PARAMS)
-    assert ledger.rows[0] == [0.0, 0.25, 0.0, 0.05]
+    assert ledger.rows[0].tolist() == [0.0, 0.25, 0.0, 0.05]
     assert ledger.remaining(0) == 1.0 - (((0.0 + 0.25) + 0.0) + 0.05)
     assert ledger.total_spent(0) == spent(*ledger.rows[0])
+
+
+def test_ledger_rows_are_one_array_by_node_id():
+    ledger = EnergyLedger([3, 1, np.int64(3)], budget_j=2.0)
+    assert ledger.ids == (1, 3) and all(type(v) is int for v in ledger.ids)
+    rows = ledger.rows
+    assert type(rows) is np.ndarray and rows.dtype == np.float64 and rows.shape == (4, 4)
+    ledger.charge(np.int64(3), TX, 0.5)
+    ledger.accrue(1, SENSE, 10.0, PARAMS)
+    # the methods and the array share one buffer, both ways
+    assert rows.tolist() == [[0.0] * 4, [0.0, 0.0, 0.12, 0.0], [0.0] * 4, [0.5, 0.0, 0.0, 0.0]]
+    rows[1, RX] = 0.25
+    assert ledger.spent_by_mode(1) == {"tx": 0.0, "rx": 0.25, "sense": 0.12, "sleep": 0.0}
+    assert ledger.remaining(1) == 2.0 - spent(0.0, 0.25, 0.12, 0.0)
+    # ids without an entry, inside the array or not, have none
+    for node in (0, 2, 4, -1, -4, 1.0, "1", None):
+        with pytest.raises(ValueError, match="no ledger entry"):
+            ledger.charge(node, TX, 0.1)
+        with pytest.raises(ValueError, match="no ledger entry"):
+            ledger.remaining(node)
+    assert rows.tolist() == [[0.0] * 4, [0.0, 0.25, 0.12, 0.0], [0.0] * 4, [0.5, 0.0, 0.0, 0.0]]
+    snapshot = ledger.snapshot()
+    assert snapshot == [(1, 0.0, 0.25, 0.12, 0.0, ledger.remaining(1)),
+                        (3, 0.5, 0.0, 0.0, 0.0, ledger.remaining(3))]
+    assert all(type(x) is float for row in snapshot for x in row[1:])
+    assert EnergyLedger([], budget_j=1.0).snapshot() == []
+    for ids in (["a"], [0, -1], [0.5], [None]):
+        with pytest.raises(ValueError, match="node ids must be ints >= 0"):
+            EnergyLedger(ids, budget_j=1.0)
+
+
+def test_check_charges_checks_as_check_charge_does():
+    ledger = EnergyLedger([0, 1, 2, 5], budget_j=1.0)
+    rng = np.random.default_rng(3)
+    nodes_pool = np.array([0, 1, 2, 5, 3, 6, 99, -1])
+    joules_pool = np.array([0.0, 0.1, 2.0, -0.1, math.nan, math.inf, -math.inf])
+    for _ in range(400):
+        k = int(rng.integers(0, 4))
+        nodes = rng.choice(nodes_pool[:4] if rng.random() < 0.5 else nodes_pool, k)
+        joules = rng.choice(joules_pool[:3] if rng.random() < 0.5 else joules_pool, k)
+        slot = int(rng.choice([TX, RX, SENSE, SLEEP, 4, -1]))
+        errors = []
+        for v, j in zip(nodes.tolist(), joules.tolist()):
+            try:
+                ledger.check_charge(v, slot, j)
+            except ValueError as exc:
+                errors.append(str(exc))
+        if k == 0 and slot not in (TX, RX, SENSE, SLEEP):
+            errors.append(f"unknown ledger slot {slot!r}")
+        if errors:
+            with pytest.raises(ValueError) as info:
+                ledger.check_charges(nodes, slot, joules)
+            assert str(info.value) in errors
+        else:
+            assert ledger.check_charges(nodes, slot, joules) is None
+    assert ledger.rows.tolist() == [[0.0] * 4] * 6
 
 
 def test_spent_sums_left_to_right_on_floats_and_arrays():

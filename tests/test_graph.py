@@ -1167,3 +1167,75 @@ def test_random_connected_generator(n, seed):
     # symmetric by construction
     for u, v, _ in g.arcs():
         assert g.has_arc(v, u)
+
+
+def mirrored(g):
+    """Whether every arc's reverse is an arc of ``g``."""
+    tails, heads, _ = g.arc_arrays()
+    return {*zip(tails.tolist(), heads.tolist())} == {*zip(heads.tolist(), tails.tolist())}
+
+
+def assert_reweighted_as_back_sort(g, weights):
+    """``g.with_weights(weights)`` against the back sort of a fresh layout:
+    the arcs reversed, put in ascending (tail, head) order by ``np.lexsort``,
+    equal the arcs with their weights exactly when the graph is symmetric,
+    and each vertex's in-row lists the tails of its incoming arcs in that
+    order, with their new weights, bit for bit.  Returns the new graph."""
+    h = g.with_weights(weights)
+    tails, heads, _ = g.arc_arrays()
+    weights = np.array(weights, dtype=float)
+    by = np.lexsort((tails, heads))
+    assert h.symmetric == (mirrored(g) and weights[by].tobytes() == weights.tobytes())
+    in_heads, in_weights = h._in_rows
+    bounds = np.searchsorted(heads[by], np.arange(len(g.vertices) + 1)).tolist()
+    for k, v in enumerate(g.vertices):
+        into = by[bounds[k] : bounds[k + 1]]
+        assert h.in_neighbors(v) == tuple(g.vertices[t] for t in tails[into].tolist())
+        assert bytes(in_weights[k]) == weights[into].tobytes()
+        assert len(in_heads[k]) == len(into)
+    assert_same_adjacency(h, Digraph(g.vertices, dict(zip(
+        ((u, v) for u, v, _ in g.arcs()), weights.tolist()))))
+    return h
+
+
+def test_with_weights_is_symmetric_as_the_back_sort_finds():
+    from regionsim.energy import EnergyParams
+    from regionsim.routing import _or_priced_graph
+    from regionsim.scenario import ScenarioConfig, deploy
+
+    rng = random.Random(61)
+    # a field graph, laid out on the builder's promise of symmetry
+    config = ScenarioConfig()
+    d = deploy(config, 2)
+    g = build_unit_disk_digraph([d.nodes[v] for v in sorted(d.nodes)])
+    lengths = g.arc_arrays()[2].tolist()
+    assert assert_reweighted_as_back_sort(g, [x**2.5 for x in lengths]).symmetric
+    # or's prices: no reception into the sink, so not symmetric
+    priced = _or_priced_graph(g, d.nodes, d.sink_id, EnergyParams(), 2.0, 2000.0)
+    assert not assert_reweighted_as_back_sort(g, priced.arc_arrays()[2]).symmetric
+    # inf on both arcs of a pair keeps the symmetry, on one of them breaks it
+    tails, heads, _ = g.arc_arrays()
+    pair = (tails == tails[0]) & (heads == heads[0]) | (tails == heads[0]) & (heads == tails[0])
+    both = np.where(pair, math.inf, lengths)
+    assert assert_reweighted_as_back_sort(g, both).symmetric
+    one = np.array(lengths)
+    one[0] = math.inf
+    assert not assert_reweighted_as_back_sort(g, one).symmetric
+    # a reweighted graph and a part of one reweight alike
+    h = assert_reweighted_as_back_sort(g, one)
+    assert assert_reweighted_as_back_sort(h, lengths).symmetric
+    part = g.within_parts({v: v % 3 for v in g.vertices})
+    assert assert_reweighted_as_back_sort(part, [1.0] * part.arc_count).symmetric
+    # arc sets without every reverse stay asymmetric whatever their weights
+    graphs = asymmetric_graphs(67)
+    assert sum(not mirrored(a) for a in graphs) >= 20
+    for a in graphs:
+        n = a.arc_count
+        for weights in ([1.0] * n, [rng.uniform(0.5, 2.0) for _ in range(n)], [math.inf] * n):
+            assert_reweighted_as_back_sort(a, weights)
+    # small symmetric builds, without arcs too
+    for n in (1, 2, 5, 30):
+        s = build_unit_disk_digraph(random_layout(rng, n))
+        assert assert_reweighted_as_back_sort(s, [2.0] * s.arc_count).symmetric
+        uneven = [rng.uniform(0.5, 2.0) for _ in range(s.arc_count)]
+        assert assert_reweighted_as_back_sort(s, uneven).symmetric == (s.arc_count == 0)

@@ -232,7 +232,9 @@ def reference_dual_arcs(g, cells):
 def assert_dual_matches_reference(g, cells):
     dual = build_boundary_dual_graph(g, cells)
     want = reference_dual_arcs(g, cells)
-    assert all(type(arc.weight) is float for arc in dual.arcs.values())
+    assert all(type(arc) is DualArc and type(arc.weight) is float for arc in dual.arcs.values())
+    assert all(arc._asdict().keys() == {"src", "dst", "weight", "crossing"}
+               and type(arc.crossing) is tuple for arc in dual.arcs.values())
     assert [(k, a.src, a.dst, a.weight.hex(), a.crossing) for k, a in dual.arcs.items()] == [
         (k, a.src, a.dst, a.weight.hex(), a.crossing) for k, a in want.items()
     ]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regionsim.energy import SENSE, EnergyLedger
+from regionsim.energy import SENSE, SLEEP, EnergyLedger, spent
 from regionsim import sim
 from regionsim.routing import CycleError
 from regionsim.scenario import ScenarioConfig, deploy
@@ -342,11 +342,15 @@ def run_bulk_and_scalar(monkeypatch, config, seed=None):
         handle_tick(self)
 
     def recording_settle(self, t):
-        # only live nodes hold a due time
-        assert set(self._due) <= self.alive
-        dues[-1][t, sum(rec.generated for rec in self.records)] = sorted(self._due.items())
+        # only live nodes hold a due time, and no due time is NaN
+        assert not np.isnan(self.due).any()
+        assert np.isinf(self.due[~self.alive]).all()
+        held = np.flatnonzero(self.due < math.inf).tolist()
+        dues[-1][t, sum(rec.generated for rec in self.records)] = [
+            (v, self.due[v].item()) for v in held]
         left = settle_due(self, t)
-        assert left == min(self._due.values(), default=math.inf)
+        assert type(left) is float
+        assert left == self.due.min()
         return left
 
     monkeypatch.setattr(_Run, "_handle_tick", counting_tick)
@@ -362,6 +366,100 @@ def run_bulk_and_scalar(monkeypatch, config, seed=None):
     # the first run took most ticks in bulk
     assert scalar_ticks[0] < scalar_ticks[1] / 2
     return bulk
+
+
+def scalar_setup_modes(self):
+    """The t = 0 settle as a loop over the sensors through _impulse."""
+    for v in self.sensors:
+        self._mode[v] = SENSE if v in self.init_active else SLEEP
+        self._since[v] = 0.0
+        self._impulse(v, self._mode[v], 0.0)
+    self._report()
+
+
+def scalar_init(self):
+    """Init as loops through _impulse: per sensor in id order, its flood
+    charges at TX and at RX while it lives, then per sensor its accrual and,
+    if its mode changes, the switch."""
+    for v in self.sensors:
+        for slot, joules in self._flood_charges:
+            if joules[v] and self._alive[v]:
+                self._impulse(v, slot, joules[v].item())
+    for v in self.sensors:
+        if self._alive[v]:
+            self._accrue_to(v, self.now)
+            if self._mode[v] != self.duty[v]:
+                self._mode[v] = self.duty[v].item()
+                self._impulse(v, self._mode[v], 0.0)
+
+
+def scalar_report(self):
+    """A report as a loop: accrue each live sensor, then add up the snapshot
+    row by row."""
+    for v in self.sensors:
+        if self._alive[v]:
+            self._accrue_to(v, self.now)
+    snapshot = self.ledger.snapshot()
+    self.ledger_snapshots.append((self.now, snapshot))
+    tx = rx = sense = sleep = total = 0.0
+    for _, txj, rxj, sensej, sleepj, _ in snapshot:
+        tx += txj
+        rx += rxj
+        sense += sensej
+        sleep += sleepj
+        total += spent(txj, rxj, sensej, sleepj)
+    generated = sum(rec.generated for rec in self.records)
+    delivered = sum(rec.delivered for rec in self.records)
+    self.intervals.append(sim.IntervalRow(
+        self.now, self._coverage_pct(), int(np.count_nonzero(self.alive)), generated,
+        delivered, delivered / generated if generated else 0.0, tx, rx, sense, sleep, total))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        *[replace(DRAINING, protocol=p) for p in ("res", "dt", "mte", "merr", "or")],
+        # deaths at init: by the flood's charges, and by drain at the switch
+        replace(DRAINING, battery_j=0.36),
+        replace(DRAINING, battery_j=0.5),
+        replace(DRAINING, protocol="dt", battery_j=0.3605),
+        replace(SMALL, radio_range=50.0, sessions=4, battery_j=0.5),
+        # at t = 0
+        replace(DRAINING, battery_j=0.5e-9),
+        ScenarioConfig(protocol="res", battery_j=3.0, sim_duration_s=1200.0),
+        ScenarioConfig(protocol="res", node_count=280, battery_j=2.0, sim_duration_s=600.0),
+    ],
+    ids=["res", "dt", "mte", "merr", "or", "res-0.36j", "res-0.5j", "dt-0.3605j",
+         "res-sparse-0.5j", "res-t0", "default-res-3j", "dense-res-2j"],
+)
+def test_array_passes_match_scalar_loops(monkeypatch, config):
+    # the t = 0 settle, init and the reports replay _impulse on arrays: the
+    # same run through the loops reports the same state to the last bit, and
+    # holds the same due times at every due settle
+    def state(report):
+        sessions = [(s.generated, s.delivered, s.energy_j) for s in report.sessions]
+        return repr((report.deaths, report.ledger_snapshots, sessions, report.intervals))
+
+    dues = []
+    settle_due = _Run._settle_due
+
+    def recording_settle(self, t):
+        dues[-1].append((t, self.due.tobytes(), self.alive.tobytes(), self.mode.tobytes()))
+        return settle_due(self, t)
+
+    monkeypatch.setattr(_Run, "_settle_due", recording_settle)
+    runs = []
+    for passes in ((), ("_setup_modes", "_handle_init", "_report")):
+        loops = {"_setup_modes": scalar_setup_modes, "_handle_init": scalar_init,
+                 "_report": scalar_report}
+        for name in passes:
+            monkeypatch.setattr(_Run, name, loops[name])
+        dues.append([])
+        runs.append(run(config))
+    array, scalar = runs
+    assert state(array) == state(scalar)
+    assert dues[0] == dues[1]
+    assert array.deaths
 
 
 # multi-hop mte routes of 4 to 23 hops, so charge counts per node vary
@@ -429,7 +527,7 @@ def record_epochs(monkeypatch):
 
     def recording_block(self, block, c, *arrays):
         passes = epochs[-1][1]
-        first = block[0][0]
+        first = int(block[0])
         if not passes or first == passes[0][0][0]:
             passes.append([])
         passes[-1].append([first, arrays[-1], None, []])
@@ -566,7 +664,7 @@ def test_due_write_replay_stops_at_the_first_dead_tick(monkeypatch):
     # three sources die by charge at the tick of 429 s, 128 ticks into an
     # epoch offered 152
     assert report.deaths[:3] == [(429.0, 4), (429.0, 12), (429.0, 14)]
-    ticks, passes, applied = next(e for e in epochs if e[0][:1] == [301.0])
+    ticks, passes, applied = next(e for e in epochs if e[0][:1].tolist() == [301.0])
     assert (len(ticks), applied, ticks[applied]) == (152, 128, 429.0)
     bounds = [n for _, _, _, walks in passes[-1] for n in walks]
     assert bounds and max(bounds) <= applied
@@ -580,8 +678,16 @@ def test_report_packet_counts_are_the_session_sums(protocol):
     assert report.generated == sum(s.generated for s in report.sessions)
     assert report.delivered == sum(s.delivered for s in report.sessions)
     assert report.delivery_ratio == report.delivered / report.generated
-    # the session records and _due are the engine's only copies
+    # the session records and due are the engine's only copies
     assert {"generated", "delivered", "_next_due", "drain_w"}.isdisjoint(vars(engine))
+    # per-node state is arrays by sensor id, and the live count is alive's
+    n = len(engine.sensors)
+    for name, dtype in (("mode", np.int8), ("mode_since", np.float64),
+                        ("alive", np.bool_), ("due", np.float64)):
+        array = getattr(engine, name)
+        assert type(array) is np.ndarray and array.dtype == dtype and array.shape == (n,)
+    assert engine.rows is engine.ledger.rows and engine.rows.shape == (n, 4)
+    assert type(engine.live) is int and engine.live == np.count_nonzero(engine.alive)
 
 
 @pytest.mark.parametrize("protocol", ["res", "dt", "mte", "merr", "or"])
@@ -593,12 +699,13 @@ def test_every_charged_node_senses(monkeypatch, protocol):
 
     def recording_plan(self):
         groups, sessions = charge_plan(self)
-        modes.extend(self.mode[v] for members in groups.values() for v, _, _ in members)
+        for ids, _, _ in groups.values():
+            modes.extend(self.mode[ids].tolist())
         return groups, sessions
 
     def recording_tick(self):
-        modes.extend(self.mode[v] for _, charges in self._senders
-                     for v, _, _ in charges if v in self.alive)
+        modes.extend(self.mode[v].item() for _, charges in self._senders
+                     for v, _, _ in charges if self.alive[v])
         handle_tick(self)
 
     monkeypatch.setattr(_Run, "_charge_plan", recording_plan)
@@ -610,22 +717,123 @@ def test_every_charged_node_senses(monkeypatch, protocol):
 
 
 def test_report_times_and_counts_are_python_numbers():
-    for protocol in ("dt", "mte"):
-        report = run(replace(DRAINING, protocol=protocol))
+    # numpy scalars would print other reprs; init deaths, due settles and
+    # bulk ticks all reach these reports
+    configs = [replace(DRAINING, protocol=p) for p in ("res", "dt", "mte", "merr", "or")]
+    configs += [replace(DRAINING, battery_j=0.36), replace(DRAINING, battery_j=0.5e-9)]
+    for config in configs:
+        report = run(config)
         assert report.deaths
         assert all(type(t) is float and type(v) is int for t, v in report.deaths)
         for s in report.sessions:
             assert type(s.generated) is int and type(s.delivered) is int
             assert type(s.energy_j) is float
         assert type(report.generated) is int and type(report.delivered) is int
+        assert type(report.lifetime_s) is float and type(report.total_energy_j) is float
+        assert all(type(x) is float for x in report.totals_by_mode.values())
         for row in report.intervals:
             assert type(row.t_s) is float
             assert type(row.coverage_pct) is float
             assert type(row.alive) is int
             assert type(row.generated) is int and type(row.delivered) is int
+            for name in ("delivery_ratio", "tx_j", "rx_j", "sense_j", "sleep_j", "total_j"):
+                assert type(getattr(row, name)) is float, name
         for t, snapshot in report.ledger_snapshots:
             assert type(t) is float
+            assert all(type(row[0]) is int for row in snapshot)
             assert all(type(x) is float for row in snapshot for x in row[1:])
+
+
+def loop_ticks(t_init, rate, duration):
+    """The tick times as a ``t += step`` loop lists them."""
+    t, step, ticks = t_init, 1.0 / rate, []
+    while True:
+        ticks.append(t)
+        t += step
+        if not t < duration - 1e-9:
+            return ticks
+
+
+@pytest.mark.parametrize("rate", [0.3, 1.0, 3.0, 4.7, 7.0, 10.0, 13.0])
+@pytest.mark.parametrize("t_init", [0.0, 0.25, 30.0])
+def test_tick_times_are_the_loop_sums(rate, t_init):
+    ticks = loop_ticks(t_init, rate, t_init + 5000 / rate)
+    # ends past, at, within 1e-9 of and a rounding off a tick, and one
+    # before the first tick past init
+    ends = [t_init + 1e-3, 40.0, 300.0, 301.7]
+    for t in ticks[1::397]:
+        ends += [t, t + 1e-9, t + 0.5e-9, t + 2e-9, np.nextafter(t + 1e-9, math.inf)]
+    for duration in ends:
+        want = loop_ticks(t_init, rate, duration)
+        got = sim._tick_times(t_init, 1.0 / rate, duration - 1e-9)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(want).tobytes(), duration
+    config = replace(SMALL, packet_rate_hz=rate, init_phase_s=t_init)
+    times, _ = _Run(config, config.seed)._timeline()
+    assert times.tobytes() == np.array(loop_ticks(t_init, rate, config.sim_duration_s)).tobytes()
+
+
+def init_flood_costs(config):
+    """Per sensor, the joules of its t = 0 mode drained up to init, its TX and
+    its RX flood charges, worked out from the flood and the energy model."""
+    from regionsim.energy import rx_energy, tx_energy
+    from regionsim.flood import run_flood
+    from regionsim.graph import build_unit_disk_digraph, neighborhoods
+
+    deployment = deploy(config, config.seed)
+    nodes = deployment.nodes
+    g = build_unit_disk_digraph([nodes[v] for v in sorted(nodes)])
+    states = run_flood(g, deployment.seeds).states
+    sensing = neighborhoods(g, deployment.sink_id).all_nodes
+    params, bits = config.energy, float(config.packet_bits)
+    tx1 = tx_energy(bits, params.level_count - 1, params)
+    rx1 = rx_energy(bits, params)
+    watts = {True: params.p_sense_mw / 1000.0, False: params.p_sleep_mw / 1000.0}
+    return {
+        v: (watts[v in sensing] * config.init_phase_s, states[v].tx_count * tx1,
+            states[v].rx_count * rx1)
+        for v in deployment.sensor_ids
+    }
+
+
+def test_flood_charges_kill_at_tx_and_at_rx_in_id_order():
+    config = replace(SMALL, radio_range=50.0, sessions=4)
+    costs = init_flood_costs(config)
+    # a battery between the cheapest and the dearest flood: some sensors die
+    # at their TX charge, some at their RX charge, and none before init
+    totals = sorted(drain + tx + rx for drain, tx, rx in costs.values())
+    battery = totals[len(totals) // 2]
+    assert battery > max(drain for drain, _, _ in costs.values()) + 1e-6
+    config = replace(config, battery_j=battery)
+    at_tx, at_rx = set(), set()
+    for v, (drain, tx, rx) in costs.items():
+        # the ledger's sum: TX, RX, then the one duty cell that drained
+        if battery - (tx + drain) <= 1e-9:
+            at_tx.add(v)
+        elif battery - ((tx + rx) + drain) <= 1e-9:
+            at_rx.add(v)
+    assert at_tx and at_rx
+    report = run(config)
+    init = [v for t, v in report.deaths if t == config.init_phase_s]
+    assert init == sorted(at_tx | at_rx)
+    assert all(t > config.init_phase_s for t, _ in report.deaths[len(init):])
+    snapshot = dict((row[0], row) for row in report.ledger_snapshots[1][1])
+    for v in at_tx:
+        assert snapshot[v][2] == 0.0  # no RX billed after a death at TX
+    for v in at_rx:
+        assert snapshot[v][2] == costs[v][2]
+
+
+@pytest.mark.parametrize("battery", [1e-9, 0.5e-9, 1e-300])
+@pytest.mark.parametrize("protocol", ["res", "dt"])
+def test_battery_within_death_epsilon_kills_every_sensor_at_t0(battery, protocol):
+    config = replace(SMALL, battery_j=battery, protocol=protocol)
+    report = run(config)
+    sensors = list(deploy(config, config.seed).sensor_ids)
+    assert report.deaths == [(0.0, v) for v in sensors]
+    first = report.intervals[0]
+    assert (first.t_s, first.alive, first.coverage_pct, first.total_j) == (0.0, 0, 0.0, 0.0)
+    assert report.delivered == 0
 
 
 DEAD_NETWORK = replace(SMALL, battery_j=0.35, sessions=3, sim_duration_s=900.0)
@@ -742,7 +950,8 @@ def test_tall_field_deaths_subtract_windows_in_two_bands():
     # windows lie in two bands die at several times
     for config in (TALL, replace(TALL, protocol="mte")):
         r = _Run(config, config.seed)
-        assert {len(windows) for windows in r._covers.values()} == {1, 2}
+        assert len(r._covers) == len(r.sensors)
+        assert {len(windows) for windows in r._covers} == {1, 2}
         times = {t for t, v in r.deaths if len(r._covers[v]) == 2}
         assert len(times) >= 3
 

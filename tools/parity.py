@@ -1,13 +1,17 @@
-"""Output-parity digests: one per benchmark run, to compare two checkouts.
+"""Output-parity digests: one per run, to compare two checkouts.
 
 Runs the run lists of ``perfbench.workloads.WORKLOADS`` at the given seeds,
-writes each run's ``sim.emit_outputs`` files and prints one
+and the five protocols on a small field whose sensors die (``DYING``) at each
+of ``DYING_BATTERIES_J`` and the same seeds, writes each run's
+``sim.emit_outputs`` files and prints one
 ``perfbench.outcheck.digest_outputs`` digest per run as JSON, one run per
-line.  Each line also carries ``repr_digest``, a hash of the full-precision
-``repr`` of the report's deaths, ledger snapshots, session counters and
-interval rows, which catches differences below the files' nine decimals.  Two
-checkouts produce the same outputs on these runs exactly when their printouts
-are equal:
+line.  The dying field reaches what the benchmark fields never do: deaths at
+init, by the region flood's charges or by drain, and the mode switches and
+due settles around them.  Each line also carries ``repr_digest``, a hash of
+the full-precision ``repr`` of the report's deaths, ledger snapshots, session
+counters and interval rows, which catches differences below the files' nine
+decimals.  Two checkouts produce the same outputs on these runs exactly when
+their printouts are equal:
 
     python3 tools/parity.py --seeds 1 2 > new.json
     python3 tools/parity.py --repo ../old-checkout --seeds 1 2 > old.json
@@ -23,6 +27,12 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+# the 18-sensor field of tests/test_relations.py: with 60 J batteries every
+# sensor dies within the run, and with 0.5 J ones some die at init
+DYING = dict(area_width=80.0, area_height=80.0, region_size=40.0, node_count=18,
+             radio_range=50.0, sensing_range=30.0, sink_x=60.0, sink_y=30.0, sessions=4)
+DYING_BATTERIES_J = (60.0, 0.5)
 
 
 def repr_digest(report) -> str:
@@ -43,24 +53,37 @@ def main(argv: list[str] | None = None) -> int:
     from perfbench.outcheck import digest_outputs
     from perfbench.workloads import WORKLOADS
     from regionsim import sim
+    from regionsim.routing import PROTOCOLS
+    from regionsim.scenario import ScenarioConfig
 
+    runs = [
+        (f"{name}/{seed}/{i}", config, run_seed)
+        for name, workload in WORKLOADS.items()
+        for seed in args.seeds
+        for i, (config, run_seed) in enumerate(workload.run_list(seed))
+    ]
+    runs += [
+        (f"dying-{battery:g}j/{seed}/{protocol}",
+         ScenarioConfig(**DYING, battery_j=battery, protocol=protocol), seed)
+        for battery in DYING_BATTERIES_J
+        for seed in args.seeds
+        for protocol in PROTOCOLS
+    ]
     rows = []
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
-        for name, workload in WORKLOADS.items():
-            for seed in args.seeds:
-                for i, (config, run_seed) in enumerate(workload.run_list(seed)):
-                    out = Path(tmp) / f"{name}-{seed}-{i}"
-                    report = sim.run(config, run_seed)
-                    paths = sim.emit_outputs(report, out)
-                    digest, size = digest_outputs(paths, out)
-                    rows.append({
-                        "run": f"{name}/{seed}/{i}",
-                        "protocol": config.protocol,
-                        "run_seed": run_seed,
-                        "digest": digest,
-                        "bytes": size,
-                        "repr_digest": repr_digest(report),
-                    })
+        for k, (name, config, run_seed) in enumerate(runs):
+            out = Path(tmp) / str(k)
+            report = sim.run(config, run_seed)
+            paths = sim.emit_outputs(report, out)
+            digest, size = digest_outputs(paths, out)
+            rows.append({
+                "run": name,
+                "protocol": config.protocol,
+                "run_seed": run_seed,
+                "digest": digest,
+                "bytes": size,
+                "repr_digest": repr_digest(report),
+            })
     print("[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n]")
     return 0
 
