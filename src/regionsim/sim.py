@@ -23,27 +23,35 @@ arithmetic with numpy, bit for bit.  An epoch starts at a tick and ends at
 whichever comes first: the next non-tick event, the next due time, or the
 tick before the first one in which a balance reaches DEATH_EPSILON_J.  Each
 charged balance falls linearly over the epoch, so the step first estimates
-that stop from every node's balance and its spend per tick.  It then works
-on blocks of nodes that take the same number of charges per tick, in one
-pass per block over the estimated stop, or two if a block lowers it, on
-2-D numpy arrays of at most BLOCK_PLACES floats unless a single node needs
-more.  The pass accumulates each cell the block touches after every charge
-and reads each balance at every tick's end.  A block in which a balance reaches DEATH_EPSILON_J
-before the stop keeps nothing and lowers the stop to the tick before; once
-every block has run, they all run again at the lowered stop, which no
-block can lower again, as it is the earliest dead tick over all nodes.  So
-the stop is confirmed before anything is kept, which settles a late
-estimate exactly.  A block at a confirmed stop keeps only each cell's value
-there, and if some node's floor, the first tick's time plus its balance at
-the stop over its drain rate, lies below its due time less 1 s and within
-the duration, the last due time the 1 s rule writes for such a node: it
-replays their per-charge projections of the drain death, negated, and
-walks the writes from the first one on; no other node can write one in the
-epoch.  Each array of a kept block is a prefix of the one it would compute
-over the whole run of ticks, so every value it keeps is the scalar one.
-The tick in which a node dies is replayed through the scalar _handle_tick,
-as are init, due settles, t = 0 and the tick after an epoch that an early
-estimate ended.
+that stop from every node's balance and its spend per tick.  It works on
+groups of nodes that take the same number of charges per tick.  A group in
+which, by a cheap bound, no balance reaches DEATH_EPSILON_J and no node can
+write a due time by the stop takes the closed form: each ledger cell and
+each session's energy is summed over the ticks per binade of its running
+sum, where every tick adds the same exact multiple of the binade's spacing
+(see _repeated_sums), and the balances after the last tick are checked.
+Cells never fall, so that balance is each node's lowest: one test there
+stands for the dead test of every tick, and the writer test reads only it.
+A group that fails the check, or the bound, takes the per-charge path, on
+blocks of its nodes, in one pass per block over the estimated stop, or two
+if a block lowers it, on 2-D numpy arrays of at most BLOCK_PLACES floats
+unless a single node needs more.  The pass accumulates each cell the block
+touches after every charge and reads each balance at every tick's end.  A
+block in which a balance reaches DEATH_EPSILON_J before the stop keeps
+nothing and lowers the stop to the tick before; once every group has run,
+they all run again at the lowered stop, which no block can lower again, as
+it is the earliest dead tick over all nodes.  So the stop is confirmed
+before anything is kept, which settles a late estimate exactly.  A block at
+a confirmed stop keeps only each cell's value there, and if some node's
+floor, the first tick's time plus its balance at the stop over its drain
+rate, lies below its due time less 1 s and within the duration, the last
+due time the 1 s rule writes for such a node: it replays their per-charge
+projections of the drain death, negated, and walks the writes from the
+first one on; no other node can write one in the epoch.  Each array of a
+kept block is a prefix of the one it would compute over the whole run of
+ticks, so every value it keeps is the scalar one.  The tick in which a node
+dies is replayed through the scalar _handle_tick, as are init, due settles,
+t = 0 and the tick after an epoch that an early estimate ended.
 
 Model notes:
   * The sink is a mains-powered base station: it relays and receives but has
@@ -138,6 +146,12 @@ COVER_PLACES = 1 << 14
 # slower; uncapped, a 0.1 m sensing range on the 640 m field made 3,199 bands
 # and an index 16 times slower than with one band
 COVER_BANDS = 8
+# _repeated_sums adds the first ticks one charge at a time, at least
+# SEQUENTIAL_TICKS and as many as fit in SEQUENTIAL_PLACES floats; of budgets
+# 2^12 to 2^16 places, 2^12 to 2^14 were the fastest on the benchmark's
+# session sums and larger ones slower
+SEQUENTIAL_TICKS = 32
+SEQUENTIAL_PLACES = 1 << 12
 
 
 class SimulationError(RuntimeError):
@@ -222,13 +236,75 @@ class BatchReport:
     metrics: dict[str, tuple[float, float]]  # metric -> (mean, std)
 
 
-def _tiled_sums(start: float, adds: np.ndarray, k: int) -> np.ndarray:
-    """``start``, then the running sum after each add of ``adds`` repeated k
-    times, added one at a time as a Python ``+=`` loop would."""
-    acc = np.empty(k * len(adds) + 1)
-    acc[0] = start
-    acc[1:].reshape(k, len(adds))[:] = adds
-    return np.add.accumulate(acc, out=acc)
+def _accumulated(start: np.ndarray, adds: np.ndarray, k: int) -> np.ndarray:
+    """Each row's ``start``, then its running sum after each add of its row
+    of ``adds`` repeated k times, added one at a time as a Python ``+=``
+    loop would: an array of (rows, k * len(row) + 1)."""
+    r, c = adds.shape
+    acc = np.empty((r, k * c + 1))
+    acc[:, 0] = start
+    acc[:, 1:].reshape(r, k, c)[:] = adds[:, None, :]
+    return np.add.accumulate(acc, axis=1, out=acc)
+
+
+def _repeated_sums(start: np.ndarray, adds: np.ndarray, K: int) -> np.ndarray:
+    """The last column of ``_accumulated(start, adds, K)``, for starts and
+    adds >= 0 and finite sums, in closed form while a sum stays in one
+    binade.
+
+    A sum x in [2^(e-1), 2^e) is a multiple of u = 2^(e-53), its spacing
+    there (2^-1074 below the normal range).  An add a whose a/u is not a
+    half-integer lands on x + u * rint(a/u) as long as that lies below 2^e.
+    So while a row's sum stays in its binade and none of its adds ties,
+    every tick adds the same S * u, S the sum of the rint(a/u) of its adds,
+    and n ticks add n * S * u exactly: n * S is an integer below 2^53, and
+    x + n * S * u a multiple of u below 2^e.  Each round, a row jumps over
+    the ticks that stay in its binade and takes the tick that leaves it add
+    by add.  A row with a tie takes its binade's ticks add by add in one
+    accumulate, as many as it takes to leave the binade if every add lands
+    on its floor(a/u) spacings, all that are left if those sum to 0.  The
+    first ticks go add by add too, at least SEQUENTIAL_TICKS and as many as
+    fit in SEQUENTIAL_PLACES floats, and all of them if those are a quarter
+    of the run or more: they hold the zero starts and the narrow binades
+    near them, and a round costs about as many numpy calls as a few
+    thousand adds.  A row takes one round per binade it crosses, never one
+    per tick.
+    """
+    p = max(SEQUENTIAL_TICKS, SEQUENTIAL_PLACES // max(1, adds.size))
+    p = K if K <= 4 * p else p
+    x = _accumulated(start, adds, p)[:, -1]
+    left = np.full(len(x), float(K - p))
+    active = left.nonzero()[0]
+    while len(active):
+        sums, a, n = x[active], adds[active], left[active]
+        u = np.ldexp(1.0, np.maximum(np.frexp(sums)[1] - 53, -1074))
+        q = a / u[:, None]
+        whole = np.rint(q)
+        tie = (np.abs(q - whole) == 0.5).any(axis=1)
+        # the spacings a tick adds, at least that if an add ties, and the
+        # ticks that stay in the binade at that (its floats are the multiples
+        # of u below 2^53 u), all if it is 0; these counts are integers below
+        # 2^53, so exact as floats
+        steps = np.where(tie[:, None], np.floor(q), whole).sum(axis=1)
+        stay = np.where(steps > 0, (2.0**53 - 1 - sums / u) // np.maximum(steps, 1), n)
+        jump = np.where(tie, 0.0, np.minimum(stay, n))
+        sums += jump * steps * u
+        n -= jump
+        # then the tick that leaves the binade add by add, or with a tie
+        # every tick until it has left
+        by_add = np.minimum(n, np.where(tie, stay + 1, 1.0))
+        ones, more = (by_add == 1).nonzero()[0], (by_add > 1).nonzero()[0]
+        if len(ones):
+            sums[ones] = _accumulated(sums[ones], a[ones], 1)[:, -1]
+        if len(more):
+            k = by_add[more].astype(np.intp)
+            acc = _accumulated(sums[more], a[more], int(k.max()))
+            sums[more] = acc[np.arange(len(more)), k * a.shape[1]]
+        n -= by_add
+        x[active] = sums
+        left[active] = n
+        active = active[n > 0]
+    return x
 
 
 def _tick_times(start: float, step: float, end: float) -> np.ndarray:
@@ -514,6 +590,17 @@ class _Run:
         # (record, (node, ledger slot, joules) per charge of a packet), in the
         # source-id order in which a tick sends
         self._senders = sorted(senders, key=lambda s: s[0].source)
+        # the same charges as arrays, concatenated in that order: node, slot,
+        # joules, and per charge its sender's index and place among its charges
+        sizes = np.array([len(charges) for _, charges in self._senders], dtype=np.intp)
+        flat = [charge for _, charges in self._senders for charge in charges]
+        node, slot, joules = zip(*flat) if flat else ((),) * 3
+        sender = np.repeat(np.arange(len(sizes)), sizes)
+        self._firsts = sizes.cumsum() - sizes
+        self._charges = (np.asarray(node, dtype=np.intp), np.asarray(slot, dtype=np.intp),
+                         np.asarray(joules, dtype=float), sender,
+                         np.arange(len(flat)) - self._firsts[sender])
+        self._plan = None  # the last _charge_plan
 
         # each sensor's mode after init: under res, SENSE on a route only
         self.duty = np.full(len(self.sensors), SENSE, dtype=np.int8)
@@ -683,37 +770,57 @@ class _Run:
             else:
                 rec.delivered += 1
 
-    def _charge_plan(self) -> tuple[dict, list]:
-        """What each tick charges while the alive set stays as it is.
+    def _charge_plan(self) -> tuple[tuple, tuple, tuple]:
+        """What each tick charges while the alive set stays as it is: each
+        sender's charges up to its first dead node.
 
-        Returns ``(groups, sessions)``.  ``groups`` maps c to the charged
-        nodes that take c charges a tick, as arrays ``(ids, slots,
-        joules)``: their ids, and per id the ledger slot and the joules of
-        each of its c charges, in sender order.  Every charged node senses:
-        it lies on a route, so its ``duty`` mode is SENSE, and INIT, which
-        comes before every tick and is the last mode switch, set it.  Per
-        sender, ``sessions`` holds ``(record, joules of its charges up to
-        the first dead node, whether that is all of them)``.
+        Returns ``(nodes, groups, sessions)``.  ``nodes`` is ``(ids, counts,
+        spend, slots, joules)``: the charged nodes by ascending charge count,
+        then id, the count and the joules sum of each, and the ledger slot
+        and joules of their charges, one node after the other, each node's in
+        sender order.  Every charged node senses: it lies on a route, so its
+        ``duty`` mode is SENSE, and INIT, which comes before every tick and
+        is the last mode switch, set it.  ``groups`` is ``(bounds, spans)``:
+        each group's first node, then the node count, and per group ``(c,
+        nodes, charges)``, its count and the slices of its nodes and their
+        charges.  ``sessions`` is ``(full, charging, adds)``: per
+        sender, whether it charges every node of its route; the senders that
+        charge one at least; and per such sender its row of ``adds``, the
+        joules of its charges padded with zeros.  No node revives, so the
+        plan holds until one of its charged nodes dies, and is only made
+        again then.
         """
-        alive = self._alive
-        charged: dict[NodeId, list[tuple[int, float]]] = {}
-        sessions = []
-        for rec, charges in self._senders:
-            prefix = []
-            for v, slot, joules in charges:
-                if not alive[v]:
-                    break
-                charged.setdefault(v, []).append((slot, joules))
-                prefix.append(joules)
-            sessions.append((rec, np.array(prefix), len(prefix) == len(charges)))
-        members: dict[int, list] = {}
-        for v, node_charges in charged.items():
-            members.setdefault(len(node_charges), []).append((v, *zip(*node_charges)))
-        groups = {}
-        for c, group in members.items():
-            ids, slots, joules = zip(*group)
-            groups[c] = (np.array(ids, dtype=np.intp), np.array(slots), np.array(joules))
-        return groups, sessions
+        if self._plan is not None and self.alive[self._plan[0][0]].all():
+            return self._plan
+        node, slot, joules, sender, place = self._charges
+        at = np.arange(len(node))
+        ends = np.minimum.reduceat(np.where(self.alive[node], len(node), at), self._firsts)
+        kept = at < ends[sender]
+        full = ends == len(node)
+        sender = sender[kept]
+        lengths = np.bincount(sender, minlength=len(self._firsts))
+        charging = lengths.nonzero()[0]
+        adds = np.zeros((len(charging), lengths.max(initial=0)))
+        adds[(lengths > 0).cumsum()[sender] - 1, place[kept]] = joules[kept]
+        node, slot, joules = node[kept], slot[kept], joules[kept]
+        counts = np.bincount(node)
+        # by count, then id; stable, so each node's charges keep their sender order
+        order = (counts[node] * len(counts) + node).argsort(kind="stable")
+        slot, joules = slot[order], joules[order]
+        ids = counts.nonzero()[0]
+        ids = ids[counts[ids].argsort(kind="stable")]
+        counts = counts[ids]
+        firsts = counts.cumsum() - counts
+        spend = np.add.reduceat(joules, firsts)
+        # each group's first node, then the end
+        cuts = ((counts[1:] != counts[:-1]).nonzero()[0] + 1).tolist()
+        bounds = [0, *cuts, len(ids)] if len(ids) else [0]
+        spans = [(c, slice(a, b), slice(f, f + (b - a) * c))
+                 for a, b, c, f in zip(bounds, bounds[1:], counts[bounds[:-1]].tolist(),
+                                       firsts[bounds[:-1]].tolist())]
+        self._plan = ((ids, counts, spend, slot, joules), (bounds, spans),
+                      (full, charging, adds))
+        return self._plan
 
     def _bulk_ticks(self, ticks: np.ndarray) -> int:
         """Apply the leading ticks of ``ticks`` at once; returns how many.
@@ -721,23 +828,30 @@ class _Run:
         The ticks hold no other event and fall before every due time, so
         until a node dies every tick charges the same cells with the same
         joules.  This replays ``_impulse`` on them in the scalar order, over
-        blocks of the nodes that take the same number of charges a tick, all
+        groups of the nodes that take the same number of charges a tick, all
         sensing.  It stops before the first tick in which a balance reaches
         DEATH_EPSILON_J, which the loop replays through ``_handle_tick``.
 
-        Each charged balance falls linearly, so ``_ticks_before_death``
-        estimates that stop K for every group before any block runs, and the
-        estimate is the limit offered to the blocks.  Each block
-        (``_bulk_block``) runs over the limit it is offered in one pass: it
-        accumulates its cells and tests every balance at each tick's end.  A
-        block that finds a dead tick keeps nothing and lowers the limit to
-        its first one, and once the pass is over every block runs again at
-        the lowered limit.  Otherwise it keeps its cells' values after tick
-        K and each row's last due-time write before the end of tick K.  An
-        early estimate ends the epoch early; the loop replays the next tick
-        through ``_handle_tick``, in which no node dies.  A group's rows are
-        gathered by one index array, and the kept cells, mode starts and due
-        times scattered back by the blocks' ids.
+        The charged nodes' part is ``_bulk_nodes``.  Each charged balance
+        falls linearly, so ``_ticks_before_death`` estimates that stop K for
+        every node before any group runs, and the estimate is the limit
+        offered to the groups.  A group whose every node stays ``_quiet``
+        over the limit, by a bound, takes the closed
+        form (``_closed_form``, all such groups at once): it sums each cell
+        over the K ticks per binade and checks the balances after tick K.
+        If one of them reaches DEATH_EPSILON_J or would write a due time, its
+        group takes the per-charge path from then on, as every other group
+        does: its blocks (``_bulk_block``) each run over the limit they are
+        offered in one pass, accumulating their cells and testing every
+        balance at each tick's end.  A block that finds a dead tick keeps
+        nothing and lowers the limit to its first one, and once the pass is
+        over every group runs again at the lowered limit.  Otherwise it
+        keeps its cells' values after tick K and each row's last due-time
+        write before the end of tick K.  An early estimate ends the epoch
+        early; the loop replays the next tick through ``_handle_tick``, in
+        which no node dies.  The kept cells, mode starts and due times are
+        scattered back by the nodes' ids, and each session's energy is
+        summed over the K ticks by ``_repeated_sums``.
 
         Why the bits hold.  A prefix of ``np.add.accumulate`` (and of
         ``np.maximum.accumulate``) equals the accumulate of that prefix, and
@@ -745,41 +859,97 @@ class _Run:
         below the limit it is tested at lowers the limit to it, and any
         other row's lies at or past that limit, so a pass ends at the
         estimate or the earliest first dead tick of all rows, whichever is
-        lower, whatever order the blocks run in and however the rows are
-        split into blocks.  A second pass at that K finds no dead tick, so K
-        is confirmed.  Every block kept computed exactly K ticks, a prefix of
-        what it would compute over the whole run of ticks, so it holds the
-        values the scalar path computes, and the last write of a row's chain
-        over those ticks is the scalar due time.
+        lower, whatever order the groups and blocks run in and however the
+        rows are split into them.  A second pass at that K finds no dead
+        tick, so K is confirmed.  Every block kept computed exactly K ticks,
+        a prefix of what it would compute over the whole run of ticks, so it
+        holds the values the scalar path computes, and the last write of a
+        row's chain over those ticks is the scalar due time.
+
+        The closed form holds the same bits.  Take a sum x in the binade
+        [2^(e-1), 2^e) and u = 2^(e-53), its spacing; x is a multiple of u.
+        For an add a >= 0 whose a/u is not a half-integer, fl(x + a) is
+        x + u * rint(a/u) whenever that lies below 2^e.  So while a cell
+        stays in one binade, every tick adds the same u * S, S the sum of
+        the rint(a/u) of its charges, and after n ticks the cell holds
+        x + n * u * S exactly, as both terms are multiples of u below 2^e.
+        ``_repeated_sums`` jumps over those ticks; a zero start, a tie or a
+        tick that leaves the binade goes add by add, as ``_bulk_block`` adds
+        it.  The drain stays a tick-level accumulate.  Cells never fall, and
+        energy.spent and budget - spent round monotonically, so each
+        balance is lowest at the end of tick K: one test there stands for
+        the dead test over every tick, and the writer test reads only that
+        balance, as in ``_bulk_block``.  The bound decides only which path a
+        group takes, never a bit: the closed form keeps nothing it has not
+        checked.
         """
-        groups, sessions = self._charge_plan()
-        K = len(ticks)
+        nodes, groups, (full, charging, adds) = self._charge_plan()
+        K = self._bulk_nodes(ticks, nodes, groups) if groups[1] else len(ticks)
+        if not K:
+            return 0
+        if len(charging):
+            records = [self._senders[i][0] for i in charging.tolist()]
+            energies = _repeated_sums(np.array([rec.energy_j for rec in records]), adds, K)
+            for rec, energy in zip(records, energies.tolist()):
+                rec.energy_j = energy
+        for (rec, _), delivered in zip(self._senders, full.tolist()):
+            rec.generated += K
+            if delivered:
+                rec.delivered += K
+        return K
+
+    def _bulk_nodes(self, ticks: np.ndarray, nodes: tuple, groups: tuple) -> int:
+        """The charged nodes' part of ``_bulk_ticks``, given the ``nodes``
+        and ``groups`` of the charge plan, at least one of them: returns K,
+        and keeps every charged node's cells, mode start and due time after
+        tick K."""
+        (ids, counts, spend, slots, joules), (bounds, groups) = nodes, groups
         rows, mode_since, due = self.rows, self.mode_since, self.due
         w = self.params.drain_w[SENSE]
-        plans = []
-        for c, (ids, slots, joules) in groups.items():
-            start = rows[ids]
-            # the drain at each node's first charge, w * (t - mode_since)
-            first_drain = w * (ticks[0] - mode_since[ids])
-            balance = self.budget - start.sum(axis=1) - first_drain
-            K = min(K, _ticks_before_death(
-                balance, joules.sum(axis=1), w / self.config.packet_rate_hz, K))
-            plans.append((c, ids, start, first_drain, slots, joules))
+        start = rows[ids]
+        # the drain at each node's first charge, w * (t - mode_since)
+        first_drain = w * (ticks[0] - mode_since[ids])
+        balance = self.budget - start.sum(axis=1) - first_drain
+        K = _ticks_before_death(balance, spend, w / self.config.packet_rate_hz, len(ticks))
+        if not K:
+            return 0
+        closed = np.zeros(len(groups), dtype=bool)  # the groups on the closed form
+        # the closed form costs about as much as a block of BLOCK_PLACES
+        # charges, so it pays only over more
+        if K * len(slots) > BLOCK_PLACES:
+            closed = np.logical_and.reduceat(
+                self._quiet(ids, balance, spend, ticks[0], K), bounds[:-1])
         wdT = w * np.diff(ticks)
-        # a block that lowers K keeps nothing, and then every block runs
+        # a block that lowers K keeps nothing, and then every group runs
         # again at the lowered K, which none can lower
         offered = None
         while K != offered:
             offered, kept = K, []
-            for c, ids, *arrays in plans:
+            if closed.any() and K:
+                member = np.repeat(np.arange(len(groups)), np.diff(bounds))
+                on = closed[member].nonzero()[0]
+                charges = np.repeat(closed[member], counts)
+                end, loud = self._closed_form(
+                    ids[on], start[on], first_drain[on], counts[on], slots[charges],
+                    joules[charges], ticks, wdT, K)
+                if loud.any():
+                    # the groups of those rows take the per-charge path
+                    closed[member[on[loud]]] = False
+                    stay = closed[member[on]]
+                    on, end = on[stay], end[stay]
+                kept.append((ids[on], dict(enumerate(end.T)), (ids[:0], end[:0, 0])))
+            for (c, members, charges), skip in zip(groups, closed.tolist()):
+                if skip:
+                    continue
+                arrays = (ids[members], start[members], first_drain[members],
+                          slots[charges].reshape(-1, c), joules[charges].reshape(-1, c))
                 # split rows, never ticks: each block's arrays hold about
                 # BLOCK_PLACES floats, or one row if that is longer
                 i = 0
-                while i < len(ids) and K:
+                while i < len(arrays[0]) and K:
                     size = max(1, BLOCK_PLACES // (K * c + 1))
-                    block = ids[i : i + size]
-                    K, ends, dues = self._bulk_block(
-                        block, c, *(a[i : i + size] for a in arrays), ticks, wdT, K)
+                    block, *parts = (a[i : i + size] for a in arrays)
+                    K, ends, dues = self._bulk_block(block, c, *parts, ticks, wdT, K)
                     kept.append((block, ends, dues))
                     i += size
         if not K:
@@ -789,13 +959,65 @@ class _Run:
                 rows[block, slot] = end
             mode_since[block] = ticks[K - 1]
             due[writers] = times
-        for rec, joules, delivered in sessions:
-            rec.generated += K
-            if len(joules):
-                rec.energy_j = float(_tiled_sums(rec.energy_j, joules, K)[-1])
-            if delivered:
-                rec.delivered += K
         return K
+
+    def _quiet(self, ids: np.ndarray, balance: np.ndarray, spend: np.ndarray,
+               t0: float, K: int) -> np.ndarray:
+        """Whether each node of ``ids`` keeps a balance above DEATH_EPSILON_J
+        through K ticks from t0 and writes no due time there, by a bound: its
+        ``balance`` before the first charge less K ticks of its ``spend`` and
+        of drain, with a millionth of that as a margin for rounding, then the
+        writer test of ``_bulk_block`` on it.  It chooses a group's path, and
+        the closed form checks every row it keeps."""
+        w = self.params.drain_w[SENSE]
+        low = balance - K * (spend + w / self.config.packet_rate_hz) * (1 + 1e-6)
+        floor = t0 + low / w
+        return (low > DEATH_EPSILON_J) & ((floor >= self.due[ids] - 1.0) | (floor > self.duration))
+
+    def _closed_form(self, ids: np.ndarray, start: np.ndarray, first_drain: np.ndarray,
+                     counts: np.ndarray, slots: np.ndarray, joules: np.ndarray,
+                     T: np.ndarray, wdT: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ledger rows of the nodes ``ids`` after the first K ticks of T,
+        each sensing and taking its ``counts`` charges a tick, whose slots
+        and joules ``slots`` and ``joules`` hold one node after the other,
+        each node's in sender order; ``start`` holds their rows,
+        ``first_drain`` the drain at their first charge and ``wdT`` the sense
+        drain between consecutive ticks.
+
+        Returns ``(end, loud)``: the rows after tick K, and per row whether
+        its balance there reaches DEATH_EPSILON_J or its floor would write a
+        due time, as ``_bulk_block`` tests them; only the other rows hold
+        the scalar values.
+        """
+        r = len(ids)
+        w = self.params.drain_w[SENSE]
+        end = start.copy()
+        # each cell's charges in sender order, padded with zeros, which change
+        # no bit; the cell of row i and slot s is end's place i * 4 + s
+        cell = np.repeat(np.arange(r) * len(LEDGER_MODES), counts) + slots
+        order = np.argsort(cell, kind="stable")
+        cell = cell[order]
+        cells, first, size = np.unique(cell, return_index=True, return_counts=True)
+        which = np.repeat(np.arange(len(cells)), size)
+        adds = np.zeros((len(cells), size.max()))
+        adds[which, np.arange(len(cell)) - first[which]] = joules[order]
+        flat = end.reshape(-1)
+        flat[cells] = _repeated_sums(flat[cells], adds, K)
+        # the drain at each tick's first charge: first_drain, then
+        # w * (t_i - t_{i-1}), in blocks of about BLOCK_PLACES floats
+        step = max(1, BLOCK_PLACES // (K + 1))
+        for i in range(0, r, step):
+            part = slice(i, i + step)
+            drain = np.empty((len(ids[part]), K + 1))
+            drain[:, 0] = start[part, SENSE]
+            drain[:, 1] = first_drain[part]
+            drain[:, 2:] = wdT[: K - 1]
+            end[part, SENSE] = np.add.accumulate(drain, axis=1, out=drain)[:, -1]
+        balance = self.budget - spent(*end.T)
+        floor = T[0] + balance / w
+        loud = (balance <= DEATH_EPSILON_J) | (
+            (floor < self.due[ids] - 1.0) & (floor <= self.duration))
+        return end, loud
 
     def _bulk_block(self, block: np.ndarray, c: int, start: np.ndarray,
                     first_drain: np.ndarray, slots: np.ndarray, joules: np.ndarray,

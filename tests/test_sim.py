@@ -3,13 +3,14 @@
 import filecmp
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regionsim.energy import SENSE, SLEEP, EnergyLedger, spent
+from regionsim.energy import DEATH_EPSILON_J, RX, SENSE, SLEEP, TX, EnergyLedger, spent
 from regionsim import sim
 from regionsim.routing import CycleError
 from regionsim.scenario import ScenarioConfig, deploy
@@ -467,6 +468,20 @@ def test_array_passes_match_scalar_loops(monkeypatch, config):
 SPARSE_MTE = ScenarioConfig(area_width=320.0, area_height=320.0, node_count=280,
                             radio_range=60.0, battery_j=5.0, sim_duration_s=300.0,
                             protocol="mte")
+# the 256-cell field of the CI's sparse.ini: no sensor dies in 600 s and no
+# charged node projects a death inside the run, so the epoch step sums every
+# group in closed form
+SPARSE_RES = ScenarioConfig(area_width=640.0, area_height=640.0, node_count=1120,
+                            radio_range=60.0, sim_duration_s=600.0)
+# tools/parity.py's SWITCH field: 40 J batteries put the first projections of
+# the 16 charged nodes past the run's end, and their packets bring them
+# inside it.  At seed 1 the first epoch sums every group in closed form, the
+# second some of them, and from t = 600 s every group takes the per-charge
+# path; nodes die from t = 621 s.
+SWITCH = ScenarioConfig(area_width=80.0, area_height=80.0, region_size=40.0, node_count=18,
+                        radio_range=50.0, sensing_range=30.0, sink_x=60.0, sink_y=30.0,
+                        sessions=8, protocol="mte", battery_j=40.0, packet_rate_hz=4.0,
+                        report_interval_s=300.0, sim_duration_s=1200.0)
 
 
 @pytest.mark.parametrize(
@@ -485,10 +500,12 @@ SPARSE_MTE = ScenarioConfig(area_width=320.0, area_height=320.0, node_count=280,
         # so few places that every group splits and single rows exceed them
         (replace(DRAINING, protocol="mte"), None, 4),
         (ScenarioConfig(protocol="mte"), 2, 4),
+        (SPARSE_RES, 3, None),
+        (SWITCH, 1, None),
     ],
     ids=["res", "dt", "mte", "merr", "or", "mte-4hz", "dt-10hz", "mte-no-init",
          "default-dt", "default-mte", "sparse-mte", "sparse-mte-100j", "mte-4-places",
-         "default-mte-4-places"],
+         "default-mte-4-places", "sparse-res", "switch-mte-40j"],
 )
 def test_bulk_ticks_match_scalar_ticks(monkeypatch, config, seed, block_places):
     if block_places is None:
@@ -509,6 +526,181 @@ def test_bulk_ticks_match_scalar_ticks(monkeypatch, config, seed, block_places):
     run_bulk_and_scalar(monkeypatch, config, seed)
     # the same epochs, each applying as many ticks
     assert applied == real_cap
+
+
+def record_paths(monkeypatch):
+    """Record per epoch of the bulk step the rows it sums in closed form and
+    the rows it hands to _bulk_block, counting each row once per pass.
+    Returns the list it fills."""
+    epochs = []
+    bulk_ticks, closed_form, bulk_block = _Run._bulk_ticks, _Run._closed_form, _Run._bulk_block
+
+    def recording_bulk(self, ticks):
+        epochs.append([0, 0])
+        return bulk_ticks(self, ticks)
+
+    def recording_closed(self, ids, *args):
+        epochs[-1][0] += len(ids)
+        return closed_form(self, ids, *args)
+
+    def recording_block(self, block, *args):
+        epochs[-1][1] += len(block)
+        return bulk_block(self, block, *args)
+
+    monkeypatch.setattr(_Run, "_bulk_ticks", recording_bulk)
+    monkeypatch.setattr(_Run, "_closed_form", recording_closed)
+    monkeypatch.setattr(_Run, "_bulk_block", recording_block)
+    return epochs
+
+
+def run_state(config, seed):
+    report = run(config, seed)
+    sessions = [(s.generated, s.delivered, s.energy_j) for s in report.sessions]
+    return repr((report.deaths, report.ledger_snapshots, sessions, report.intervals))
+
+
+@pytest.mark.parametrize("config, seed", [
+    (SPARSE_RES, 3), (SWITCH, 1), (replace(SPARSE_MTE, battery_j=100.0), 2),
+], ids=["sparse-res", "switch-mte-40j", "sparse-mte-100j"])
+def test_closed_form_matches_the_per_charge_path(monkeypatch, config, seed):
+    # the same run with every group forced onto the per-charge path reports
+    # the same state to the last bit
+    epochs = record_paths(monkeypatch)
+    closed = run_state(config, seed)
+    assert sum(rows for rows, _ in epochs) > 0
+    if config is SWITCH:
+        # closed form only, then mixed, then the per-charge path only
+        paths = [(rows > 0, blocks > 0) for rows, blocks in epochs if rows or blocks]
+        assert paths[:2] == [(True, False), (True, True)]
+        assert (False, True) in paths[2:] and (True, False) not in paths[2:]
+    epochs.clear()
+    monkeypatch.setattr(_Run, "_quiet", lambda self, ids, *args: np.zeros(len(ids), dtype=bool))
+    assert run_state(config, seed) == closed
+    assert sum(rows for rows, _ in epochs) == 0
+
+
+@pytest.mark.parametrize(
+    "config, seed",
+    [*[(replace(DRAINING, protocol=p), None) for p in ("res", "dt", "mte", "merr", "or")],
+     (SPARSE_MTE, 2), (SWITCH, 1)],
+    ids=["res", "dt", "mte", "merr", "or", "sparse-mte", "switch-mte-40j"],
+)
+def test_closed_form_keeps_only_rows_it_checked(monkeypatch, config, seed):
+    # The bound decides only which path a group takes.  With every group
+    # trying the closed form in every epoch, those in which a node dies or
+    # writes a due time fall back to the per-charge path, and the run
+    # matches the scalar one.
+    monkeypatch.setattr(sim, "BLOCK_PLACES", 1)
+    monkeypatch.setattr(_Run, "_quiet", lambda self, ids, *args: np.ones(len(ids), dtype=bool))
+    epochs = record_paths(monkeypatch)
+    report = run_bulk_and_scalar(monkeypatch, config, seed)
+    assert report.deaths
+    assert any(rows for rows, _ in epochs) and any(blocks for _, blocks in epochs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_rows_match_bulk_block_rows(seed):
+    # the same rows through both paths: 6 nodes, 5 charges a tick to either
+    # slot, joules over three decades in sender order, 700 ticks, balances
+    # that neither die nor write a due time
+    engine = _Run(replace(SPARSE_MTE, battery_j=100.0), 2)
+    w = engine.params.drain_w[SENSE]
+    rng = np.random.default_rng(seed)
+    r, c, k = 6, 5, 700
+    ids = np.arange(r)
+    engine.due[ids] = math.inf
+    start = rng.random((r, 4)) * 1e-2
+    start[rng.random((r, 4)) < 0.3] = 0.0
+    first_drain = rng.random(r) * 1e-3
+    slots = rng.choice([TX, RX], (r, c))
+    joules = rng.random((r, c)) * 1e-5 * 10.0 ** rng.integers(0, 3, (r, c))
+    ticks = sim._tick_times(30.0, 0.25, 30.0 + k * 0.25)
+    wdT = w * np.diff(ticks)
+    end, loud = engine._closed_form(ids, start, first_drain, np.full(r, c), slots.ravel(),
+                                    joules.ravel(), ticks, wdT, k)
+    limit, ends, _ = engine._bulk_block(ids, c, start, first_drain, slots, joules, ticks, wdT, k)
+    assert limit == k and not loud.any()
+    for slot in range(4):
+        assert end[:, slot].tolist() == ends.get(slot, start[:, slot]).tolist(), slot
+
+
+def test_closed_form_flags_a_dead_row_that_writes_no_due_time():
+    # A node whose due time lies within 1 s of the epoch's first tick writes
+    # none, whatever its balance, so only the dead test keeps its group off
+    # the closed form when a charge empties its battery in the epoch.
+    engine = _Run(replace(DRAINING, protocol="dt"), DRAINING.seed)
+    w = engine.params.drain_w[SENSE]
+    T = np.array([100.0, 100.25])
+    engine.due[0] = 100.5
+    # 1 mJ left before the first tick, and 2 mJ of charges a tick
+    start = np.array([[engine.budget - 1e-3, 0.0, 0.0, 0.0]])
+    end, loud = engine._closed_form(
+        np.array([0]), start, np.array([0.0]), np.array([1]), np.array([TX]),
+        np.array([2e-3]), T, w * np.diff(T), len(T))
+    balance = engine.budget - spent(*end[0])
+    assert balance <= DEATH_EPSILON_J
+    assert T[0] + balance / w >= engine.due[0] - 1.0
+    assert loud.tolist() == [True]
+
+
+def repeated_sums_by_loop(start, adds, k):
+    """Each row's start plus its adds, one at a time, k times over, as one
+    np.add.accumulate per row."""
+    return [np.add.accumulate(np.concatenate([[x], np.tile(row, k)]))[-1]
+            for x, row in zip(start.tolist(), adds)]
+
+
+@st.composite
+def repeated_sums_cases(draw):
+    """Starts that are zero, just below a binade's top or anything up to 8;
+    adds up to 10 J, some larger than the starts, some with their low bits
+    zeroed so that they tie on a spacing; 1 to 8 adds a tick and up to 5,000
+    ticks."""
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    start = draw(st.lists(st.one_of(
+        st.just(0.0),
+        st.integers(-30, 3).map(lambda e: math.nextafter(2.0**e, 0.0)),
+        st.floats(0.0, 8.0)), min_size=r, max_size=r))
+    adds = np.array(draw(st.lists(st.one_of(
+        st.just(0.0), st.floats(0.0, 1e-3), st.floats(0.0, 10.0)),
+        min_size=r * c, max_size=r * c))).reshape(r, c)
+    bits = draw(st.one_of(st.none(), st.integers(0, 60)))
+    if bits is not None:
+        adds = np.ldexp(np.floor(np.ldexp(adds, bits)), -bits)
+    return np.array(start), adds, draw(st.integers(0, 5000))
+
+
+@pytest.mark.parametrize("prefix", ["default", "one-tick"])
+@settings(max_examples=150, deadline=None)
+@given(repeated_sums_cases())
+def test_repeated_sums_match_the_accumulate(prefix, case):
+    start, adds, k = case
+    # with one tick add by add, every later one goes through the binade rounds
+    places = (sim.SEQUENTIAL_TICKS, sim.SEQUENTIAL_PLACES) if prefix == "default" else (1, 1)
+    with mock.patch.multiple(sim, SEQUENTIAL_TICKS=places[0], SEQUENTIAL_PLACES=places[1]):
+        got = sim._repeated_sums(start, adds, k)
+    assert got.tolist() == repeated_sums_by_loop(start, adds, k)
+
+
+@pytest.mark.parametrize("start, add", [
+    (1.0, 2.0**-53),  # ties to even and stays at 1.0
+    (1.0 + 2.0**-52, 2.0**-53),  # ties up once, then stays
+    (1.0, 1.5 * 2.0**-52),  # ties alternately up and down, 1.5 spacings a tick
+    (3.0, 2.5 * 2.0**-51),  # ties down to an even sum, 2 spacings a tick
+])
+def test_repeated_sums_take_a_whole_binade_of_ties_in_one_accumulate(start, add):
+    accumulated, calls = sim._accumulated, []
+
+    def counting(*args):
+        calls.append(args[-1])
+        return accumulated(*args)
+
+    k = 100_000
+    with mock.patch.object(sim, "_accumulated", counting):
+        got = sim._repeated_sums(np.array([start]), np.array([[add]]), k)
+    assert got.tolist() == repeated_sums_by_loop(np.array([start]), np.array([[add]]), k)
+    # the sequential ticks, then the rest of the binade in one accumulate
+    assert len(calls) == 2 and sum(calls) == k
 
 
 def record_epochs(monkeypatch):
@@ -698,10 +890,10 @@ def test_every_charged_node_senses(monkeypatch, protocol):
     charge_plan, handle_tick = _Run._charge_plan, _Run._handle_tick
 
     def recording_plan(self):
-        groups, sessions = charge_plan(self)
-        for ids, _, _ in groups.values():
-            modes.extend(self.mode[ids].tolist())
-        return groups, sessions
+        plan = charge_plan(self)
+        (ids, *_), _, _ = plan
+        modes.extend(self.mode[ids].tolist())
+        return plan
 
     def recording_tick(self):
         modes.extend(self.mode[v].item() for _, charges in self._senders

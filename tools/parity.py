@@ -1,13 +1,16 @@
 """Output-parity digests: one per run, to compare two checkouts.
 
 Runs the run lists of ``perfbench.workloads.WORKLOADS`` at the given seeds,
-and the five protocols on a small field whose sensors die (``DYING``) at each
-of ``DYING_BATTERIES_J`` and the same seeds, writes each run's
+the five protocols on a small field whose sensors die (``DYING``) at each
+of ``DYING_BATTERIES_J`` and the same seeds, and mte on that field with
+batteries that outlast the first projections (``SWITCH``), writes each run's
 ``sim.emit_outputs`` files and prints one
 ``perfbench.outcheck.digest_outputs`` digest per run as JSON, one run per
 line.  The dying field reaches what the benchmark fields never do: deaths at
 init, by the region flood's charges or by drain, and the mode switches and
-due settles around them.  Each line also carries ``repr_digest``, a hash of
+due settles around them.  On the switch field the epoch step sums groups in
+closed form first and hands them to the per-charge path once their nodes
+project deaths inside the run.  Each line also carries ``repr_digest``, a hash of
 the full-precision ``repr`` of the report's deaths, ledger snapshots, session
 counters and interval rows, which catches differences below the files' nine
 decimals.  Two checkouts produce the same outputs on these runs exactly when
@@ -33,6 +36,11 @@ from pathlib import Path
 DYING = dict(area_width=80.0, area_height=80.0, region_size=40.0, node_count=18,
              radio_range=50.0, sensing_range=30.0, sink_x=60.0, sink_y=30.0, sessions=4)
 DYING_BATTERIES_J = (60.0, 0.5)
+# the same field with 8 mte sessions at 4 packets a second and 300 s between
+# reports: 40 J put the charged nodes' first projections past the 1200 s run,
+# and their packets bring them inside it (tests/test_sim.py's SWITCH)
+SWITCH = dict(DYING, sessions=8, protocol="mte", battery_j=40.0, packet_rate_hz=4.0,
+              report_interval_s=300.0, sim_duration_s=1200.0)
 
 
 def repr_digest(report) -> str:
@@ -69,6 +77,7 @@ def main(argv: list[str] | None = None) -> int:
         for seed in args.seeds
         for protocol in PROTOCOLS
     ]
+    runs += [(f"switch-40j/{seed}/mte", ScenarioConfig(**SWITCH), seed) for seed in args.seeds]
     rows = []
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
         for k, (name, config, run_seed) in enumerate(runs):
